@@ -17,8 +17,8 @@ The certificate machinery follows the Lyapunov argument stage by stage:
 C1 is not constructively available (it is the minimum of a quadratic form
 over a set that is not closed), so two estimators ship: an a priori
 sampled upper estimate of the minimum, and the a posteriori minimum of the
-Rayleigh quotient along an actual trajectory, which is the authoritative
-one for certifying that run.
+Rayleigh quotient over the recorded states of an actual run (every
+``record_stride``-th step, not the whole path), the one used to certify it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .graph import (
     Condensation,
     WeightedDigraph,
     condensation,
-    has_spanning_tree,
     infinity_norms,
     is_strongly_connected,
     laplacian,
@@ -50,12 +49,13 @@ from .graph import (
 from .dynamics import (
     SimulationConfig,
     Trajectory,
+    _lyapunov,
+    _settled_index,
     integrate,
     lyapunov_value,
 )
 from .protocols import (
     GridSpec,
-    Linear,
     LogPower,
     PowerLinear,
     ProtocolBank,
@@ -161,8 +161,8 @@ def estimate_c1(
     UPPER estimate of the true minimum (provenance flag says so).
 
     a_posteriori: minimum of f(y)^T B f(y) / f(y)^T f(y) over the supplied
-    feedback vectors from a simulation (zero vectors excluded); rigorous for
-    certifying that particular run.
+    feedback vectors (zero vectors excluded).  ``certify`` passes the recorded
+    states, every ``record_stride``-th step, so this is not the path minimum.
 
     Returns (value, provenance).
     """
@@ -240,13 +240,23 @@ def settling_bound_strongly_connected(
     """Comparison-principle bound for a strongly connected topology."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("strongly connected stage bound needs one SCC")
+    _check_constants(alpha, beta, c1)
+    return _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega,
+                        lyapunov_value(g, omega, bank, x0))
+
+
+def _check_constants(alpha: float, beta: float, c1: float | None = None):
     if not 0 < alpha < 1:
         raise InvalidConstants("alpha must lie in (0, 1)")
     if not beta > 0:
         raise InvalidConstants("beta must be positive")
-    if not c1 > 0:
+    if c1 is not None and not c1 > 0:
         raise InvalidConstants("c1 must be positive")
-    v0 = lyapunov_value(g, omega, bank, x0)
+
+
+def _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v0,
+                 lambda1=None) -> ConvergenceCertificate:
+    """Stage certificate with the comparison time t* = V0^(1-a) / (C1 C2 beta (1-a))."""
     c2 = c2_constant(omega, alpha)
     t_star = 0.0 if v0 == 0.0 else v0 ** (1.0 - alpha) / (c1 * c2 * beta * (1.0 - alpha))
     return ConvergenceCertificate(
@@ -259,6 +269,7 @@ def settling_bound_strongly_connected(
         c2=c2,
         v0=v0,
         t_star=t_star,
+        lambda1=lambda1,
     )
 
 
@@ -281,10 +292,7 @@ def settling_bound_rooted(
         raise ZeroCoupling("follower stage receives nothing from its parents")
     if not is_strongly_connected(g_sub):
         raise NotStronglyConnected("follower subgraph must be strongly connected")
-    if not 0 < alpha < 1:
-        raise InvalidConstants("alpha must lie in (0, 1)")
-    if not beta > 0:
-        raise InvalidConstants("beta must be positive")
+    _check_constants(alpha, beta)
     omega = left_null_vector(g_sub)
     B = mirror_laplacian(g_sub, omega) + np.diag(omega * b_vec)
     lam1 = smallest_eigenvalue_symmetric(B)
@@ -293,20 +301,8 @@ def settling_bound_rooted(
     L_sub = laplacian(g_sub)
     y0 = -(L_sub @ np.asarray(z0, dtype=float) + b_vec * np.asarray(z0, dtype=float))
     v0 = float(np.dot(omega, bank_sub.antiderivatives(y0)))
-    c2 = c2_constant(omega, alpha)
-    t_star = 0.0 if v0 == 0.0 else v0 ** (1.0 - alpha) / (lam1 * c2 * beta * (1.0 - alpha))
-    return ConvergenceCertificate(
-        component_id=component_id,
-        alpha=alpha,
-        beta=beta,
-        beta_source=beta_source,
-        c1=lam1,
-        c1_source="smallest-eigenvalue",
-        c2=c2,
-        v0=v0,
-        t_star=t_star,
-        lambda1=lam1,
-    )
+    return _certificate(component_id, alpha, beta, beta_source, lam1, "smallest-eigenvalue",
+                        omega, v0, lambda1=lam1)
 
 
 def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) -> tuple:
@@ -336,15 +332,59 @@ def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()
     return alpha, emp, beta_closed, note
 
 
-def _first_settled_index(times, states, vertices, eps) -> int | None:
+def _first_settled_index(traj: Trajectory, vertices, eps: float) -> int | None:
     """First recorded index after which the given vertex set stays eps-agreed."""
-    sub = states[:, sorted(vertices)]
-    d = sub.max(axis=1) - sub.min(axis=1)
-    ok = d <= eps
-    if not ok[-1]:
+    sub = traj.states[:, vertices]
+    return _settled_index(sub.max(axis=1) - sub.min(axis=1), eps)
+
+
+def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
+    """(certificate, consensus value) of the root SCC ``verts``, an autonomous
+    strongly connected stage started at x0."""
+    if len(verts) == 1:
+        # no in-arcs anywhere: the state is constant, settled from t=0
+        cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0, "empirical",
+                            math.inf, "singleton-root", np.ones(1), 0.0)
+        return cert, float(x0[verts[0]])
+    g_sub = g.subgraph(verts)
+    bank_sub = ProtocolBank([bank[v] for v in verts])
+    omega = left_null_vector(g_sub)
+    B = mirror_laplacian(g_sub, omega)
+    L_sub = laplacian(g_sub)
+    fy = bank_sub.eval((-(L_sub @ states[:, verts].T)).T)
+    v0 = _lyapunov(L_sub, omega, bank_sub, x0[verts])
+    if v0 == 0.0:
+        c1, c1_src = estimate_c1(B, mode="a_priori")
+    else:
+        try:
+            c1, c1_src = estimate_c1(B, mode="a_posteriori", fy=fy)
+        except ValueError:
+            c1, c1_src = estimate_c1(B, mode="a_priori")
+    _check_constants(alpha, beta, c1)
+    cert = _certificate(0, alpha, beta, "empirical", c1, c1_src, omega, v0)
+    return cert, float(np.mean(states[-1, verts]))
+
+
+def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> ConvergenceCertificate:
+    """Rooted-stage certificate of SCC ``k`` (``verts``) started at ``x_start``,
+    the state when its ancestors ``anc_verts`` have settled on their mean."""
+    others = [u for u in range(g.n) if u not in verts]
+    b_vec = g.weights[np.ix_(verts, others)].sum(axis=1)
+    z0 = x_start[verts] - float(np.mean(x_start[anc_verts]))
+    return settling_bound_rooted(
+        g.subgraph(verts), b_vec, ProtocolBank([bank[v] for v in verts]), z0, alpha, beta,
+        component_id=k, beta_source="empirical")
+
+
+def _compose(cond: Condensation, certificates: list) -> float | None:
+    """Max over root-to-leaf condensation paths of the summed stage bounds
+    (each stage anchored at its empirical start); None if a stage has none."""
+    if any(cert is None for cert in certificates):
         return None
-    bad = np.flatnonzero(~ok)
-    return 0 if bad.size == 0 else int(bad[-1] + 1)
+    path_sum = []
+    for k, cert in enumerate(certificates):  # topological order
+        path_sum.append(max((path_sum[p] for p in cond.parents(k)), default=0.0) + cert.t_star)
+    return max(path_sum)
 
 
 def certify(
@@ -359,21 +399,20 @@ def certify(
     """
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
-    st = has_spanning_tree(g)
     traj = integrate(sim_cfg, g, bank, x0)
     eps = sim_cfg.eps_consensus
-
+    n_comp = len(cond.components)
     report = CertificationReport(
-        spanning_tree=st,
+        spanning_tree=cond.spanning_tree,
         components=cond.components,
         dag_edges=tuple(sorted(cond.dag_edges)),
-        certificates=[None] * len(cond.components),
-        stage_starts=[None] * len(cond.components),
-        extinction_times=[None] * len(cond.components),
+        certificates=[None] * n_comp,
+        stage_starts=[None] * n_comp,
+        extinction_times=[None] * n_comp,
         final_disagreement=float(traj.disagreement[-1]),
         settled_at=traj.settled_at,
     )
-    if not st:
+    if not cond.spanning_tree:
         report.notes.append(
             "topology has no directed spanning tree; the finite-time consensus "
             "hypothesis fails and no settling bound is produced"
@@ -381,95 +420,35 @@ def certify(
         return report, traj
 
     M = infinity_norms(laplacian(g), x0)
-    grid = GridSpec()
-    alpha, beta_emp, beta_closed, note = constants_for_bank(bank, M, grid)
+    alpha, beta, beta_closed, note = constants_for_bank(bank, M, GridSpec())
     report.notes.append(note)
-    if beta_closed is not None and math.isfinite(beta_emp) and beta_emp < beta_closed - 1e-9:
+    if beta_closed is not None and math.isfinite(beta) and beta < beta_closed - 1e-9:
         report.notes.append(
             "closed-form beta exceeds the observed ratio minimum; the empirical "
             "value is used for the bounds"
         )
 
-    root_value: float | None = None
     for k, comp in enumerate(cond.components):
-        verts = sorted(comp)
-        g_sub = g.subgraph(verts)
-        bank_sub = ProtocolBank([bank[v] for v in verts])
+        verts = list(comp)
         if k == 0:
-            # root SCC: autonomous, certified by the strongly connected stage
-            report.stage_starts[k] = 0.0
-            if len(verts) == 1:
-                # no in-arcs anywhere: the state is constant, settled from t=0
-                report.certificates[k] = ConvergenceCertificate(
-                    component_id=k, alpha=alpha,
-                    beta=beta_emp if math.isfinite(beta_emp) else 0.0,
-                    beta_source="empirical", c1=math.inf, c1_source="singleton-root",
-                    c2=1.0, v0=0.0, t_star=0.0)
-                report.extinction_times[k] = 0.0
-                root_value = float(x0[verts[0]])
-                continue
-            omega = left_null_vector(g_sub)
-            B = mirror_laplacian(g_sub, omega)
-            sub_states = traj.states[:, verts]
-            L_sub = laplacian(g_sub)
-            fy = bank_sub.eval((-(L_sub @ sub_states.T)).T)
-            v0 = lyapunov_value(g_sub, omega, bank_sub, x0[verts])
-            if v0 == 0.0:
-                c1, c1_src = estimate_c1(B, mode="a_priori")
-            else:
-                try:
-                    c1, c1_src = estimate_c1(B, mode="a_posteriori", fy=fy)
-                except ValueError:
-                    c1, c1_src = estimate_c1(B, mode="a_priori")
-            cert = settling_bound_strongly_connected(
-                g_sub, omega, bank_sub, x0[verts], alpha, beta_emp, c1,
-                component_id=k, beta_source="empirical", c1_source=c1_src)
-            report.certificates[k] = cert
-            idx = _first_settled_index(traj.times, traj.states, verts, eps)
-            report.extinction_times[k] = None if idx is None else float(traj.times[idx])
-            root_value = float(np.mean(traj.states[-1, verts]))
-            continue
-
-        # follower stage: anchored where all ancestors have settled together
-        anc = cond.ancestors(k)
-        anc_verts = sorted(v for c in anc for v in cond.components[c])
-        idx0 = _first_settled_index(traj.times, traj.states, anc_verts, eps)
-        if idx0 is None:
-            report.notes.append(
-                f"component {k}: ancestors never settled within the horizon; "
-                "stage bound unavailable")
-            continue
-        t_start = float(traj.times[idx0])
-        report.stage_starts[k] = t_start
-        parent_value = float(np.mean(traj.states[idx0, anc_verts]))
-        b_vec = np.array([g.weights[v, [u for u in range(g.n) if u not in comp]].sum()
-                          for v in verts])
-        z0 = traj.states[idx0, verts] - parent_value
-        cert = settling_bound_rooted(
-            g_sub, b_vec, bank_sub, z0, alpha, beta_emp,
-            component_id=k, beta_source="empirical")
-        report.certificates[k] = cert
-        all_verts = anc_verts + verts
-        idx_ext = _first_settled_index(traj.times, traj.states, all_verts, eps)
-        report.extinction_times[k] = None if idx_ext is None else float(traj.times[idx_ext])
-
-    # composed bound: max over root-to-leaf condensation paths of the sum of
-    # stage bounds (each stage anchored at its empirical start)
-    n_comp = len(cond.components)
-    children = {i: [j for (a, j) in cond.dag_edges if a == i] for i in range(n_comp)}
-    path_sum = [None] * n_comp
-    for k in range(n_comp):  # topological order
-        cert = report.certificates[k]
-        if cert is None:
-            continue
-        preds = cond.parents(k)
-        if not preds:
-            path_sum[k] = cert.t_star
+            report.certificates[0], report.consensus_value = _root_stage(
+                g, bank, verts, x0, traj.states, alpha, beta)
+            report.stage_starts[0] = 0.0
+            settled = verts
         else:
-            avail = [path_sum[p] for p in preds if path_sum[p] is not None]
-            if avail:
-                path_sum[k] = max(avail) + cert.t_star
-    finite = [p for p in path_sum if p is not None]
-    report.overall_bound = max(finite) if len(finite) == n_comp and finite else None
-    report.consensus_value = root_value
+            anc_verts = sorted(v for c in cond.ancestors(k) for v in cond.components[c])
+            idx0 = _first_settled_index(traj, anc_verts, eps)
+            if idx0 is None:
+                report.notes.append(
+                    f"component {k}: ancestors never settled within the horizon; "
+                    "stage bound unavailable")
+                continue
+            report.stage_starts[k] = float(traj.times[idx0])
+            report.certificates[k] = _follower_stage(
+                g, bank, k, verts, traj.states[idx0], anc_verts, alpha, beta)
+            settled = anc_verts + verts
+        idx = _first_settled_index(traj, settled, eps)
+        report.extinction_times[k] = None if idx is None else float(traj.times[idx])
+
+    report.overall_bound = _compose(cond, report.certificates)
     return report, traj

@@ -16,16 +16,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, dynamics, protocols
 from .config import ExperimentConfig, load_config
 from .errors import FtConsensusError
-from .graph import is_strongly_connected, laplacian, left_null_vector
+from .graph import is_strongly_connected, left_null_vector
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -225,6 +222,10 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except Exception as exc:  # an internal fault still ends in one line, not a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -9,7 +9,7 @@ threshold is both reproducible and honest about resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,14 @@ class SimulationConfig:
     freeze_on_consensus: bool = True
 
     def __post_init__(self):
+        for name in ("dt", "t_max", "eps_consensus"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a real number")
+        if isinstance(self.record_stride, bool) or not isinstance(self.record_stride, int):
+            raise ValueError("record_stride must be a positive integer")
+        if not isinstance(self.freeze_on_consensus, bool):
+            raise ValueError("freeze_on_consensus must be a boolean")
         if not self.dt > 0 or not self.t_max > 0 or self.dt > self.t_max:
             raise ValueError("need 0 < dt <= t_max")
         if not self.eps_consensus > 0:
@@ -74,17 +82,21 @@ def rhs(g: WeightedDigraph, bank: ProtocolBank, x: np.ndarray) -> np.ndarray:
     return bank.eval(-(L @ np.asarray(x, dtype=float)))
 
 
+def _settled_index(dis: np.ndarray, eps: float) -> int | None:
+    """First index of the trailing run of ``dis <= eps``; None if dis[-1] > eps."""
+    ok = dis <= eps
+    if not ok[-1]:
+        return None
+    bad = np.flatnonzero(~ok)
+    return 0 if bad.size == 0 else int(bad[-1] + 1)
+
+
 def settling_time(traj: Trajectory, eps: float) -> float | None:
     """Earliest recorded time after which disagreement never exceeds eps."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    ok = traj.disagreement <= eps
-    if not ok[-1]:
-        return None
-    # first index of the trailing all-True run
-    bad = np.flatnonzero(~ok)
-    k = 0 if bad.size == 0 else bad[-1] + 1
-    return float(traj.times[k])
+    k = _settled_index(traj.disagreement, eps)
+    return None if k is None else float(traj.times[k])
 
 
 def integrate(
@@ -116,13 +128,11 @@ def integrate(
     def deriv(xv):
         return bank.eval(-(L @ xv))
 
-    rec_idx = [0]
-    rec_states = [x.copy()]
     frozen = disagreement(x) <= cfg.eps_consensus and cfg.freeze_on_consensus
     if frozen:
         x[:] = x.mean()
-        rec_states[0] = x.copy()
-    k_frozen = 0 if frozen else None
+    rec_idx = [0]
+    rec_states = [x.copy()]
 
     for k in range(1, n_steps + 1):
         if frozen:
@@ -138,22 +148,19 @@ def integrate(
         if cfg.freeze_on_consensus and float(x.max() - x.min()) <= cfg.eps_consensus:
             x[:] = x.mean()
             frozen = True
-            k_frozen = k
         if k % stride == 0 or k == n_steps or frozen:
             rec_idx.append(k)
             rec_states.append(x.copy())
 
-    if frozen and (k_frozen is not None) and k_frozen < n_steps:
-        # exact solution is constant after consensus; fill remaining records
-        tail = list(range(((k_frozen // stride) + 1) * stride, n_steps + 1, stride))
-        if not tail or tail[-1] != n_steps:
-            tail.append(n_steps)
-        for k in tail:
-            if k > rec_idx[-1]:
-                rec_idx.append(k)
-                rec_states.append(x.copy())
+    idx = np.array(rec_idx)
+    if frozen and rec_idx[-1] < n_steps:
+        # the exact solution is constant after consensus: the remaining grid
+        # points (stride multiples, then the final step) repeat the frozen state
+        tail = np.append(np.arange((rec_idx[-1] // stride + 1) * stride, n_steps, stride), n_steps)
+        idx = np.concatenate([idx, tail])
+        rec_states.append(np.broadcast_to(x, (tail.size, x.size)))
 
-    times = np.array(rec_idx, dtype=float) * dt
+    times = idx * dt
     states = np.vstack(rec_states)
     dis = states.max(axis=1) - states.min(axis=1)
     traj = Trajectory(times=times, states=states, disagreement=dis)
@@ -170,8 +177,11 @@ def lyapunov_value(
     """V(x) = sum_i omega_i * F_i(y_i), y = -L x; zero exactly at consensus."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
-    y = -(laplacian(g) @ np.asarray(x, dtype=float))
-    return float(np.dot(np.asarray(omega, dtype=float), bank.antiderivatives(y)))
+    return _lyapunov(laplacian(g), np.asarray(omega, dtype=float), bank, np.asarray(x, dtype=float))
+
+
+def _lyapunov(L: np.ndarray, omega: np.ndarray, bank: ProtocolBank, x: np.ndarray) -> float:
+    return float(np.dot(omega, bank.antiderivatives(-(L @ x))))
 
 
 def lyapunov_trace(
@@ -181,6 +191,10 @@ def lyapunov_trace(
     traj: Trajectory,
 ) -> np.ndarray:
     """V along the recorded states; also stored on the trajectory."""
-    v = np.array([lyapunov_value(g, omega, bank, x) for x in traj.states])
+    if not is_strongly_connected(g):
+        raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
+    L = laplacian(g)
+    omega = np.asarray(omega, dtype=float)
+    v = np.array([_lyapunov(L, omega, bank, x) for x in traj.states])
     traj.lyapunov = v
     return v

@@ -71,11 +71,14 @@ class Condensation:
     components: tuple
     dag_edges: frozenset
 
-    def component_of(self, vertex: int) -> int:
-        for k, comp in enumerate(self.components):
-            if vertex in comp:
-                return k
-        raise ValueError(f"vertex {vertex} not in any component")
+    @property
+    def spanning_tree(self) -> bool:
+        """True iff the DAG has one source component.
+
+        Component 0 comes first in topological order, so it is a source; the
+        DAG has no other source iff every later component has a parent.
+        """
+        return {j for (_, j) in self.dag_edges} == set(range(1, len(self.components)))
 
     def parents(self, k: int) -> list:
         return sorted(i for (i, j) in self.dag_edges if j == k)
@@ -178,11 +181,7 @@ def has_spanning_tree(g: WeightedDigraph) -> bool:
     source component.  (The spectral test rank(L) = n-1 is used only as a
     cross-check in the test suite.)
     """
-    cond = condensation(g)
-    k = len(cond.components)
-    has_parent = {j for (_, j) in cond.dag_edges}
-    sources = [c for c in range(k) if c not in has_parent]
-    return len(sources) == 1
+    return condensation(g).spanning_tree
 
 
 def is_strongly_connected(g: WeightedDigraph) -> bool:

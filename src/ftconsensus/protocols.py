@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -225,10 +225,6 @@ class CriteriaReport:
     bound_M: float
     grid_size: int
     beta_source: str = "explicit"  # explicit | closed-form | empirical
-
-    @property
-    def a1_pass(self) -> tuple:
-        return tuple(r.passed for r in self.a1)
 
 
 def check_a1(f: ProtocolFunction, M: float, points: int = 10_001) -> A1Report:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ftconsensus import PowerLinear, ProtocolBank, WeightedDigraph
+from ftconsensus import PowerLinear, ProtocolBank, WeightedDigraph, graph
 
 
 def fig1_graph() -> WeightedDigraph:
@@ -64,6 +64,20 @@ def random_claim1_bank(rng: np.random.Generator, n: int) -> ProtocolBank:
         PowerLinear(a=rng.uniform(0.5, 2.0), b=rng.uniform(0.0, 2.0), c=rng.uniform(0.1, 0.9))
         for _ in range(n)
     ])
+
+
+def count_graph_searches(monkeypatch, n: int) -> list:
+    """Record every SCC search over an n-vertex graph; returns the live list."""
+    calls = []
+    original = graph._tarjan_sccs
+
+    def counting(adj):
+        if len(adj) == n:
+            calls.append(n)
+        return original(adj)
+
+    monkeypatch.setattr(graph, "_tarjan_sccs", counting)
+    return calls
 
 
 @pytest.fixture

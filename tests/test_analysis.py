@@ -31,6 +31,7 @@ from ftconsensus.errors import (
 )
 
 from conftest import (
+    count_graph_searches,
     directed_cycle,
     fig1_graph,
     random_claim1_bank,
@@ -212,9 +213,11 @@ class TestCertify:
         assert report.extinction_times[0] is not None
         assert report.extinction_times[0] <= cert.t_star
 
-    def test_fig1_two_stages(self, fig1):
+    def test_fig1_two_stages(self, fig1, monkeypatch):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
+        searches = count_graph_searches(monkeypatch, fig1.n)
         report, traj = certify(fig1, bank, np.array([2.0, -1.0, 3.0, -2.0]), SimulationConfig())
+        assert len(searches) == 1  # one condensation serves the whole certificate
         assert report.components == ((0, 1, 2), (3,))
         assert report.dag_edges == ((0, 1),)
         root, follower = report.certificates

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ftconsensus import cli
 from ftconsensus.cli import main
 from ftconsensus.config import (
     ExperimentConfig,
@@ -49,6 +50,13 @@ class TestParseConfig:
         (lambda d: d.update(x0=[1.0, 0.0]), "array of 3"),
         (lambda d: d.update(protocols="powerlinear{a=0,b=1,c=0.75}"), "a"),
         (lambda d: d.update(sim={"dt": -1.0}), "sim"),
+        (lambda d: d.update(sim={"record_stride": 2.5}), "record_stride"),
+        (lambda d: d.update(sim={"record_stride": True}), "record_stride"),
+        (lambda d: d.update(sim={"freeze_on_consensus": "no"}), "freeze_on_consensus"),
+        (lambda d: d.update(sim={"freeze_on_consensus": 0}), "freeze_on_consensus"),
+        (lambda d: d.update(sim={"dt": True}), "dt"),
+        (lambda d: d.update(sim={"t_max": "20"}), "t_max"),
+        (lambda d: d.update(sim={"eps_consensus": None}), "eps_consensus"),
         (lambda d: d.update(bogus=1), "unknown"),
     ])
     def test_validation_errors(self, mutate, fragment):
@@ -115,6 +123,17 @@ class TestSimulateCommand:
         rc = main(["simulate", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_internal_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        def fault(args):
+            raise RuntimeError("unexpected\nfault")
+
+        monkeypatch.setattr(cli, "cmd_simulate", fault)
+        rc = main(["simulate", str(FIG1_CFG), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "RuntimeError" in err and "unexpected fault" in err
+        assert err.count("\n") == 1
 
     def test_invalid_config_is_failure(self, tmp_path, capsys):
         doc = make_doc()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,6 +23,7 @@ from ftconsensus import (
 from ftconsensus.errors import NonFiniteState, NotStronglyConnected
 
 from conftest import (
+    count_graph_searches,
     directed_cycle,
     fig1_graph,
     random_claim1_bank,
@@ -107,6 +110,27 @@ class TestIntegrate:
         # 10 steps (rounded), records at 0, 4, 8, 10
         assert list(traj.times) == pytest.approx([0.0, 0.04, 0.08, 0.10])
 
+    def test_record_stride_keeps_freeze_step(self):
+        g = directed_cycle(3)
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.5)] * 3)
+        x0 = np.array([1.0, 0.0, 0.0])
+        cfg = SimulationConfig(dt=0.01, t_max=1.05, eps_consensus=1e-3, record_stride=4,
+                               freeze_on_consensus=True)
+        traj = integrate(cfg, g, bank, x0)
+        n_steps = round(1.05 / 0.01)
+        steps = set(range(0, n_steps + 1, 4)) | {n_steps}
+        # the freeze step is the first step of the free run within eps, and it
+        # falls between stride multiples
+        free = integrate(dataclasses.replace(cfg, record_stride=1, freeze_on_consensus=False),
+                         g, bank, x0)
+        k_f = int(np.argmax(free.disagreement <= 1e-3))
+        assert 0 < k_f < n_steps and k_f % 4 != 0
+        steps.add(k_f)
+        assert traj.settled_at == k_f * 0.01
+        after = traj.times >= traj.settled_at
+        assert np.all(traj.states[after] == free.states[k_f].mean())
+        assert list(traj.times) == pytest.approx([k * 0.01 for k in sorted(steps)])
+
     def test_rk4_fourth_order_vs_matrix_exponential(self):
         g = directed_cycle(4, weight=2.5)
         bank = ProtocolBank([Linear(k=1.0)] * 4)
@@ -172,6 +196,19 @@ class TestLyapunovValue:
     def test_requires_strong_connectivity(self):
         with pytest.raises(NotStronglyConnected):
             lyapunov_value(fig1_graph(), np.full(4, 0.25), PL_BANK4, np.zeros(4))
+
+    def test_trace_searches_the_graph_once(self, monkeypatch):
+        g = directed_cycle(3)
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
+        omega = left_null_vector(g)
+        cfg = SimulationConfig(dt=0.01, t_max=3.0, record_stride=1, freeze_on_consensus=False)
+        traj = integrate(cfg, g, bank, np.array([1.0, 0.0, -1.0]))
+        assert traj.times.size > 300
+        expected = [lyapunov_value(g, omega, bank, x) for x in traj.states]
+        searches = count_graph_searches(monkeypatch, g.n)
+        v = lyapunov_trace(g, omega, bank, traj)
+        assert len(searches) <= 1
+        assert list(v) == expected
 
 
 class TestSettlingTime:
