@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DegenerateInput,
@@ -38,12 +37,12 @@ from .errors import (
 from .graph import (
     Condensation,
     WeightedDigraph,
+    _left_null_vector,
+    _mirror_laplacian,
     condensation,
     infinity_norms,
     is_strongly_connected,
     laplacian,
-    left_null_vector,
-    mirror_laplacian,
     smallest_eigenvalue_symmetric,
 )
 from .dynamics import (
@@ -52,14 +51,13 @@ from .dynamics import (
     _lyapunov,
     _settled_index,
     integrate,
-    lyapunov_value,
 )
 from .protocols import (
     GridSpec,
     LogPower,
     PowerLinear,
     ProtocolBank,
-    _ratio_min_single,
+    _empirical_beta,
     claim1_constants,
     claim2_constants,
 )
@@ -218,6 +216,8 @@ def estimate_c1(
         return float(u @ B @ u)
 
     if best_xi is not None:
+        from scipy.optimize import minimize  # deferred: it imports slower than the whole package
+
         res = minimize(obj, best_xi, method="Nelder-Mead",
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5_000})
         if np.isfinite(res.fun) and res.fun < best_val:
@@ -241,8 +241,8 @@ def settling_bound_strongly_connected(
     if not is_strongly_connected(g):
         raise NotStronglyConnected("strongly connected stage bound needs one SCC")
     _check_constants(alpha, beta, c1)
-    return _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega,
-                        lyapunov_value(g, omega, bank, x0))
+    v0 = _lyapunov(laplacian(g), np.asarray(omega, dtype=float), bank, np.asarray(x0, dtype=float))
+    return _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v0)
 
 
 def _check_constants(alpha: float, beta: float, c1: float | None = None):
@@ -293,12 +293,12 @@ def settling_bound_rooted(
     if not is_strongly_connected(g_sub):
         raise NotStronglyConnected("follower subgraph must be strongly connected")
     _check_constants(alpha, beta)
-    omega = left_null_vector(g_sub)
-    B = mirror_laplacian(g_sub, omega) + np.diag(omega * b_vec)
+    L_sub = laplacian(g_sub)
+    omega = _left_null_vector(L_sub)
+    B = _mirror_laplacian(L_sub, omega) + np.diag(omega * b_vec)
     lam1 = smallest_eigenvalue_symmetric(B)
     if not lam1 > 0:
         raise DegenerateInput("rooted-stage matrix not positive definite")
-    L_sub = laplacian(g_sub)
     y0 = -(L_sub @ np.asarray(z0, dtype=float) + b_vec * np.asarray(z0, dtype=float))
     v0 = float(np.dot(omega, bank_sub.antiderivatives(y0)))
     return _certificate(component_id, alpha, beta, beta_source, lam1, "smallest-eigenvalue",
@@ -316,20 +316,16 @@ def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()
     if M <= 0:
         return 0.5, math.inf, None, "degenerate (already at consensus)"
     kind = bank.uniform_kind
+    if kind is LogPower:
+        alpha, beta_closed, emp = claim2_constants(bank, M, grid)
+        return alpha, emp, beta_closed, "alpha closed-form (log-power family)"
     if kind is PowerLinear:
         alpha, beta_closed = claim1_constants(bank, M)
         note = "alpha closed-form (power-linear family)"
-    elif kind is LogPower:
-        alpha, beta_closed, _ = claim2_constants(bank, M, grid)
-        note = "alpha closed-form (log-power family)"
     else:
         alpha, beta_closed = 0.5, None
         note = "no closed form for this bank; alpha defaulted"
-    emp = math.inf
-    for f in bank:
-        best, _, _ = _ratio_min_single(f, M, alpha, grid)
-        emp = min(emp, best)
-    return alpha, emp, beta_closed, note
+    return alpha, _empirical_beta(bank, M, alpha, grid), beta_closed, note
 
 
 def _first_settled_index(traj: Trajectory, vertices, eps: float) -> int | None:
@@ -346,11 +342,10 @@ def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
         cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0, "empirical",
                             math.inf, "singleton-root", np.ones(1), 0.0)
         return cert, float(x0[verts[0]])
-    g_sub = g.subgraph(verts)
+    L_sub = laplacian(g.subgraph(verts))
     bank_sub = ProtocolBank([bank[v] for v in verts])
-    omega = left_null_vector(g_sub)
-    B = mirror_laplacian(g_sub, omega)
-    L_sub = laplacian(g_sub)
+    omega = _left_null_vector(L_sub)
+    B = _mirror_laplacian(L_sub, omega)
     fy = bank_sub.eval((-(L_sub @ states[:, verts].T)).T)
     v0 = _lyapunov(L_sub, omega, bank_sub, x0[verts])
     if v0 == 0.0:

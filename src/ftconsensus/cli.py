@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis, dynamics, protocols
 from .config import ExperimentConfig, load_config
 from .errors import FtConsensusError
-from .graph import is_strongly_connected, left_null_vector
+from .graph import _left_null_vector, is_strongly_connected, laplacian
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -57,8 +57,8 @@ def _run_experiment(cfg: ExperimentConfig) -> dynamics.Trajectory:
     bank = cfg.bank()
     traj = dynamics.integrate(cfg.sim, g, bank, cfg.x0_array())
     if is_strongly_connected(g):
-        omega = left_null_vector(g)
-        dynamics.lyapunov_trace(g, omega, bank, traj)
+        L = laplacian(g)
+        dynamics._lyapunov_trace(L, _left_null_vector(L), bank, traj)
     return traj
 
 

@@ -193,7 +193,11 @@ def lyapunov_trace(
     """V along the recorded states; also stored on the trajectory."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
-    L = laplacian(g)
+    return _lyapunov_trace(laplacian(g), omega, bank, traj)
+
+
+def _lyapunov_trace(L: np.ndarray, omega: np.ndarray, bank: ProtocolBank, traj: Trajectory) -> np.ndarray:
+    """``lyapunov_trace`` for the Laplacian of a graph known to be strongly connected."""
     omega = np.asarray(omega, dtype=float)
     v = np.array([_lyapunov(L, omega, bank, x) for x in traj.states])
     traj.lyapunov = v

@@ -195,8 +195,12 @@ def left_null_vector(g: WeightedDigraph) -> np.ndarray:
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("left null vector requires a strongly connected graph")
-    L = laplacian(g)
-    if g.n == 1:
+    return _left_null_vector(laplacian(g))
+
+
+def _left_null_vector(L: np.ndarray) -> np.ndarray:
+    """``left_null_vector`` for the Laplacian of a graph known to be strongly connected."""
+    if L.shape[0] == 1:
         return np.array([1.0])
     _, _, vt = np.linalg.svd(L.T)
     w = vt[-1]
@@ -218,7 +222,11 @@ def mirror_laplacian(g: WeightedDigraph, omega: np.ndarray) -> np.ndarray:
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("mirror Laplacian requires a strongly connected graph")
-    L = laplacian(g)
+    return _mirror_laplacian(laplacian(g), omega)
+
+
+def _mirror_laplacian(L: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """``mirror_laplacian`` for the Laplacian of a graph known to be strongly connected."""
     W = np.diag(np.asarray(omega, dtype=float))
     return (W @ L + L.T @ W) / 2.0
 

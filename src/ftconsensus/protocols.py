@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ProtocolDomainError, WrongProtocolKind
 
@@ -285,6 +284,8 @@ def _ratio_min_single(f: ProtocolFunction, M: float, alpha: float, grid: GridSpe
     lo = z[max(k - 1, 0)]
     hi = z[min(k + 1, z.size - 1)]
     if hi > lo:
+        from scipy.optimize import minimize_scalar  # deferred: it imports slower than the whole package
+
         res = minimize_scalar(obj, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-14 * M})
         if res.fun < best:
@@ -384,11 +385,12 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
         beta1 = min(beta1, f.a**2 * M**exp1 / (2.0 * (f.a / (1.0 + f.c)) ** alpha))
         beta2 = min(beta2, f.a**2 * M**exp2 / (2.0 * (2.0 * f.a / (2.0 + f.c)) ** alpha))
     beta_closed = min(beta1, beta2)
-    emp = math.inf
-    for f in bank:
-        best, _, _ = _ratio_min_single(f, M, alpha, grid)
-        emp = min(emp, best)
-    return alpha, beta_closed, emp
+    return alpha, beta_closed, _empirical_beta(bank, M, alpha, grid)
+
+
+def _empirical_beta(bank: ProtocolBank, M: float, alpha: float, grid: GridSpec) -> float:
+    """Smallest refined ratio minimum over the bank, one minimisation per distinct spec."""
+    return min(_ratio_min_single(f, M, alpha, grid)[0] for f in dict.fromkeys(bank))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from ftconsensus import (
     Linear,
+    LogPower,
     PowerLinear,
     ProtocolBank,
     SimulationConfig,
@@ -23,6 +24,7 @@ from ftconsensus import (
     settling_bound_rooted,
     settling_bound_strongly_connected,
 )
+from ftconsensus import protocols
 from ftconsensus.analysis import constants_for_bank
 from ftconsensus.errors import (
     InvalidConstants,
@@ -286,6 +288,27 @@ class TestConstantsForBank:
         a2, b2 = claim1_constants(bank, 6.0)
         assert alpha == a2 and closed == b2
         assert emp >= closed - 1e-9
+
+    @pytest.mark.parametrize("specs,distinct", [
+        ([PowerLinear(1.0, 1.0, 0.75)] * 30, 1),
+        ([LogPower(1.0, 0.5)] * 30, 1),
+        ([PowerLinear(1.0, 1.0, 0.75), PowerLinear(2.0, 0.5, 0.6)] * 15, 2),
+    ])
+    def test_one_ratio_minimisation_per_distinct_spec(self, specs, distinct, monkeypatch):
+        bank = ProtocolBank(specs)
+        original = protocols._ratio_min_single
+        alpha = constants_for_bank(bank, 6.0)[0]
+        per_agent = min(original(f, 6.0, alpha, protocols.GridSpec())[0] for f in bank)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(protocols, "_ratio_min_single", counting)
+        _, emp, _, _ = constants_for_bank(bank, 6.0)
+        assert len(calls) == distinct
+        assert emp == per_agent
 
     def test_mixed_bank_falls_back(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), Linear(k=1.0)])

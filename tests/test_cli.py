@@ -1,5 +1,9 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,8 @@ from ftconsensus.config import (
 )
 from ftconsensus.dynamics import SimulationConfig
 from ftconsensus.errors import ConfigParseError, ConfigValidationError
+
+from conftest import count_graph_searches, random_strongly_connected
 
 REPO = Path(__file__).resolve().parent.parent
 FIG1_CFG = REPO / "configs" / "fig1.cfg"
@@ -175,6 +181,22 @@ class TestCertifyCommand:
         assert doc["overall_bound"] is None
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_strongly_connected_graph_is_searched_once(command, tmp_path, monkeypatch):
+    n = 30
+    w = random_strongly_connected(np.random.default_rng(7), n).weights
+    rows, cols = np.nonzero(w)
+    doc = make_doc(
+        graph={"n": n, "edges": [[int(j) + 1, int(i) + 1, float(w[i, j])] for i, j in zip(rows, cols)]},
+        x0=list(np.linspace(-2.5, 2.5, n)),
+        sim={"t_max": 2.0},
+    )
+    (tmp_path / "scc.cfg").write_text(json.dumps(doc))
+    searches = count_graph_searches(monkeypatch, n)
+    assert main([command, str(tmp_path / "scc.cfg"), "--out", str(tmp_path / "o")]) == 0
+    assert len(searches) == 1
+
+
 class TestCheckProtocolCommand:
     def test_linear_fails_ratio(self, capsys):
         rc = main(["check-protocol", "--spec", "linear{k=1}", "--bound", "6"])
@@ -224,3 +246,46 @@ class TestDemoPaper:
             assert v["final_disagreement"] <= 1e-9
         header = (tmp_path / "a" / "fig2.csv").read_text().splitlines()[0]
         assert header == "t,x_1,x_2,x_3,x_4,disagreement"
+
+
+class TestColdStart:
+    SCRIPT = """
+import json, sys
+import ftconsensus.cli
+from ftconsensus.config import load_config
+load_config(sys.argv[1])
+steps = [ftconsensus.cli.main(["simulate", sys.argv[1], "--out", sys.argv[2]]),
+         "scipy.optimize" in sys.modules]
+steps += [ftconsensus.cli.main(["check-protocol", "--spec", "powerlinear{a=1,b=1,c=0.75}",
+                                "--bound", "6"]),
+          "scipy.optimize" in sys.modules]
+print(json.dumps(steps))
+"""
+
+    def test_simulate_never_loads_scipy_optimize(self, tmp_path):
+        path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(FIG1_CFG), str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, 0, True]
+
+    def test_no_module_imports_scipy_at_import_time(self):
+        offenders = []
+        for path in sorted((REPO / "src" / "ftconsensus").glob("*.py")):
+            stack = list(ast.parse(path.read_text()).body)
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue  # a function body runs on call, not on import
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else []
+                else:
+                    names = []
+                offenders += [f"{path.name}:{node.lineno} {m}" for m in names
+                              if m.split(".")[0] == "scipy"]
+                stack.extend(ast.iter_child_nodes(node))
+        assert offenders == []
