@@ -16,9 +16,11 @@ The certificate machinery follows the Lyapunov argument stage by stage:
 
 C1 is not constructively available (it is the minimum of a quadratic form
 over a set that is not closed), so two estimators ship: an a priori
-sampled upper estimate of the minimum, and the a posteriori minimum of the
-Rayleigh quotient over the recorded states of an actual run (every
-``record_stride``-th step, not the whole path), the one used to certify it.
+sampled upper estimate of the minimum, polished by the in-package
+Nelder-Mead search (``_minimize.nelder_mead``), and the a posteriori
+minimum of the Rayleigh quotient over the recorded states of an actual run
+(every ``record_stride``-th step, not the whole path), the one used to
+certify it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._minimize import nelder_mead
 from .errors import (
     DegenerateInput,
     InvalidConstants,
@@ -154,9 +157,9 @@ def estimate_c1(
 ) -> tuple:
     """Estimate the Rayleigh-quotient lower constant for a mirror Laplacian.
 
-    a_priori: Monte Carlo over mixed-sign unit vectors plus local refinement
-    from the best samples.  The result is the smallest value found, i.e. an
-    UPPER estimate of the true minimum (provenance flag says so).
+    a_priori: Monte Carlo over mixed-sign unit vectors, then a Nelder-Mead
+    polish from the best sample.  The result is the smallest value found,
+    i.e. an UPPER estimate of the true minimum (provenance flag says so).
 
     a_posteriori: minimum of f(y)^T B f(y) / f(y)^T f(y) over the supplied
     feedback vectors (zero vectors excluded).  ``certify`` passes the recorded
@@ -189,7 +192,10 @@ def estimate_c1(
     rng = np.random.default_rng(seed)
     best_val = math.inf
     best_xi = None
-    chunk = 20_000
+    # rows per chunk under a fixed element budget, so memory does not grow
+    # with n; the normal stream does not depend on the chunking, and the
+    # strict < below keeps the first global minimum, so neither does the result
+    chunk = max(1, min(20_000, 80_000 // n))
     remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
@@ -216,12 +222,9 @@ def estimate_c1(
         return float(u @ B @ u)
 
     if best_xi is not None:
-        from scipy.optimize import minimize  # deferred: it imports slower than the whole package
-
-        res = minimize(obj, best_xi, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5_000})
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
+        fun = nelder_mead(obj, best_xi, xatol=1e-12, fatol=1e-14, maxiter=5_000)[1]
+        if np.isfinite(fun) and fun < best_val:
+            best_val = float(fun)
     return best_val, "a-priori-sampled"
 
 

@@ -18,8 +18,10 @@ Criteria checked numerically over the reachable argument range (0, M]:
   finite-time consensus), and
 * the ratio bound f(z)^2 / F(z)^alpha >= beta with F the antiderivative.
   Closed-form (alpha, beta) are available for uniform power-linear and
-  log-power banks; an empirical, locally refined grid minimum is always
-  computed alongside and is the authoritative lower bound for certificates.
+  log-power banks; an empirical grid minimum, refined around the best grid
+  point by the in-package bounded Brent search (``_minimize.bounded_brent``),
+  is always computed alongside and is the authoritative lower bound for
+  certificates.  It is computed once per distinct protocol function.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._minimize import bounded_brent
 from .errors import ProtocolDomainError, WrongProtocolKind
 
 __all__ = [
@@ -284,12 +287,9 @@ def _ratio_min_single(f: ProtocolFunction, M: float, alpha: float, grid: GridSpe
     lo = z[max(k - 1, 0)]
     hi = z[min(k + 1, z.size - 1)]
     if hi > lo:
-        from scipy.optimize import minimize_scalar  # deferred: it imports slower than the whole package
-
-        res = minimize_scalar(obj, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-14 * M})
-        if res.fun < best:
-            best = float(res.fun)
+        fun = bounded_brent(obj, lo, hi, xatol=1e-14 * M)[1]
+        if fun < best:
+            best = float(fun)
     return best, ratio, z
 
 
@@ -312,10 +312,11 @@ def check_a2(
         raise ValueError("M must be positive")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    a1 = tuple(check_a1(f, M) for f in bank)
+    distinct = dict.fromkeys(bank)
+    a1 = {f: check_a1(f, M) for f in distinct}
     emp = math.inf
     bottom_slope = -math.inf
-    for f in bank:
+    for f in distinct:
         best, ratio, z = _ratio_min_single(f, M, alpha, grid)
         emp = min(emp, best)
         # log-log slope of the ratio over the grid's bottom decade
@@ -335,7 +336,7 @@ def check_a2(
         a2_pass = emp >= beta - 1e-9
         source = "explicit"
     return CriteriaReport(
-        a1=a1,
+        a1=tuple(a1[f] for f in bank),
         a2_pass=bool(a2_pass),
         alpha=alpha,
         beta=float(beta_used),

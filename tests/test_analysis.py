@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,25 @@ class TestEstimateC1:
         B = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
         val, _ = estimate_c1(B, mode="a_priori", samples=100_000)
         assert 0 < val <= np.linalg.eigvalsh(B)[-1]
+
+    def test_a_priori_values_and_memory(self):
+        # the values of the sampler that drew 20_000 rows per chunk at any n;
+        # chunks now hold at most 80_000 elements, so memory stays flat in n
+        B3 = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+        g4 = random_strongly_connected(np.random.default_rng(4), 4)
+        B4 = mirror_laplacian(g4, left_null_vector(g4))
+        assert estimate_c1(B3, samples=10_000)[0] == 1.0
+        assert estimate_c1(B4, samples=10_000)[0] == 0.05360832212106886
+        g = random_strongly_connected(np.random.default_rng(200), 200, extra_p=0.05)
+        B = mirror_laplacian(g, left_null_vector(g))
+        tracemalloc.start()
+        try:
+            val, _ = estimate_c1(B, samples=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # one (10_000, 200) chunk alone is 16 MB
+        assert val == 0.04165311994901362
 
     def test_a_posteriori_rayleigh_range(self):
         g = directed_cycle(3)
@@ -309,6 +329,19 @@ class TestConstantsForBank:
         _, emp, _, _ = constants_for_bank(bank, 6.0)
         assert len(calls) == distinct
         assert emp == per_agent
+
+        a1_reports = {f: protocols.check_a1(f, 6.0) for f in bank}
+        shape_checks = []
+        original_a1 = protocols.check_a1
+
+        def counting_a1(f, M):
+            shape_checks.append(f)
+            return original_a1(f, M)
+
+        monkeypatch.setattr(protocols, "check_a1", counting_a1)
+        report = check_a2(bank, 6.0, alpha)
+        assert len(calls) == 2 * distinct and len(shape_checks) == distinct
+        assert report.a1 == tuple(a1_reports[f] for f in bank)
 
     def test_mixed_bank_falls_back(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), Linear(k=1.0)])

@@ -251,34 +251,36 @@ class TestDemoPaper:
 class TestColdStart:
     SCRIPT = """
 import json, sys
+import numpy as np
 import ftconsensus.cli
-from ftconsensus.config import load_config
-load_config(sys.argv[1])
-steps = [ftconsensus.cli.main(["simulate", sys.argv[1], "--out", sys.argv[2]]),
-         "scipy.optimize" in sys.modules]
-steps += [ftconsensus.cli.main(["check-protocol", "--spec", "powerlinear{a=1,b=1,c=0.75}",
-                                "--bound", "6"]),
-          "scipy.optimize" in sys.modules]
+from ftconsensus.analysis import estimate_c1
+cfg, out = sys.argv[1], sys.argv[2]
+commands = [["simulate", cfg, "--out", out], ["certify", cfg, "--out", out],
+            ["check-protocol", "--spec", "logpower{a=1,c=0.5}", "--bound", "6"],
+            ["demo-paper", "--out", out]]
+steps = [[ftconsensus.cli.main(argv), "scipy" in sys.modules] for argv in commands]
+B = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+steps.append([estimate_c1(B, "a_priori", samples=1_000)[1], "scipy" in sys.modules])
 print(json.dumps(steps))
 """
 
     def test_simulate_never_loads_scipy_optimize(self, tmp_path):
+        # every command, and the a-priori C1 estimate, runs without scipy
         path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(FIG1_CFG), str(tmp_path / "o")],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, 0, True]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            [0, False], [0, False], [0, False], [0, False], ["a-priori-sampled", False]]
 
     def test_no_module_imports_scipy_at_import_time(self):
+        # stricter than its name: function bodies count too, so no call
+        # path can import scipy either
         offenders = []
-        for path in sorted((REPO / "src" / "ftconsensus").glob("*.py")):
-            stack = list(ast.parse(path.read_text()).body)
-            while stack:
-                node = stack.pop()
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue  # a function body runs on call, not on import
+        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
                     names = [a.name for a in node.names]
                 elif isinstance(node, ast.ImportFrom):
@@ -287,5 +289,4 @@ print(json.dumps(steps))
                     names = []
                 offenders += [f"{path.name}:{node.lineno} {m}" for m in names
                               if m.split(".")[0] == "scipy"]
-                stack.extend(ast.iter_child_nodes(node))
         assert offenders == []
