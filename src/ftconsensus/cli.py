@@ -9,6 +9,9 @@ Commands::
 
 Exit codes: 0 success / criteria pass; 1 validation or criteria failure;
 2 I/O or internal error.
+
+Argument parsing, config validation and their error exits load no numpy:
+each command imports the numeric modules when it starts to compute.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, dynamics, protocols
-from .config import ExperimentConfig, load_config
+from .config import (ExperimentConfig, LogPower, PowerLinear, SimulationConfig, load_config,
+                     parse_protocol_spec)
 from .errors import FtConsensusError
-from .graph import _left_null_vector, is_strongly_connected, laplacian
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -36,7 +38,7 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _trajectory_csv(traj: dynamics.Trajectory) -> str:
+def _trajectory_csv(traj) -> str:
     n = traj.n
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + ["disagreement"]
     with_v = traj.lyapunov is not None
@@ -52,17 +54,20 @@ def _trajectory_csv(traj: dynamics.Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_experiment(cfg: ExperimentConfig) -> dynamics.Trajectory:
+def _run_experiment(cfg: ExperimentConfig):
+    from .dynamics import _lyapunov_trace, integrate
+    from .graph import _left_null_vector, is_strongly_connected, laplacian
+
     g = cfg.graph()
     bank = cfg.bank()
-    traj = dynamics.integrate(cfg.sim, g, bank, cfg.x0_array())
+    traj = integrate(cfg.sim, g, bank, cfg.x0_array())
     if is_strongly_connected(g):
         L = laplacian(g)
-        dynamics._lyapunov_trace(L, _left_null_vector(L), bank, traj)
+        _lyapunov_trace(L, _left_null_vector(L), bank, traj)
     return traj
 
 
-def _summary(traj: dynamics.Trajectory) -> dict:
+def _summary(traj) -> dict:
     return {
         "settled_at": traj.settled_at,
         "final_state": [float(v) for v in traj.final_state()],
@@ -96,7 +101,9 @@ def cmd_simulate(args) -> int:
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
-    report, traj = analysis.certify(cfg.graph(), cfg.bank(), cfg.x0_array(), cfg.sim)
+    from .analysis import certify
+
+    report, traj = certify(cfg.graph(), cfg.bank(), cfg.x0_array(), cfg.sim)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "certificate.json", text)
@@ -109,26 +116,28 @@ def cmd_certify(args) -> int:
 
 
 def cmd_check_protocol(args) -> int:
-    f = protocols.parse_protocol_spec(args.spec)
+    f = parse_protocol_spec(args.spec)
     M = args.bound
     if not M > 0:
         raise FtConsensusError("--bound must be positive")
-    bank = protocols.ProtocolBank([f])
+    from .protocols import ProtocolBank, check_a2, claim1_constants, claim2_constants
+
+    bank = ProtocolBank([f])
     alpha = args.alpha
     beta = args.beta
     closed = None
     if alpha is None:
-        if isinstance(f, protocols.PowerLinear):
-            alpha, closed = protocols.claim1_constants(bank, M)
-        elif isinstance(f, protocols.LogPower):
-            alpha, closed, emp = protocols.claim2_constants(bank, M)
+        if isinstance(f, PowerLinear):
+            alpha, closed = claim1_constants(bank, M)
+        elif isinstance(f, LogPower):
+            alpha, closed, emp = claim2_constants(bank, M)
             if emp < closed:
                 closed = None  # closed form unsound here; fall back to empirical
         else:
             alpha = 0.5
     if beta is None:
         beta = closed  # may stay None -> empirical verdict
-    report = protocols.check_a2(bank, M, alpha, beta)
+    report = check_a2(bank, M, alpha, beta)
 
     a1 = report.a1[0]
     print(f"protocol: {args.spec}")
@@ -148,7 +157,7 @@ def cmd_check_protocol(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _fig1_config(spec: str, sim: dynamics.SimulationConfig | None = None) -> ExperimentConfig:
+def _fig1_config(spec: str, sim: SimulationConfig | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig(
         n=4, edges=FIG1_EDGES, protocol_specs=(spec,) * 4, x0=FIG1_X0)
     if sim is not None:
@@ -163,7 +172,7 @@ def cmd_demo_paper(args) -> int:
     # floor; the freeze rule then lands the states exactly on their mean
     cases = [
         ("fig2.csv", "powerlinear{a=1,b=1,c=0.75}", None),
-        ("fig3.csv", "logpower{a=1,c=0.5}", dynamics.SimulationConfig(eps_consensus=1e-4)),
+        ("fig3.csv", "logpower{a=1,c=0.5}", SimulationConfig(eps_consensus=1e-4)),
     ]
     # compute everything before touching the filesystem so a failure leaves
     # no partial outputs behind

@@ -16,22 +16,151 @@ Schema (all fields required unless noted)::
 Edges are written information-flow style ``[from, to, weight]`` with
 1-based agent ids: the arc carries agent ``from``'s state to agent ``to``.
 Internally that sets ``weights[to-1, from-1] = weight``.  Self-loops and
-duplicate edges are rejected.
+duplicate edges are rejected, and so is any number that does not convert to
+a finite float.
+
+The module loads no numpy, so a config validates without it.  It also holds
+the records a config names (``SimulationConfig``, the protocol families and
+their spec grammar), which ``dynamics`` and ``protocols`` re-export.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, replace
+from typing import Union
 
-import numpy as np
-
-from .dynamics import SimulationConfig
 from .errors import ConfigParseError, ConfigValidationError
-from .graph import WeightedDigraph
-from .protocols import ProtocolBank, parse_protocol_spec
 
-__all__ = ["ExperimentConfig", "parse_config", "serialize_config", "load_config"]
+__all__ = ["ExperimentConfig", "parse_config", "serialize_config", "load_config", "SimulationConfig",
+           "Linear", "PowerLinear", "LogPower", "ProtocolFunction", "parse_protocol_spec",
+           "format_protocol_spec"]
+
+
+def _finite(value) -> bool:
+    """True for a number that converts to a finite float (a huge int does not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    dt: float = 1e-3
+    t_max: float = 20.0
+    eps_consensus: float = 1e-9
+    record_stride: int = 10
+    freeze_on_consensus: bool = True
+
+    def __post_init__(self):
+        for name in ("dt", "t_max", "eps_consensus"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a real number")
+        if isinstance(self.record_stride, bool) or not isinstance(self.record_stride, int):
+            raise ValueError("record_stride must be a positive integer")
+        for name in ("dt", "t_max", "eps_consensus", "record_stride"):
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not isinstance(self.freeze_on_consensus, bool):
+            raise ValueError("freeze_on_consensus must be a boolean")
+        if not self.dt > 0 or not self.t_max > 0 or self.dt > self.t_max:
+            raise ValueError("need 0 < dt <= t_max")
+        if not self.eps_consensus > 0:
+            raise ValueError("eps_consensus must be positive")
+        if self.record_stride < 1:
+            raise ValueError("record_stride must be a positive integer")
+
+
+# protocol families; their f and F live in ``protocols``
+@dataclass(frozen=True)
+class Linear:
+    k: float
+
+    def __post_init__(self):
+        if not self.k > 0:
+            raise ValueError("linear gain k must be positive")
+
+
+@dataclass(frozen=True)
+class PowerLinear:
+    a: float
+    b: float
+    c: float
+
+    def __post_init__(self):
+        if not self.a > 0:
+            raise ValueError("power-linear a must be positive")
+        if self.b < 0:
+            raise ValueError("power-linear b must be nonnegative")
+        if not 0 < self.c < 1:
+            raise ValueError("power-linear c must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class LogPower:
+    a: float
+    c: float
+
+    def __post_init__(self):
+        if not self.a > 0:
+            raise ValueError("log-power a must be positive")
+        if not 0 < self.c < 2.0 / 3.0:
+            raise ValueError("log-power c must lie in (0, 2/3)")
+
+
+ProtocolFunction = Union[Linear, PowerLinear, LogPower]
+
+
+# spec-string grammar: kind{key=value, ...}
+_SPEC_RE = re.compile(r"^\s*([a-z]+)\s*\{([^}]*)\}\s*$")
+
+_KIND_KEYS = {
+    "linear": ("k",),
+    "powerlinear": ("a", "b", "c"),
+    "logpower": ("a", "c"),
+}
+
+
+def parse_protocol_spec(spec: str) -> ProtocolFunction:
+    """Parse e.g. ``powerlinear{a=1, b=1, c=0.75}`` into a protocol value."""
+    m = _SPEC_RE.match(spec)
+    if not m:
+        raise ValueError(f"malformed protocol spec: {spec!r}")
+    kind, body = m.group(1), m.group(2)
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown protocol kind: {kind!r}")
+    params = {}
+    for part in body.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ValueError(f"malformed parameter {part!r} in spec {spec!r}")
+        key, val = (s.strip() for s in part.split("=", 1))
+        try:
+            params[key] = float(val)
+        except ValueError as exc:
+            raise ValueError(f"non-numeric value for {key!r} in spec {spec!r}") from exc
+    expected = _KIND_KEYS[kind]
+    if set(params) != set(expected):
+        raise ValueError(f"spec {spec!r} must define exactly the keys {expected}")
+    if kind == "linear":
+        return Linear(k=params["k"])
+    if kind == "powerlinear":
+        return PowerLinear(a=params["a"], b=params["b"], c=params["c"])
+    return LogPower(a=params["a"], c=params["c"])
+
+
+def format_protocol_spec(f: ProtocolFunction) -> str:
+    if isinstance(f, Linear):
+        return f"linear{{k={f.k:.17g}}}"
+    if isinstance(f, PowerLinear):
+        return f"powerlinear{{a={f.a:.17g},b={f.b:.17g},c={f.c:.17g}}}"
+    return f"logpower{{a={f.a:.17g},c={f.c:.17g}}}"
 
 
 @dataclass(frozen=True)
@@ -44,21 +173,31 @@ class ExperimentConfig:
     certify: bool = False
 
     def graph(self) -> WeightedDigraph:
+        import numpy as np
+
+        from .graph import WeightedDigraph
+
         w = np.zeros((self.n, self.n))
         for src, dst, weight in self.edges:
             w[dst - 1, src - 1] = weight
         return WeightedDigraph(w)
 
     def bank(self) -> ProtocolBank:
-        return ProtocolBank([parse_protocol_spec(s) for s in self.protocol_specs])
+        from .protocols import ProtocolBank
+
+        parsed = {s: parse_protocol_spec(s) for s in dict.fromkeys(self.protocol_specs)}
+        return ProtocolBank([parsed[s] for s in self.protocol_specs])
 
     def x0_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.x0, dtype=float)
 
 
-def _require(cond: bool, msg: str):
+def _require(cond: bool, msg: str, *args):
+    """Raise ``msg``, or ``msg.format(*args)``: a message is built only on failure."""
     if not cond:
-        raise ConfigValidationError(msg)
+        raise ConfigValidationError(msg.format(*args) if args else msg)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -81,13 +220,14 @@ def parse_config(text: str) -> ExperimentConfig:
     seen = set()
     _require(isinstance(gdoc["edges"], list), "graph.edges must be an array")
     for e in gdoc["edges"]:
-        _require(isinstance(e, list) and len(e) == 3, f"edge {e!r} must be [from, to, weight]")
+        _require(isinstance(e, list) and len(e) == 3, "edge {!r} must be [from, to, weight]", e)
         src, dst, weight = e
-        _require(isinstance(src, int) and isinstance(dst, int), f"edge {e!r}: endpoints must be integers")
-        _require(1 <= src <= n and 1 <= dst <= n, f"edge {e!r}: endpoints must lie in [1, {n}]")
-        _require(src != dst, f"edge {e!r}: self-loops are not allowed (diagonal must stay zero)")
-        _require(isinstance(weight, (int, float)) and weight > 0, f"edge {e!r}: weight must be positive")
-        _require((src, dst) not in seen, f"duplicate edge ({src}, {dst})")
+        _require(isinstance(src, int) and isinstance(dst, int), "edge {!r}: endpoints must be integers", e)
+        _require(1 <= src <= n and 1 <= dst <= n, "edge {!r}: endpoints must lie in [1, {}]", e, n)
+        _require(src != dst, "edge {!r}: self-loops are not allowed (diagonal must stay zero)", e)
+        _require(isinstance(weight, (int, float)) and weight > 0, "edge {!r}: weight must be positive", e)
+        _require(_finite(weight), "edge {!r}: weight must be finite", e)
+        _require((src, dst) not in seen, "duplicate edge ({}, {})", src, dst)
         seen.add((src, dst))
         edges.append((src, dst, float(weight)))
 
@@ -99,7 +239,7 @@ def parse_config(text: str) -> ExperimentConfig:
                  f"protocols must be one spec string or a list of {n}")
         _require(all(isinstance(s, str) for s in pdoc), "protocol specs must be strings")
         specs = tuple(pdoc)
-    for s in specs:
+    for s in dict.fromkeys(specs):
         try:
             parse_protocol_spec(s)
         except ValueError as exc:
@@ -108,7 +248,7 @@ def parse_config(text: str) -> ExperimentConfig:
     x0 = doc["x0"]
     _require(isinstance(x0, list) and len(x0) == n, f"x0 must be an array of {n} numbers")
     _require(all(isinstance(v, (int, float)) for v in x0), "x0 entries must be numbers")
-    _require(all(np.isfinite(v) for v in x0), "x0 entries must be finite")
+    _require(all(_finite(v) for v in x0), "x0 entries must be finite")
 
     sim = SimulationConfig()
     if "sim" in doc:

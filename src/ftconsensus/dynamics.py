@@ -5,6 +5,8 @@ classical fixed-step RK4: the right-hand side is continuous but not
 Lipschitz at consensus, where adaptive step control chatters, so a
 deterministic fixed step plus an explicit freeze rule at the consensus
 threshold is both reproducible and honest about resolution.
+``SimulationConfig`` lives in the numpy-free ``config`` module and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SimulationConfig
 from .errors import NonFiniteState, NotStronglyConnected
 from .graph import WeightedDigraph, is_strongly_connected, laplacian
 from .protocols import ProtocolBank
@@ -27,31 +30,6 @@ __all__ = [
     "lyapunov_trace",
     "settling_time",
 ]
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    dt: float = 1e-3
-    t_max: float = 20.0
-    eps_consensus: float = 1e-9
-    record_stride: int = 10
-    freeze_on_consensus: bool = True
-
-    def __post_init__(self):
-        for name in ("dt", "t_max", "eps_consensus"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a real number")
-        if isinstance(self.record_stride, bool) or not isinstance(self.record_stride, int):
-            raise ValueError("record_stride must be a positive integer")
-        if not isinstance(self.freeze_on_consensus, bool):
-            raise ValueError("freeze_on_consensus must be a boolean")
-        if not self.dt > 0 or not self.t_max > 0 or self.dt > self.t_max:
-            raise ValueError("need 0 < dt <= t_max")
-        if not self.eps_consensus > 0:
-            raise ValueError("eps_consensus must be positive")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be a positive integer")
 
 
 @dataclass

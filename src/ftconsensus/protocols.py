@@ -8,7 +8,9 @@ Three protocol families are provided:
                           a sign(z)|z|^c beyond,            a>0, 0<c<2/3
 
 Powers of signed arguments are always computed as sign(z)|z|^c so every
-family is odd by construction.
+family is odd by construction.  The family records and the spec grammar
+(``parse_protocol_spec``/``format_protocol_spec``) live in the numpy-free
+``config`` module and are re-exported here.
 
 Criteria checked numerically over the reachable argument range (0, M]:
 
@@ -27,13 +29,14 @@ Criteria checked numerically over the reachable argument range (0, M]:
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from ._minimize import bounded_brent
+from .config import (Linear, LogPower, PowerLinear, ProtocolFunction,  # re-exported
+                     format_protocol_spec, parse_protocol_spec)
 from .errors import ProtocolDomainError, WrongProtocolKind
 
 __all__ = [
@@ -56,45 +59,6 @@ __all__ = [
 ]
 
 _BREAK = math.exp(-1.0)
-
-
-@dataclass(frozen=True)
-class Linear:
-    k: float
-
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("linear gain k must be positive")
-
-
-@dataclass(frozen=True)
-class PowerLinear:
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("power-linear a must be positive")
-        if self.b < 0:
-            raise ValueError("power-linear b must be nonnegative")
-        if not 0 < self.c < 1:
-            raise ValueError("power-linear c must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class LogPower:
-    a: float
-    c: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("log-power a must be positive")
-        if not 0 < self.c < 2.0 / 3.0:
-            raise ValueError("log-power c must lie in (0, 2/3)")
-
-
-ProtocolFunction = Union[Linear, PowerLinear, LogPower]
 
 
 def evaluate(f: ProtocolFunction, z: float) -> float:
@@ -267,11 +231,16 @@ def check_a1(f: ProtocolFunction, M: float, points: int = 10_001) -> A1Report:
     return A1Report(zero_at_zero, sign_preserving, continuous, monotone)
 
 
+def _f_and_F(f: ProtocolFunction, z: np.ndarray) -> tuple:
+    """f and F over the points of ``z``, one array each."""
+    return (np.array([evaluate(f, zi) for zi in z]),
+            np.array([antiderivative(f, zi) for zi in z]))
+
+
 def _ratio_min_single(f: ProtocolFunction, M: float, alpha: float, grid: GridSpec):
     """Refined minimum of f(z)^2 / F(z)^alpha over 0 < z <= M (even in z)."""
     z = grid.positive_grid(M)
-    fv = np.array([evaluate(f, zi) for zi in z])
-    Fv = np.array([antiderivative(f, zi) for zi in z])
+    fv, Fv = _f_and_F(f, z)
     if np.any(Fv <= 0.0):
         raise ProtocolDomainError("antiderivative nonpositive at a nonzero grid point")
     ratio = fv**2 / Fv**alpha
@@ -323,10 +292,10 @@ def check_a2(
         nlo = max(2, grid.points // 12)
         s = np.polyfit(np.log(z[:nlo]), np.log(ratio[:nlo]), 1)[0]
         bottom_slope = max(bottom_slope, float(s))
-        # negative z adds nothing for odd f, but scan it anyway as a guard
-        neg = np.array([evaluate(f, -zi) ** 2 / antiderivative(f, -zi) ** alpha
-                        for zi in z[:: max(1, grid.points // 100)]])
-        emp = min(emp, float(neg.min()))
+        # negative z adds nothing for odd f, but scan it anyway as a guard,
+        # with the positive grid's array expression so equal values stay equal
+        fn, Fn = _f_and_F(f, -z[:: max(1, grid.points // 100)])
+        emp = min(emp, float((fn**2 / Fn**alpha).min()))
     if beta is None:
         beta_used = emp
         a2_pass = emp > 0.0 and bottom_slope <= 0.05
@@ -392,53 +361,3 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
 def _empirical_beta(bank: ProtocolBank, M: float, alpha: float, grid: GridSpec) -> float:
     """Smallest refined ratio minimum over the bank, one minimisation per distinct spec."""
     return min(_ratio_min_single(f, M, alpha, grid)[0] for f in dict.fromkeys(bank))
-
-
-# ---------------------------------------------------------------------------
-# spec-string grammar: kind{key=value, ...}
-
-_SPEC_RE = re.compile(r"^\s*([a-z]+)\s*\{([^}]*)\}\s*$")
-
-_KIND_KEYS = {
-    "linear": ("k",),
-    "powerlinear": ("a", "b", "c"),
-    "logpower": ("a", "c"),
-}
-
-
-def parse_protocol_spec(spec: str) -> ProtocolFunction:
-    """Parse e.g. ``powerlinear{a=1, b=1, c=0.75}`` into a protocol value."""
-    m = _SPEC_RE.match(spec)
-    if not m:
-        raise ValueError(f"malformed protocol spec: {spec!r}")
-    kind, body = m.group(1), m.group(2)
-    if kind not in _KIND_KEYS:
-        raise ValueError(f"unknown protocol kind: {kind!r}")
-    params = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"malformed parameter {part!r} in spec {spec!r}")
-        key, val = (s.strip() for s in part.split("=", 1))
-        try:
-            params[key] = float(val)
-        except ValueError as exc:
-            raise ValueError(f"non-numeric value for {key!r} in spec {spec!r}") from exc
-    expected = _KIND_KEYS[kind]
-    if set(params) != set(expected):
-        raise ValueError(f"spec {spec!r} must define exactly the keys {expected}")
-    if kind == "linear":
-        return Linear(k=params["k"])
-    if kind == "powerlinear":
-        return PowerLinear(a=params["a"], b=params["b"], c=params["c"])
-    return LogPower(a=params["a"], c=params["c"])
-
-
-def format_protocol_spec(f: ProtocolFunction) -> str:
-    if isinstance(f, Linear):
-        return f"linear{{k={f.k:.17g}}}"
-    if isinstance(f, PowerLinear):
-        return f"powerlinear{{a={f.a:.17g},b={f.b:.17g},c={f.c:.17g}}}"
-    return f"logpower{{a={f.a:.17g},c={f.c:.17g}}}"

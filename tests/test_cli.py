@@ -64,6 +64,16 @@ class TestParseConfig:
         (lambda d: d.update(sim={"t_max": "20"}), "t_max"),
         (lambda d: d.update(sim={"eps_consensus": None}), "eps_consensus"),
         (lambda d: d.update(bogus=1), "unknown"),
+        # numbers that overflow a float or are not finite (json writes inf as Infinity)
+        (lambda d: d.update(x0=[10**400, 0.0, -1.0]), "x0 entries must be finite"),
+        (lambda d: d.update(x0=[math.nan, 0.0, -1.0]), "x0 entries must be finite"),
+        (lambda d: d["graph"]["edges"].append([1, 3, 10**400]), r"edge \[1, 3, 1000+\]: weight must be finite"),
+        (lambda d: d["graph"]["edges"].append([1, 3, math.inf]), r"edge \[1, 3, inf\]: weight must be finite"),
+        (lambda d: d.update(sim={"t_max": 10**400}), "t_max must be finite"),
+        (lambda d: d.update(sim={"t_max": math.inf}), "sim settings: t_max must be finite"),
+        (lambda d: d.update(sim={"dt": 10**400}), "dt must be finite"),
+        (lambda d: d.update(sim={"eps_consensus": math.inf}), "eps_consensus must be finite"),
+        (lambda d: d.update(sim={"record_stride": 10**400}), "record_stride must be finite"),
     ])
     def test_validation_errors(self, mutate, fragment):
         doc = make_doc()
@@ -148,6 +158,24 @@ class TestSimulateCommand:
         rc = main(["simulate", str(tmp_path / "bad.cfg"), "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,field", [
+        ('"x0": [2.0', '"x0": [' + "1" * 401, "x0"),
+        ("[1, 2, 1.0]", "[1, 2, 1" + "0" * 400 + "]", "edge [1, 2, 1"),
+        ("[1, 2, 1.0]", "[1, 2, 1e400]", "edge [1, 2, inf]"),
+        ('"t_max": 20.0', '"t_max": 1' + "0" * 400, "t_max"),
+    ], ids=["x0-int", "weight-int", "weight-1e400", "t_max-int"])
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_oversized_numbers_exit_one(self, command, old, new, field, tmp_path, capsys):
+        text = FIG1_CFG.read_text()
+        assert old in text
+        (tmp_path / "big.cfg").write_text(text.replace(old, new, 1))
+        rc = main([command, str(tmp_path / "big.cfg"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+        assert "finite" in err and "internal" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCertifyCommand:
@@ -264,16 +292,107 @@ steps.append([estimate_c1(B, "a_priori", samples=1_000)[1], "scipy" in sys.modul
 print(json.dumps(steps))
 """
 
-    def test_simulate_never_loads_scipy_optimize(self, tmp_path):
-        # every command, and the a-priori C1 estimate, runs without scipy
+    NUMPY_SCRIPT = """
+import json, sys
+steps = []
+def step(value=None):
+    steps.append([value, "numpy" in sys.modules])
+import ftconsensus
+step(hasattr(ftconsensus, "no_such_name"))
+import ftconsensus.cli
+from ftconsensus.config import load_config, parse_config
+from ftconsensus.errors import ConfigValidationError
+step()
+good, bad, out = sys.argv[1:4]
+step(load_config(good).n)
+try:
+    parse_config('{"graph": {"n": 1, "edges": []}, "protocols": "linear{k=0}", "x0": [0]}')
+except ConfigValidationError as exc:
+    step(str(exc))
+step(ftconsensus.cli.main(["simulate", bad, "--out", out]))
+step(ftconsensus.cli.main(["check-protocol", "--spec", "bogus{}", "--bound", "1"]))
+try:
+    ftconsensus.cli.main(["--help"])
+except SystemExit as exc:
+    step(exc.code)
+step(ftconsensus.cli.main(["simulate", good, "--out", out]))
+print(json.dumps(steps))
+"""
+
+    # the public names of the package before it loaded lazily, by source module
+    OLD_EXPORTS = {
+        "graph": "Condensation WeightedDigraph condensation has_spanning_tree infinity_norms laplacian "
+                 "left_null_vector mirror_laplacian smallest_eigenvalue_symmetric",
+        "protocols": "A1Report CriteriaReport GridSpec Linear LogPower PowerLinear ProtocolBank antiderivative "
+                     "check_a1 check_a2 claim1_constants claim2_constants evaluate format_protocol_spec "
+                     "parse_protocol_spec",
+        "dynamics": "SimulationConfig Trajectory disagreement integrate lyapunov_trace lyapunov_value rhs "
+                    "settling_time",
+        "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
+                    "settling_bound_rooted settling_bound_strongly_connected",
+        "config": "ExperimentConfig load_config parse_config serialize_config",
+    }
+
+    @staticmethod
+    def _run_fresh(script, *args):
         path = filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(FIG1_CFG), str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [
-            [0, False], [0, False], [0, False], [0, False], ["a-priori-sampled", False]]
+        return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+    def test_simulate_never_loads_scipy_optimize(self, tmp_path):
+        # every command, and the a-priori C1 estimate, runs without scipy
+        steps, _ = self._run_fresh(self.SCRIPT, FIG1_CFG, tmp_path / "o")
+        assert steps == [[0, False], [0, False], [0, False], [0, False], ["a-priori-sampled", False]]
+
+    def test_config_checks_load_no_numpy(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FIG1_CFG.read_text().replace('"x0": [2.0', '"x0": [1' + "0" * 400, 1))
+        steps, err = self._run_fresh(self.NUMPY_SCRIPT, FIG1_CFG, bad, tmp_path / "o")
+        assert steps == [
+            [False, False],  # import ftconsensus, then probe an unknown name
+            [None, False],  # import ftconsensus.cli and the config module
+            [4, False],  # load_config
+            ["linear gain k must be positive", False],  # parse_config fails validation
+            [1, False],  # simulate on an invalid config
+            [1, False],  # check-protocol with an unknown protocol kind
+            [0, False],  # --help
+            [0, True],  # the first command that computes loads numpy
+        ]
+        assert err.splitlines() == ["error: x0 entries must be finite",
+                                    "error: unknown protocol kind: 'bogus'"]
+
+    def test_exports_resolve_to_their_defining_objects(self):
+        import importlib
+
+        import ftconsensus
+
+        star = {}
+        exec("from ftconsensus import *", star)
+        names = [name for names in self.OLD_EXPORTS.values() for name in names.split()]
+        assert sorted(ftconsensus.__all__) == sorted(names)
+        for module_name, names in self.OLD_EXPORTS.items():
+            module = importlib.import_module(f"ftconsensus.{module_name}")
+            for name in names.split():
+                obj = getattr(ftconsensus, name)
+                assert obj is getattr(module, name) is star[name], name
+                assert getattr(sys.modules[obj.__module__], name) is obj, name
+        config = importlib.import_module("ftconsensus.config")
+        for module_name, names in [("protocols", "Linear PowerLinear LogPower ProtocolFunction "
+                                                 "parse_protocol_spec format_protocol_spec"),
+                                   ("dynamics", "SimulationConfig")]:
+            module = importlib.import_module(f"ftconsensus.{module_name}")
+            for name in names.split():
+                assert getattr(module, name) is getattr(config, name), name
+
+    def test_unknown_attribute_raises(self):
+        import ftconsensus
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ftconsensus.no_such_name  # noqa: B018
+        assert not hasattr(ftconsensus, "__wrapped__")
 
     def test_no_module_imports_scipy_at_import_time(self):
         # stricter than its name: function bodies count too, so no call
@@ -289,4 +408,39 @@ print(json.dumps(steps))
                     names = []
                 offenders += [f"{path.name}:{node.lineno} {m}" for m in names
                               if m.split(".")[0] == "scipy"]
+        assert offenders == []
+
+    # importing these loads no numeric module; each command imports its own
+    COLD_START_FILES = ("__init__.py", "config.py", "cli.py", "errors.py")
+    NUMERIC_MODULES = ("numpy", "ftconsensus.graph", "ftconsensus.protocols", "ftconsensus.dynamics",
+                       "ftconsensus.analysis", "ftconsensus._minimize")
+
+    @staticmethod
+    def _import_time_imports(path):
+        """Every module an import statement outside a function body of ``path`` names."""
+        found = []
+        stack = list(ast.parse(path.read_text()).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    base = "ftconsensus" + (f".{base}" if base else "")
+                found += [base] + [f"{base}.{a.name}" for a in node.names]
+            stack.extend(ast.iter_child_nodes(node))
+        return found
+
+    def test_cold_start_modules_import_no_numeric_module(self):
+        src = REPO / "src" / "ftconsensus"
+        # the walker sees what dynamics imports at import time, and skips
+        # the imports inside config's methods
+        assert "numpy" in self._import_time_imports(src / "dynamics.py")
+        assert "ftconsensus.graph" in self._import_time_imports(src / "dynamics.py")
+        offenders = [f"{name} imports {m}" for name in self.COLD_START_FILES
+                     for m in self._import_time_imports(src / name)
+                     if any(m == k or m.startswith(k + ".") for k in self.NUMERIC_MODULES)]
         assert offenders == []

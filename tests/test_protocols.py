@@ -199,6 +199,16 @@ class TestCheckA2:
             rep = check_a2(bank, M, alpha, beta)
             assert rep.a2_pass, (bank.functions, M, alpha, beta, rep.empirical_ratio_min)
 
+    def test_negative_guard_matches_positive_minimum(self):
+        # the odd families repeat positive-grid values on the negative side,
+        # so the guard must not undercut the minimum by rounding alone
+        for a in (0.5, 1.0, 2.0):
+            for c in (0.25, 0.4, 0.5):
+                for M in (1.0, 2.5, 40.0):
+                    bank = ProtocolBank([LogPower(a, c)])
+                    alpha, _, emp = claim2_constants(bank, M)
+                    assert check_a2(bank, M, alpha).empirical_ratio_min == emp, (a, c, M)
+
 
 class TestClaim1Constants:
     def test_uniform_fixture(self):
