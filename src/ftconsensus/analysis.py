@@ -181,7 +181,8 @@ def estimate_c1(
         mask = norms2 > 0.0
         if not np.any(mask):
             raise ValueError("all feedback vectors are zero; nothing to estimate")
-        quad = np.einsum("ij,jk,ik->i", fy[mask], B, fy[mask])
+        fm = fy[mask]
+        quad = np.einsum("ij,jk,ik->i", fm, B, fm)
         return float(np.min(quad / norms2[mask])), "a-posteriori-trajectory"
 
     if mode != "a_priori":
@@ -195,7 +196,7 @@ def estimate_c1(
     # rows per chunk under a fixed element budget, so memory does not grow
     # with n; the normal stream does not depend on the chunking, and the
     # strict < below keeps the first global minimum, so neither does the result
-    chunk = max(1, min(20_000, 80_000 // n))
+    chunk = max(1, 16_384 // n)
     remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
@@ -337,6 +338,10 @@ def _first_settled_index(traj: Trajectory, vertices, eps: float) -> int | None:
     return _settled_index(sub.max(axis=1) - sub.min(axis=1), eps)
 
 
+# elements per chunk when the root stage evaluates its feedback
+_FEEDBACK_CHUNK = 16_384
+
+
 def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
     """(certificate, consensus value) of the root SCC ``verts``, an autonomous
     strongly connected stage started at x0."""
@@ -349,7 +354,13 @@ def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
     bank_sub = ProtocolBank([bank[v] for v in verts])
     omega = _left_null_vector(L_sub)
     B = _mirror_laplacian(L_sub, omega)
-    fy = bank_sub.eval((-(L_sub @ states[:, verts].T)).T)
+    # the one full product y = -L x; the feedback f(y) then overwrites it in
+    # place, chunk by chunk, so the kernel's temporaries stay chunk-sized
+    fy = (L_sub @ states[:, verts].T).T
+    np.negative(fy, out=fy)
+    rows = max(1, _FEEDBACK_CHUNK // len(verts))
+    for a in range(0, len(fy), rows):
+        fy[a:a + rows] = bank_sub.eval(fy[a:a + rows])
     v0 = _lyapunov(L_sub, omega, bank_sub, x0[verts])
     if v0 == 0.0:
         c1, c1_src = estimate_c1(B, mode="a_priori")

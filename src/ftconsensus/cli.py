@@ -38,22 +38,6 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _trajectory_csv(traj) -> str:
-    n = traj.n
-    header = ["t"] + [f"x_{i + 1}" for i in range(n)] + ["disagreement"]
-    with_v = traj.lyapunov is not None
-    if with_v:
-        header.append("V")
-    lines = [",".join(header)]
-    for k in range(traj.times.size):
-        row = [_fmt(traj.times[k])] + [_fmt(v) for v in traj.states[k]]
-        row.append(_fmt(traj.disagreement[k]))
-        if with_v:
-            row.append(_fmt(traj.lyapunov[k]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _run_experiment(cfg: ExperimentConfig):
     from .dynamics import _lyapunov_trace, integrate
     from .graph import _left_null_vector, is_strongly_connected, laplacian
@@ -81,14 +65,36 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
+def _write_trajectory_csv(path: Path, traj):
+    """Stream ``traj`` as CSV (t, x_1..x_n, disagreement[, V]), one row at a time.
+
+    The rows go to a temporary name beside ``path`` that replaces it only once
+    complete, so a failed write leaves no partial file.
+    """
+    import os
+
+    columns = [traj.disagreement] + ([] if traj.lyapunov is None else [traj.lyapunov])
+    header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)] + ["disagreement", "V"][:len(columns)]
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for k, state in enumerate(traj.states):
+                cells = [traj.times[k], *state, *(col[k] for col in columns)]
+                fh.write(",".join(map(_fmt, cells)) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
     traj = _run_experiment(cfg)
-    csv_text = _trajectory_csv(traj)
     summary_text = json.dumps(_summary(traj), indent=2, sort_keys=True) + "\n"
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "trajectory.csv", csv_text)
+    _write_trajectory_csv(out / "trajectory.csv", traj)
     _write_text(out / "summary.json", summary_text)
     print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
     if traj.settled_at is not None:
@@ -180,12 +186,12 @@ def cmd_demo_paper(args) -> int:
     for name, spec, sim in cases:
         cfg = _fig1_config(spec, sim)
         traj = _run_experiment(cfg)
-        results.append((name, spec, _trajectory_csv(traj), _summary(traj)))
+        results.append((name, spec, traj, _summary(traj)))
     combined = {name: dict(summary, protocol=spec) for name, spec, _, summary in results}
     combined_text = json.dumps(combined, indent=2, sort_keys=True) + "\n"
     out.mkdir(parents=True, exist_ok=True)
-    for name, _, csv_text, _ in results:
-        _write_text(out / name, csv_text)
+    for name, _, traj, _ in results:
+        _write_trajectory_csv(out / name, traj)
     _write_text(out / "demo_summary.json", combined_text)
     for name, spec, _, summary in results:
         print(f"{name}: protocol {spec}, settled_at = {summary['settled_at']}")

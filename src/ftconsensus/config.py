@@ -17,7 +17,8 @@ Edges are written information-flow style ``[from, to, weight]`` with
 1-based agent ids: the arc carries agent ``from``'s state to agent ``to``.
 Internally that sets ``weights[to-1, from-1] = weight``.  Self-loops and
 duplicate edges are rejected, and so is any number that does not convert to
-a finite float.
+a finite float.  JSON ``true``/``false`` are not numbers, and ``x0`` must
+hold ``n`` entries before anything of size ``n`` is built.
 
 The module loads no numpy, so a config validates without it.  It also holds
 the records a config names (``SimulationConfig``, the protocol families and
@@ -37,6 +38,15 @@ from .errors import ConfigParseError, ConfigValidationError
 __all__ = ["ExperimentConfig", "parse_config", "serialize_config", "load_config", "SimulationConfig",
            "Linear", "PowerLinear", "LogPower", "ProtocolFunction", "parse_protocol_spec",
            "format_protocol_spec"]
+
+
+def _number(value) -> bool:
+    """True for a JSON number; JSON ``true``/``false`` are bools, not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite(value) -> bool:
@@ -215,21 +225,27 @@ def parse_config(text: str) -> ExperimentConfig:
     _require(isinstance(gdoc, dict) and set(gdoc) == {"n", "edges"},
              "graph must be an object with fields 'n' and 'edges'")
     n = gdoc["n"]
-    _require(isinstance(n, int) and n >= 1, "graph.n must be a positive integer")
+    _require(_integer(n) and n >= 1, "graph.n must be a positive integer")
     edges = []
     seen = set()
     _require(isinstance(gdoc["edges"], list), "graph.edges must be an array")
     for e in gdoc["edges"]:
         _require(isinstance(e, list) and len(e) == 3, "edge {!r} must be [from, to, weight]", e)
         src, dst, weight = e
-        _require(isinstance(src, int) and isinstance(dst, int), "edge {!r}: endpoints must be integers", e)
+        _require(_integer(src) and _integer(dst), "edge {!r}: endpoints must be integers", e)
         _require(1 <= src <= n and 1 <= dst <= n, "edge {!r}: endpoints must lie in [1, {}]", e, n)
         _require(src != dst, "edge {!r}: self-loops are not allowed (diagonal must stay zero)", e)
-        _require(isinstance(weight, (int, float)) and weight > 0, "edge {!r}: weight must be positive", e)
+        _require(_number(weight) and weight > 0, "edge {!r}: weight must be a positive number", e)
         _require(_finite(weight), "edge {!r}: weight must be finite", e)
         _require((src, dst) not in seen, "duplicate edge ({}, {})", src, dst)
         seen.add((src, dst))
         edges.append((src, dst, float(weight)))
+
+    # x0's length bounds n before anything of size n is built
+    x0 = doc["x0"]
+    _require(isinstance(x0, list) and len(x0) == n, f"x0 must be an array of {n} numbers")
+    _require(all(_number(v) for v in x0), "x0 entries must be numbers")
+    _require(all(_finite(v) for v in x0), "x0 entries must be finite")
 
     pdoc = doc["protocols"]
     if isinstance(pdoc, str):
@@ -244,11 +260,6 @@ def parse_config(text: str) -> ExperimentConfig:
             parse_protocol_spec(s)
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from exc
-
-    x0 = doc["x0"]
-    _require(isinstance(x0, list) and len(x0) == n, f"x0 must be an array of {n} numbers")
-    _require(all(isinstance(v, (int, float)) for v in x0), "x0 entries must be numbers")
-    _require(all(_finite(v) for v in x0), "x0 entries must be finite")
 
     sim = SimulationConfig()
     if "sim" in doc:

@@ -11,12 +11,13 @@ re-exported here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SimulationConfig
-from .errors import NonFiniteState, NotStronglyConnected
+from .errors import NonFiniteState, NotStronglyConnected, RecordBudgetExceeded
 from .graph import WeightedDigraph, is_strongly_connected, laplacian
 from .protocols import ProtocolBank
 
@@ -77,6 +78,26 @@ def settling_time(traj: Trajectory, eps: float) -> float | None:
     return None if k is None else float(traj.times[k])
 
 
+# a run may keep at most this many recorded state values (records x agents),
+# 128 MiB of float64; a longer run is refused before anything is allocated
+MAX_RECORD_VALUES = 2**24
+
+
+def _record_plan(cfg: SimulationConfig, n: int) -> tuple:
+    """(RK4 steps, records) of a run: step 0, every ``record_stride`` multiple
+    below the last step and the last step are recorded.  Raises
+    ``RecordBudgetExceeded`` when records x n exceeds ``MAX_RECORD_VALUES``."""
+    steps = cfg.t_max / cfg.dt
+    n_steps = max(1, int(round(steps))) if math.isfinite(steps) else None
+    records = (n_steps - 1) // cfg.record_stride + 2 if n_steps else math.inf
+    if records * n > MAX_RECORD_VALUES:
+        raise RecordBudgetExceeded(
+            f"t_max = {cfg.t_max:g} at dt = {cfg.dt:g} with record_stride = {cfg.record_stride} "
+            f"would record {records} states of {n} agents, more than the {MAX_RECORD_VALUES} "
+            "values a run may keep; lower t_max or raise record_stride")
+    return n_steps, records
+
+
 def integrate(
     cfg: SimulationConfig,
     g: WeightedDigraph,
@@ -88,7 +109,15 @@ def integrate(
     Records every ``record_stride`` steps plus the final step.  Once the
     disagreement drops below the threshold (with freezing enabled) the states
     snap to their arithmetic mean and stay constant, which suppresses
-    floating-point chatter around the non-Lipschitz equilibrium.
+    floating-point chatter around the non-Lipschitz equilibrium; the freeze
+    step is recorded too, and the remaining grid points repeat its state.
+
+    Memory is the records array and O(n) per step: the record count follows
+    from ``t_max``, ``dt`` and ``record_stride`` alone, so one array with a
+    spare row for an off-stride freeze step is allocated up front and every
+    record, the frozen tail included, is written into it in place.  A run
+    whose records x n exceeds ``MAX_RECORD_VALUES`` raises
+    ``RecordBudgetExceeded`` before integrating.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (g.n,):
@@ -97,20 +126,23 @@ def integrate(
         raise ValueError("x0 must be finite")
     if len(bank) != g.n:
         raise ValueError("bank size must equal agent count")
+    n_steps, records = _record_plan(cfg, g.n)
 
     L = laplacian(g)
     dt = cfg.dt
-    n_steps = max(1, int(round(cfg.t_max / dt)))
     stride = cfg.record_stride
 
     def deriv(xv):
         return bank.eval(-(L @ xv))
 
+    states = np.empty((records + 1, g.n))
+    idx = np.empty(records + 1, dtype=np.int64)
     frozen = disagreement(x) <= cfg.eps_consensus and cfg.freeze_on_consensus
     if frozen:
         x[:] = x.mean()
-    rec_idx = [0]
-    rec_states = [x.copy()]
+    states[0] = x
+    idx[0] = 0
+    r = 1
 
     for k in range(1, n_steps + 1):
         if frozen:
@@ -127,19 +159,22 @@ def integrate(
             x[:] = x.mean()
             frozen = True
         if k % stride == 0 or k == n_steps or frozen:
-            rec_idx.append(k)
-            rec_states.append(x.copy())
+            states[r] = x
+            idx[r] = k
+            r += 1
 
-    idx = np.array(rec_idx)
-    if frozen and rec_idx[-1] < n_steps:
+    last = int(idx[r - 1])
+    if frozen and last < n_steps:
         # the exact solution is constant after consensus: the remaining grid
         # points (stride multiples, then the final step) repeat the frozen state
-        tail = np.append(np.arange((rec_idx[-1] // stride + 1) * stride, n_steps, stride), n_steps)
-        idx = np.concatenate([idx, tail])
-        rec_states.append(np.broadcast_to(x, (tail.size, x.size)))
+        tail = np.arange((last // stride + 1) * stride, n_steps, stride)
+        idx[r:r + tail.size] = tail
+        idx[r + tail.size] = n_steps
+        states[r:r + tail.size + 1] = x
+        r += tail.size + 1
 
-    times = idx * dt
-    states = np.vstack(rec_states)
+    states = states[:r]
+    times = idx[:r] * dt
     dis = states.max(axis=1) - states.min(axis=1)
     traj = Trajectory(times=times, states=states, disagreement=dis)
     traj.settled_at = settling_time(traj, cfg.eps_consensus)

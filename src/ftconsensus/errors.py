@@ -29,6 +29,10 @@ class NonFiniteState(FtConsensusError):
     """Simulation state became non-finite (step size too large)."""
 
 
+class RecordBudgetExceeded(FtConsensusError):
+    """A run would record more state values than ``dynamics.MAX_RECORD_VALUES``."""
+
+
 class InvalidConstants(FtConsensusError):
     """Certificate constants out of range (alpha not in (0,1) or beta <= 0)."""
 

@@ -118,6 +118,7 @@ class ProtocolBank:
         return self._uniform_kind
 
     def eval(self, y: np.ndarray) -> np.ndarray:
+        """f_i applied along the last axis of ``y``, of shape (..., n)."""
         y = np.asarray(y, dtype=float)
         if self._uniform_kind is Linear:
             k = np.array([f.k for f in self.functions])
@@ -138,7 +139,10 @@ class ProtocolBank:
             out = np.where(ay <= _BREAK, inner, outer)
             out = np.where(ay == 0.0, 0.0, out)
             return np.sign(y) * out
-        return np.array([evaluate(f, zi) for f, zi in zip(self.functions, y)])
+        # mixed kinds: the scalar f of each agent along the last axis
+        fs = self.functions
+        out = np.array([evaluate(f, zi) for f, zi in zip(fs * (y.size // len(fs)), y.ravel())])
+        return out.reshape(y.shape)
 
     def antiderivatives(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)

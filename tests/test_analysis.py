@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +38,7 @@ from conftest import (
     fig1_graph,
     random_claim1_bank,
     random_strongly_connected,
+    traced_peak,
 )
 
 
@@ -81,7 +81,7 @@ class TestEstimateC1:
 
     def test_a_priori_values_and_memory(self):
         # the values of the sampler that drew 20_000 rows per chunk at any n;
-        # chunks now hold at most 80_000 elements, so memory stays flat in n
+        # chunks now hold at most 16_384 elements, so memory stays flat in n
         B3 = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
         g4 = random_strongly_connected(np.random.default_rng(4), 4)
         B4 = mirror_laplacian(g4, left_null_vector(g4))
@@ -89,14 +89,10 @@ class TestEstimateC1:
         assert estimate_c1(B4, samples=10_000)[0] == 0.05360832212106886
         g = random_strongly_connected(np.random.default_rng(200), 200, extra_p=0.05)
         B = mirror_laplacian(g, left_null_vector(g))
-        tracemalloc.start()
-        try:
-            val, _ = estimate_c1(B, samples=10_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out = []
+        peak = traced_peak(lambda: out.append(estimate_c1(B, samples=10_000)[0]))
         assert peak < 8 * 2**20  # one (10_000, 200) chunk alone is 16 MB
-        assert val == 0.04165311994901362
+        assert out == [0.04165311994901362]
 
     def test_a_posteriori_rayleigh_range(self):
         g = directed_cycle(3)
@@ -262,6 +258,27 @@ class TestCertify:
         assert report.certificates[0].t_star == 0.0
         assert report.consensus_value == pytest.approx(x0[0])
         assert abs(traj.states[-1].mean() - x0[0]) <= 1e-9
+
+    def test_mixed_kind_root_with_follower(self, fig1):
+        # the root 3-cycle mixes both finite-time families; the 2002 records
+        # span several of the chunks the root stage evaluates its feedback in
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), LogPower(1.0, 0.5),
+                             PowerLinear(1.5, 0.5, 0.6), LogPower(0.8, 0.4)])
+        x0 = np.array([2.0, -1.0, 3.0, -2.0])
+        report, traj = certify(fig1, bank, x0, SimulationConfig(eps_consensus=1e-4))
+        assert bank.uniform_kind is None and traj.times.size == 2002
+        root, follower = report.certificates
+        assert root.c1_source == "a-posteriori-trajectory"
+        assert follower.lambda1 == pytest.approx(1.0)
+        # C1 is the Rayleigh-quotient minimum over the feedback of every record
+        root_graph = fig1.subgraph([0, 1, 2])
+        L, root_bank = laplacian(root_graph), ProtocolBank(bank[:3])
+        fy = np.array([root_bank.eval(-(L @ x[:3])) for x in traj.states])
+        B = mirror_laplacian(root_graph, left_null_vector(root_graph))
+        assert root.c1 == pytest.approx(estimate_c1(B, mode="a_posteriori", fy=fy)[0], rel=1e-12)
+        assert report.overall_bound == pytest.approx(root.t_star + follower.t_star)
+        assert report.extinction_times[0] <= root.t_star
+        assert report.extinction_times[1] - report.stage_starts[1] <= follower.t_star
 
     def test_no_spanning_tree(self):
         # two disjoint strongly connected 2-cycles starting at different means

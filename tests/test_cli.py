@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,10 @@ from ftconsensus.config import (
     parse_config,
     serialize_config,
 )
-from ftconsensus.dynamics import SimulationConfig
+from ftconsensus.dynamics import SimulationConfig, Trajectory
 from ftconsensus.errors import ConfigParseError, ConfigValidationError
 
-from conftest import count_graph_searches, random_strongly_connected
+from conftest import count_graph_searches, random_strongly_connected, traced_peak
 
 REPO = Path(__file__).resolve().parent.parent
 FIG1_CFG = REPO / "configs" / "fig1.cfg"
@@ -78,6 +79,19 @@ class TestParseConfig:
     def test_validation_errors(self, mutate, fragment):
         doc = make_doc()
         mutate(doc)
+        with pytest.raises(ConfigValidationError, match=fragment):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc,fragment", [
+        ({"graph": {"n": True, "edges": []}, "protocols": "linear{k=1}", "x0": [True]},
+         "graph.n must be a positive integer"),
+        ({"graph": {"n": 1, "edges": []}, "protocols": "linear{k=1}", "x0": [True]},
+         "x0 entries must be numbers"),
+        (make_doc(graph={"n": 3, "edges": [[1, 2, True]]}), r"edge \[1, 2, True\]: weight must be a positive number"),
+        (make_doc(graph={"n": 3, "edges": [[True, 2, 1.0]]}), "endpoints must be integers"),
+        (make_doc(graph={"n": 3, "edges": [[1, False, 1.0]]}), "endpoints must be integers"),
+    ])
+    def test_json_booleans_are_not_numbers(self, doc, fragment):
         with pytest.raises(ConfigValidationError, match=fragment):
             parse_config(json.dumps(doc))
 
@@ -176,6 +190,105 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
         assert "finite" in err and "internal" not in err
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("old,new,fragment", [
+        ('"n": 4', '"n": 4611686018427387904', "x0 must be an array of 4611686018427387904 numbers"),
+        ('"n": 4', '"n": 1' + "0" * 400, "x0 must be an array of 1000"),
+        ('"n": 4', '"n": true', "graph.n must be a positive integer"),
+        ("[1, 2, 1.0]", "[1, 2, true]", "edge [1, 2, True]: weight must be a positive number"),
+    ], ids=["n-2**62", "n-10**400", "n-true", "weight-true"])
+    def test_huge_or_boolean_fields_exit_one(self, old, new, fragment, tmp_path, capsys):
+        text = FIG1_CFG.read_text()
+        assert old in text
+        (tmp_path / "bad.cfg").write_text(text.replace(old, new, 1))
+        rc = main(["simulate", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_record_budget_exits_one(self, command, tmp_path, capsys):
+        # settled at t ~ 2.75, the frozen tail up to t_max = 1e12 would be 1e14 records
+        text = FIG1_CFG.read_text()
+        (tmp_path / "long.cfg").write_text(text.replace('"t_max": 20.0', '"t_max": 1e12', 1))
+        start = time.perf_counter()
+        rc = main([command, str(tmp_path / "long.cfg"), "--out", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert elapsed < 1.0
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "t_max" in err and "record_stride" in err and "internal" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_memory_follows_the_records(self, tmp_path, capsys):
+        # 48 agents, 10 000 RK4 steps without the freeze rule: 1001 records
+        n = 48
+        doc = {"graph": {"n": n, "edges": [[v, v % n + 1, 1.0] for v in range(1, n + 1)]},
+               "protocols": "powerlinear{a=1,b=1,c=0.75}",
+               "x0": [round(math.sin(v), 6) for v in range(n)],
+               "sim": {"t_max": 10.0, "freeze_on_consensus": False}}
+        (tmp_path / "c.cfg").write_text(json.dumps(doc))
+        argv = ["simulate", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0  # imports and first-call caches are not the run's
+        rc = []
+        peak = traced_peak(lambda: rc.append(main(argv)))
+        assert rc == [0]
+        assert len((tmp_path / "o" / "trajectory.csv").read_text().splitlines()) == 1 + 1001
+        records_bytes = 1001 * n * 8
+        assert peak <= 2 * records_bytes + 256 * 2**10
+
+
+def _hand_built(with_v: bool):
+    """A 3-record trajectory over plain floats, and its CSV as .17g joins."""
+    times = [0.0, 0.1, 0.30000000000000004]
+    states = [[1.0, -2.5], [1 / 3, 2e-300], [math.pi, -0.0]]
+    dis = [3.5, 1 / 3 - 2e-300, math.pi]
+    lyap = [1.5, 0.1, 5e-324]
+    rows = [[t, *x, d] + ([v] if with_v else []) for t, x, d, v in zip(times, states, dis, lyap)]
+    text = "t,x_1,x_2,disagreement" + (",V" if with_v else "") + "\n"
+    text += "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    traj = Trajectory(times=np.array(times), states=np.array(states), disagreement=np.array(dis),
+                      lyapunov=np.array(lyap) if with_v else None)
+    return traj, text
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("with_v", [False, True])
+    def test_rows_are_17g_joins(self, with_v, tmp_path):
+        traj, text = _hand_built(with_v)
+        cli._write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        assert (tmp_path / "trajectory.csv").read_bytes() == text.encode()
+        assert os.listdir(tmp_path) == ["trajectory.csv"]
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
+        traj, _ = _hand_built(True)
+        cells = []
+
+        def full_disk(v):
+            cells.append(v)
+            if len(cells) == 8:  # partway through the second row
+                raise OSError(28, "No space left on device")
+            return f"{v:.17g}"
+
+        monkeypatch.setattr(cli, "_fmt", full_disk)
+        with pytest.raises(OSError):
+            cli._write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        assert os.listdir(tmp_path) == []
+        # an earlier file stays whole
+        (tmp_path / "trajectory.csv").write_text("old\n")
+        cells.clear()
+        with pytest.raises(OSError):
+            cli._write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        assert os.listdir(tmp_path) == ["trajectory.csv"]
+        assert (tmp_path / "trajectory.csv").read_text() == "old\n"
+        # through the command: exit 2, and neither output is written
+        cells.clear()
+        rc = main(["simulate", str(FIG1_CFG), "--out", str(tmp_path / "o")])
+        assert rc == 2 and "No space left" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "o") == []
 
 
 class TestCertifyCommand:

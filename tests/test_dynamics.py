@@ -20,7 +20,8 @@ from ftconsensus import (
     rhs,
     settling_time,
 )
-from ftconsensus.errors import NonFiniteState, NotStronglyConnected
+from ftconsensus import dynamics
+from ftconsensus.errors import NonFiniteState, NotStronglyConnected, RecordBudgetExceeded
 
 from conftest import (
     count_graph_searches,
@@ -130,6 +131,41 @@ class TestIntegrate:
         after = traj.times >= traj.settled_at
         assert np.all(traj.states[after] == free.states[k_f].mean())
         assert list(traj.times) == pytest.approx([k * 0.01 for k in sorted(steps)])
+
+    @pytest.mark.parametrize("t_max,stride,freeze", [
+        (0.001, 10, False), (0.01, 10, False), (0.011, 10, False), (0.105, 4, False),
+        (3.0, 7, True), (3.0, 10, True), (3.0, 1, True), (0.9, 1000, True)])
+    def test_record_plan_counts_records(self, t_max, stride, freeze):
+        # records: step 0, the stride multiples below the last step, the last
+        # step, and with freezing one more for a freeze step off the stride grid
+        g = directed_cycle(3)
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.5)] * 3)
+        cfg = SimulationConfig(dt=0.001, t_max=t_max, eps_consensus=1e-3, record_stride=stride,
+                               freeze_on_consensus=freeze)
+        traj = integrate(cfg, g, bank, np.array([1.0, 0.0, 0.0]))
+        n_steps, records = dynamics._record_plan(cfg, 3)
+        k = np.rint(traj.times / cfg.dt).astype(int)
+        grid = set(range(0, n_steps, stride)) | {n_steps}
+        assert traj.times.size == records + len(set(k) - grid)
+        assert set(k) >= grid and len(set(k) - grid) <= int(freeze)
+        assert np.all(np.diff(k) > 0) and traj.states.shape == (traj.times.size, 3)
+
+    def test_record_budget_refused_before_integrating(self, monkeypatch):
+        g = fig1_graph()
+        x0 = np.array([2.0, -1.0, 3.0, -2.0])
+        monkeypatch.setattr(dynamics, "laplacian", None)  # integrating would fail
+        for cfg in [SimulationConfig(t_max=1e12),
+                    SimulationConfig(dt=1e-300, t_max=1e300, record_stride=10**300)]:
+            with pytest.raises(RecordBudgetExceeded, match="lower t_max or raise record_stride"):
+                integrate(cfg, g, PL_BANK4, x0)
+        # the bound is on records x n: exactly at the budget still runs
+        monkeypatch.undo()
+        cfg = SimulationConfig(t_max=1.0)
+        monkeypatch.setattr(dynamics, "MAX_RECORD_VALUES", 101 * 4)
+        assert integrate(cfg, g, PL_BANK4, x0).times.size == 101
+        monkeypatch.setattr(dynamics, "MAX_RECORD_VALUES", 101 * 4 - 1)
+        with pytest.raises(RecordBudgetExceeded, match="would record 101 states of 4 agents"):
+            integrate(cfg, g, PL_BANK4, x0)
 
     def test_rk4_fourth_order_vs_matrix_exponential(self):
         g = directed_cycle(4, weight=2.5)

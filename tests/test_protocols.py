@@ -87,6 +87,22 @@ class TestEvaluate:
             assert np.allclose(bank.eval(y), expected, rtol=1e-15)
             assert np.array_equal(bank.eval(np.zeros(len(bank))), np.zeros(len(bank)))
 
+    def test_bank_eval_any_leading_shape(self):
+        # every kind's bank applies f_i along the last axis; the mixed bank
+        # keeps the scalar evaluate of each agent, so a 1-D call is exact
+        rng = np.random.default_rng(1)
+        for bank in [ProtocolBank(ALL_KINDS), ProtocolBank([LogPower(1.0, 0.5), LogPower(0.7, 0.2)])]:
+            y = rng.uniform(-3, 3, (4, 5, len(bank)))
+            y[0, 0, 1] = 0.0
+            out = bank.eval(y)
+            assert out.shape == y.shape
+            for idx in np.ndindex(y.shape[:-1]):
+                assert np.array_equal(out[idx], bank.eval(y[idx]))
+            assert np.array_equal(bank.eval(y[:, :0]), np.empty((4, 0, len(bank))))
+        mixed = ProtocolBank(ALL_KINDS)
+        z = rng.uniform(-3, 3, len(mixed))
+        assert mixed.eval(z).tolist() == [evaluate(f, zi) for f, zi in zip(mixed, z)]
+
 
 class TestAntiderivative:
     def test_linear(self):
