@@ -12,7 +12,7 @@ _EXPORTS = {
     "protocols": "A1Report CriteriaReport GridSpec Linear LogPower PowerLinear ProtocolBank antiderivative "
                  "check_a1 check_a2 claim1_constants claim2_constants evaluate format_protocol_spec "
                  "parse_protocol_spec".split(),
-    "dynamics": "SimulationConfig Trajectory disagreement integrate lyapunov_trace lyapunov_value rhs "
+    "dynamics": "SimulationConfig Trajectory disagreement integrate lyapunov_trace lyapunov_value "
                 "settling_time".split(),
     "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
                 "settling_bound_rooted settling_bound_strongly_connected".split(),

@@ -60,6 +60,7 @@ from .protocols import (
     LogPower,
     PowerLinear,
     ProtocolBank,
+    _closed_form_alpha,
     _empirical_beta,
     claim1_constants,
     claim2_constants,
@@ -312,10 +313,10 @@ def settling_bound_rooted(
 def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) -> tuple:
     """(alpha, beta_empirical, beta_closed, source_note) for certification.
 
-    alpha comes from the closed forms when the bank is a uniform power-linear
-    or log-power family; the beta used downstream is always the refined
-    empirical grid minimum of the ratio, which is the bound that actually
-    holds along trajectories.
+    alpha is the largest per-agent closed-form alpha; a uniform power-linear
+    or log-power bank also gets its closed-form beta.  The beta used
+    downstream is always the refined empirical grid minimum of the ratio,
+    which is the bound that actually holds along trajectories.
     """
     if M <= 0:
         return 0.5, math.inf, None, "degenerate (already at consensus)"
@@ -327,8 +328,10 @@ def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()
         alpha, beta_closed = claim1_constants(bank, M)
         note = "alpha closed-form (power-linear family)"
     else:
-        alpha, beta_closed = 0.5, None
-        note = "no closed form for this bank; alpha defaulted"
+        alpha, beta_closed = _closed_form_alpha(bank), None
+        note = "alpha closed-form (largest per-agent value of a mixed bank)"
+        if alpha is None:
+            alpha, note = 0.5, "no closed form for this bank; alpha defaulted"
     return alpha, _empirical_beta(bank, M, alpha, grid), beta_closed, note
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 from .errors import ConfigParseError, ConfigValidationError
@@ -125,14 +125,10 @@ class LogPower:
 ProtocolFunction = Union[Linear, PowerLinear, LogPower]
 
 
-# spec-string grammar: kind{key=value, ...}
+# spec-string grammar: kind{key=value, ...}, the keys being the family's fields
 _SPEC_RE = re.compile(r"^\s*([a-z]+)\s*\{([^}]*)\}\s*$")
 
-_KIND_KEYS = {
-    "linear": ("k",),
-    "powerlinear": ("a", "b", "c"),
-    "logpower": ("a", "c"),
-}
+_KINDS = {"linear": Linear, "powerlinear": PowerLinear, "logpower": LogPower}
 
 
 def parse_protocol_spec(spec: str) -> ProtocolFunction:
@@ -141,7 +137,7 @@ def parse_protocol_spec(spec: str) -> ProtocolFunction:
     if not m:
         raise ValueError(f"malformed protocol spec: {spec!r}")
     kind, body = m.group(1), m.group(2)
-    if kind not in _KIND_KEYS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown protocol kind: {kind!r}")
     params = {}
     for part in body.split(","):
@@ -155,22 +151,16 @@ def parse_protocol_spec(spec: str) -> ProtocolFunction:
             params[key] = float(val)
         except ValueError as exc:
             raise ValueError(f"non-numeric value for {key!r} in spec {spec!r}") from exc
-    expected = _KIND_KEYS[kind]
+    expected = tuple(key.name for key in fields(_KINDS[kind]))
     if set(params) != set(expected):
         raise ValueError(f"spec {spec!r} must define exactly the keys {expected}")
-    if kind == "linear":
-        return Linear(k=params["k"])
-    if kind == "powerlinear":
-        return PowerLinear(a=params["a"], b=params["b"], c=params["c"])
-    return LogPower(a=params["a"], c=params["c"])
+    return _KINDS[kind](**params)
 
 
 def format_protocol_spec(f: ProtocolFunction) -> str:
-    if isinstance(f, Linear):
-        return f"linear{{k={f.k:.17g}}}"
-    if isinstance(f, PowerLinear):
-        return f"powerlinear{{a={f.a:.17g},b={f.b:.17g},c={f.c:.17g}}}"
-    return f"logpower{{a={f.a:.17g},c={f.c:.17g}}}"
+    kind = next(kind for kind, family in _KINDS.items() if isinstance(f, family))
+    values = ",".join(f"{key.name}={getattr(f, key.name):.17g}" for key in fields(f))
+    return f"{kind}{{{values}}}"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .protocols import ProtocolBank
 __all__ = [
     "SimulationConfig",
     "Trajectory",
-    "rhs",
     "integrate",
     "disagreement",
     "lyapunov_value",
@@ -53,12 +52,6 @@ def disagreement(x: np.ndarray) -> float:
     """max_i x_i - min_i x_i."""
     x = np.asarray(x, dtype=float)
     return float(x.max() - x.min())
-
-
-def rhs(g: WeightedDigraph, bank: ProtocolBank, x: np.ndarray) -> np.ndarray:
-    """Protocol vector field: u_i = f_i((-L x)_i)."""
-    L = laplacian(g)
-    return bank.eval(-(L @ np.asarray(x, dtype=float)))
 
 
 def _settled_index(dis: np.ndarray, eps: float) -> int | None:

@@ -1,29 +1,26 @@
-"""Scalar feedback families, their antiderivatives and criteria checks.
-
-Three protocol families are provided:
+"""Feedback families as array kernels, the per-agent bank, and criteria checks.
 
 * ``Linear(k)``:          f(z) = k z   (asymptotic baseline, never finite-time)
 * ``PowerLinear(a,b,c)``: f(z) = a sign(z)|z|^c + b z,      a>0, b>=0, 0<c<1
 * ``LogPower(a,c)``:      f(z) = -a sign(z)|z|^c ln|z| on 0<|z|<=1/e,
                           a sign(z)|z|^c beyond,            a>0, 0<c<2/3
 
-Powers of signed arguments are always computed as sign(z)|z|^c so every
-family is odd by construction.  The family records and the spec grammar
-(``parse_protocol_spec``/``format_protocol_spec``) live in the numpy-free
-``config`` module and are re-exported here.
+Each family's f and antiderivative F are written once, as numpy kernels over
+arrays of any shape (``_KERNELS``).  ``ProtocolBank`` applies them one family
+group at a time along the last axis of ``(..., n)`` input; ``evaluate`` and
+``antiderivative`` apply them at one point.  Powers of signed arguments are
+sign(z)|z|^c, so every f is odd and every F even.  The family records and the
+spec grammar live in the numpy-free ``config`` module and are re-exported.
 
-Criteria checked numerically over the reachable argument range (0, M]:
-
-* the qualitative shape conditions (continuity, zero only at zero, sign
-  preservation; monotonicity reported as a separate non-fatal flag because
-  the log-power family is not monotone on (0, 1/e) yet still drives
-  finite-time consensus), and
-* the ratio bound f(z)^2 / F(z)^alpha >= beta with F the antiderivative.
-  Closed-form (alpha, beta) are available for uniform power-linear and
-  log-power banks; an empirical grid minimum, refined around the best grid
-  point by the in-package bounded Brent search (``_minimize.bounded_brent``),
-  is always computed alongside and is the authoritative lower bound for
-  certificates.  It is computed once per distinct protocol function.
+Criteria checked numerically over the reachable argument range (0, M]: the
+shape conditions (continuity, zero only at zero, sign preservation; the
+monotonicity flag is non-fatal, as the log-power family is not monotone on
+(0, 1/e) yet still drives finite-time consensus), and the ratio bound
+f(z)^2 / F(z)^alpha >= beta.  Closed-form (alpha, beta) exist for uniform
+power-linear and log-power banks; the empirical grid minimum, refined by the
+in-package bounded Brent search (``_minimize.bounded_brent``), is the
+authoritative lower bound for certificates, computed once per distinct
+protocol function.
 """
 
 from __future__ import annotations
@@ -59,49 +56,95 @@ __all__ = [
 ]
 
 _BREAK = math.exp(-1.0)
+_TINY = 5e-324  # max(|z|, _TINY) is |z| except at 0, where ln stays finite and |z|^c = 0
+
+
+# The kernels use the ufuncs np.power/np.log, never ``**`` or ``math``, on
+# values: a point must get the same bits whatever the shape it comes in.
+def _linear_f(z, k):
+    return k * z
+
+
+def _linear_F(z, k):
+    return k * z * z / 2.0
+
+
+def _power_linear_f(z, a, b, c):
+    return np.sign(z) * a * np.power(np.abs(z), c) + b * z
+
+
+def _power_linear_F(z, a, b, c):
+    return a * np.power(np.abs(z), 1.0 + c) / (1.0 + c) + b * z * z / 2.0
+
+
+def _log_power_f(z, a, c):
+    az = np.abs(z)
+    p = np.power(az, c)
+    return np.sign(z) * np.where(az <= _BREAK, -a * p * np.log(np.maximum(az, _TINY)), a * p)
+
+
+def _log_power_F(z, a, c):
+    # integral of -a s^c ln s is a s^(c+1) (1/(c+1)^2 - ln s/(c+1)); beyond
+    # the break, F continues from its value there with the pure power
+    az = np.abs(z)
+    c1 = c + 1.0
+    p = np.power(az, c1)
+    e = np.exp(-c1)
+    inner = a * p * (1.0 / (c1 * c1) - np.log(np.maximum(az, _TINY)) / c1)
+    outer = a * e * (1.0 / (c1 * c1) + 1.0 / c1) + a * (p - e) / c1
+    return np.where(az <= _BREAK, inner, outer)
+
+
+# family -> (f kernel, F kernel, parameter names in kernel order)
+_KERNELS = {
+    Linear: (_linear_f, _linear_F, ("k",)),
+    PowerLinear: (_power_linear_f, _power_linear_F, ("a", "b", "c")),
+    LogPower: (_log_power_f, _log_power_F, ("a", "c")),
+}
+
+
+def _params(functions: Sequence[ProtocolFunction]) -> tuple:
+    """Kernel parameters of same-family functions: an array per name, or floats for
+    one function (a length-1 array would broadcast into a differently rounded loop)."""
+    columns = ([float(getattr(f, p)) for f in functions] for p in _KERNELS[type(functions[0])][2])
+    return tuple(col[0] if len(col) == 1 else np.array(col) for col in columns)
+
+
+def _f(f: ProtocolFunction, z: np.ndarray) -> np.ndarray:
+    return _KERNELS[type(f)][0](z, *_params([f]))
+
+
+def _F(f: ProtocolFunction, z: np.ndarray) -> np.ndarray:
+    return _KERNELS[type(f)][1](z, *_params([f]))
 
 
 def evaluate(f: ProtocolFunction, z: float) -> float:
     """f(z) for a single protocol function."""
-    if isinstance(f, Linear):
-        return f.k * z
-    az = abs(z)
-    if az == 0.0:
-        return 0.0
-    s = 1.0 if z > 0 else -1.0
-    if isinstance(f, PowerLinear):
-        return f.a * s * az**f.c + f.b * z
-    if az <= _BREAK:
-        return -f.a * s * az**f.c * math.log(az)
-    return f.a * s * az**f.c
+    return float(_f(f, np.asarray(z, dtype=float)))
 
 
 def antiderivative(f: ProtocolFunction, z: float) -> float:
     """F(z) = integral of f from 0 to z; even, nonnegative, zero only at 0."""
-    az = abs(z)
-    if az == 0.0:
-        return 0.0
-    if isinstance(f, Linear):
-        return f.k * z * z / 2.0
-    if isinstance(f, PowerLinear):
-        return f.a * az ** (1.0 + f.c) / (1.0 + f.c) + f.b * z * z / 2.0
-    # log-power: integral of -a s^c ln s is a s^(c+1) (1/(c+1)^2 - ln s/(c+1))
-    c1 = f.c + 1.0
-    if az <= _BREAK:
-        return f.a * az**c1 * (1.0 / c1**2 - math.log(az) / c1)
-    f_break = f.a * math.exp(-c1) * (1.0 / c1**2 + 1.0 / c1)
-    return f_break + f.a * (az**c1 - math.exp(-c1)) / c1
+    return float(_F(f, np.asarray(z, dtype=float)))
 
 
 class ProtocolBank:
-    """One protocol function per agent, with vectorized evaluation."""
+    """One protocol function per agent, evaluated one family group at a time."""
 
     def __init__(self, functions: Sequence[ProtocolFunction]):
         if len(functions) == 0:
             raise ValueError("bank must contain at least one function")
         self.functions = tuple(functions)
-        kinds = {type(f) for f in self.functions}
-        self._uniform_kind = kinds.pop() if len(kinds) == 1 else None
+        members = {}
+        for i, f in enumerate(self.functions):
+            members.setdefault(type(f), []).append(i)
+        self.kinds = tuple(members)
+        self.uniform_kind = self.kinds[0] if len(self.kinds) == 1 else None  # None: mixed bank
+        # (agents of the family, its kernels, their parameters) per family
+        self._groups = tuple(
+            (slice(None) if len(idx) == len(self.functions) else np.array(idx),
+             _KERNELS[kind][:2], _params([self.functions[i] for i in idx]))
+            for kind, idx in members.items())
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -112,41 +155,20 @@ class ProtocolBank:
     def __getitem__(self, i):
         return self.functions[i]
 
-    @property
-    def uniform_kind(self):
-        """The shared protocol class, or None for a mixed bank."""
-        return self._uniform_kind
+    def _apply(self, which: int, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        out = np.empty_like(y)
+        for idx, kernels, params in self._groups:
+            out[..., idx] = kernels[which](y[..., idx], *params)
+        return out
 
     def eval(self, y: np.ndarray) -> np.ndarray:
         """f_i applied along the last axis of ``y``, of shape (..., n)."""
-        y = np.asarray(y, dtype=float)
-        if self._uniform_kind is Linear:
-            k = np.array([f.k for f in self.functions])
-            return k * y
-        if self._uniform_kind is PowerLinear:
-            a = np.array([f.a for f in self.functions])
-            b = np.array([f.b for f in self.functions])
-            c = np.array([f.c for f in self.functions])
-            ay = np.abs(y)
-            return np.sign(y) * a * ay**c + b * y
-        if self._uniform_kind is LogPower:
-            a = np.array([f.a for f in self.functions])
-            c = np.array([f.c for f in self.functions])
-            ay = np.abs(y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inner = -a * ay**c * np.log(ay)
-            outer = a * ay**c
-            out = np.where(ay <= _BREAK, inner, outer)
-            out = np.where(ay == 0.0, 0.0, out)
-            return np.sign(y) * out
-        # mixed kinds: the scalar f of each agent along the last axis
-        fs = self.functions
-        out = np.array([evaluate(f, zi) for f, zi in zip(fs * (y.size // len(fs)), y.ravel())])
-        return out.reshape(y.shape)
+        return self._apply(0, y)
 
     def antiderivatives(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.array([antiderivative(f, zi) for f, zi in zip(self.functions, y)])
+        """F_i applied along the last axis of ``y``, of shape (..., n)."""
+        return self._apply(1, y)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +184,7 @@ class GridSpec:
 
     def positive_grid(self, M: float) -> np.ndarray:
         z = np.geomspace(M * 10.0**-self.span_decades, M, self.points)
-        extra = [M]
-        if M >= _BREAK:
-            extra.append(_BREAK)
-        z = np.unique(np.concatenate([z, np.array(extra)]))
-        return z
+        return np.unique(np.concatenate([z, [M, _BREAK] if M >= _BREAK else [M]]))
 
 
 @dataclass(frozen=True)
@@ -201,28 +219,20 @@ def check_a1(f: ProtocolFunction, M: float, points: int = 10_001) -> A1Report:
     """Sampled shape checks on [-M, M] with refinement at the breakpoints."""
     if not M > 0:
         raise ValueError("M must be positive")
-    pos = np.geomspace(M * 1e-12, M, max(points // 2, 5_000))
-    if M >= _BREAK:
-        pos = np.unique(np.concatenate([pos, [_BREAK]]))
+    pos = GridSpec(max(points // 2, 5_000)).positive_grid(M)
     grid = np.concatenate([-pos[::-1], [0.0], pos])
-    vals = np.array([evaluate(f, z) for z in grid])
+    vals = _f(f, grid)
 
-    zero_at_zero = evaluate(f, 0.0) == 0.0
+    zero_at_zero = bool(vals[pos.size] == 0.0)
     nz = grid != 0.0
     sign_preserving = bool(np.all(grid[nz] * vals[nz] > 0.0)) and zero_at_zero
 
     # Continuity: probe both sides of the candidate discontinuity points.
-    continuous = True
-    probes = [0.0]
-    if M >= _BREAK:
-        probes += [_BREAK, -_BREAK]
-    for p in probes:
-        d = 1e-9 * max(1.0, abs(p))
-        lo, hi = evaluate(f, p - d), evaluate(f, p + d)
-        mid = evaluate(f, p)
-        scale = 1.0 + abs(mid)
-        if abs(hi - mid) > 1e-3 * scale or abs(mid - lo) > 1e-3 * scale:
-            continuous = False
+    probes = np.array([0.0, _BREAK, -_BREAK] if M >= _BREAK else [0.0])
+    d = 1e-9 * np.maximum(1.0, np.abs(probes))
+    lo, mid, hi = _f(f, np.stack([probes - d, probes, probes + d]))
+    scale = 1e-3 * (1.0 + np.abs(mid))
+    continuous = not bool(np.any((np.abs(hi - mid) > scale) | (np.abs(mid - lo) > scale)))
     # Coarse scan: no jump far out of line with its neighbors.
     jumps = np.abs(np.diff(vals))
     if jumps.size >= 3:
@@ -235,16 +245,10 @@ def check_a1(f: ProtocolFunction, M: float, points: int = 10_001) -> A1Report:
     return A1Report(zero_at_zero, sign_preserving, continuous, monotone)
 
 
-def _f_and_F(f: ProtocolFunction, z: np.ndarray) -> tuple:
-    """f and F over the points of ``z``, one array each."""
-    return (np.array([evaluate(f, zi) for zi in z]),
-            np.array([antiderivative(f, zi) for zi in z]))
-
-
 def _ratio_min_single(f: ProtocolFunction, M: float, alpha: float, grid: GridSpec):
     """Refined minimum of f(z)^2 / F(z)^alpha over 0 < z <= M (even in z)."""
     z = grid.positive_grid(M)
-    fv, Fv = _f_and_F(f, z)
+    fv, Fv = _f(f, z), _F(f, z)
     if np.any(Fv <= 0.0):
         raise ProtocolDomainError("antiderivative nonpositive at a nonzero grid point")
     ratio = fv**2 / Fv**alpha
@@ -298,8 +302,8 @@ def check_a2(
         bottom_slope = max(bottom_slope, float(s))
         # negative z adds nothing for odd f, but scan it anyway as a guard,
         # with the positive grid's array expression so equal values stay equal
-        fn, Fn = _f_and_F(f, -z[:: max(1, grid.points // 100)])
-        emp = min(emp, float((fn**2 / Fn**alpha).min()))
+        zn = -z[:: max(1, grid.points // 100)]
+        emp = min(emp, float((_f(f, zn) ** 2 / _F(f, zn) ** alpha).min()))
     if beta is None:
         beta_used = emp
         a2_pass = emp > 0.0 and bottom_slope <= 0.05
@@ -320,6 +324,15 @@ def check_a2(
     )
 
 
+def _closed_form_alpha(bank: ProtocolBank) -> float | None:
+    """Largest per-agent closed-form alpha, 2c/(1+c) for power-linear and 4c/(2+c) for
+    log-power, each at its family's largest c; None when the bank has a linear agent."""
+    if Linear in bank.kinds:
+        return None
+    forms = {PowerLinear: lambda c: 2.0 * c / (1.0 + c), LogPower: lambda c: 4.0 * c / (2.0 + c)}
+    return max(forms[kind](max(f.c for f in bank if type(f) is kind)) for kind in bank.kinds)
+
+
 def claim1_constants(bank: ProtocolBank, M: float) -> tuple:
     """Closed-form (alpha, beta) for a power-linear bank over (0, M]."""
     if bank.uniform_kind is not PowerLinear:
@@ -327,7 +340,7 @@ def claim1_constants(bank: ProtocolBank, M: float) -> tuple:
     if not M > 0:
         raise ValueError("M must be positive")
     c = max(f.c for f in bank)
-    alpha = 2.0 * c / (1.0 + c)
+    alpha = _closed_form_alpha(bank)
     beta = math.inf
     for f in bank:
         e1 = 2.0 * f.c - 2.0 * c * (1.0 + f.c) / (1.0 + c)
@@ -350,7 +363,7 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
     if not M > 0:
         raise ValueError("M must be positive")
     c = max(f.c for f in bank)
-    alpha = 4.0 * c / (2.0 + c)
+    alpha = _closed_form_alpha(bank)
     beta1 = math.inf
     beta2 = math.inf
     for f in bank:

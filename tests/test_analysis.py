@@ -268,6 +268,11 @@ class TestCertify:
         report, traj = certify(fig1, bank, x0, SimulationConfig(eps_consensus=1e-4))
         assert bank.uniform_kind is None and traj.times.size == 2002
         root, follower = report.certificates
+        # alpha is the largest per-agent closed form, power-linear's 2c/(1+c)
+        # at c = 0.75 over log-power's 4c/(2+c) at c = 0.5
+        assert root.alpha == follower.alpha == 2.0 * 0.75 / 1.75
+        assert any("largest per-agent" in note for note in report.notes)
+        assert report.settled_at <= report.overall_bound < 1e4
         assert root.c1_source == "a-posteriori-trajectory"
         assert follower.lambda1 == pytest.approx(1.0)
         # C1 is the Rayleigh-quotient minimum over the feedback of every record

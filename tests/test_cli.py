@@ -149,6 +149,23 @@ class TestSimulateCommand:
         v = np.array([float(r.split(",")[-1]) for r in lines[1:]])
         assert np.all(np.diff(v) <= 1e-9)
 
+    def test_mixed_kinds_make_no_per_point_calls(self, tmp_path, monkeypatch):
+        # the bank applies each family's kernel to whole arrays, so neither
+        # the field nor the Lyapunov column goes through the scalar wrappers
+        from ftconsensus import protocols
+        calls = []
+        for name in ("evaluate", "antiderivative"):
+            original = getattr(protocols, name)
+            monkeypatch.setattr(protocols, name,
+                                lambda f, z, _name=name, _f=original: calls.append(_name) or _f(f, z))
+        specs = ["powerlinear{a=1,b=1,c=0.75}", "logpower{a=1,c=0.5}", "linear{k=1}"]
+        (tmp_path / "c.cfg").write_text(json.dumps(make_doc(protocols=specs)))
+        assert main(["simulate", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "trajectory.csv").read_text().startswith("t,x_1,x_2,x_3,disagreement,V\n")
+        assert calls == []
+        protocols.evaluate(protocols.Linear(k=1.0), 1.0)
+        assert calls == ["evaluate"]
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 2
@@ -432,14 +449,14 @@ step(ftconsensus.cli.main(["simulate", good, "--out", out]))
 print(json.dumps(steps))
 """
 
-    # the public names of the package before it loaded lazily, by source module
+    # the public names of the package, by source module
     OLD_EXPORTS = {
         "graph": "Condensation WeightedDigraph condensation has_spanning_tree infinity_norms laplacian "
                  "left_null_vector mirror_laplacian smallest_eigenvalue_symmetric",
         "protocols": "A1Report CriteriaReport GridSpec Linear LogPower PowerLinear ProtocolBank antiderivative "
                      "check_a1 check_a2 claim1_constants claim2_constants evaluate format_protocol_spec "
                      "parse_protocol_spec",
-        "dynamics": "SimulationConfig Trajectory disagreement integrate lyapunov_trace lyapunov_value rhs "
+        "dynamics": "SimulationConfig Trajectory disagreement integrate lyapunov_trace lyapunov_value "
                     "settling_time",
         "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
                     "settling_bound_rooted settling_bound_strongly_connected",

@@ -1,8 +1,10 @@
 import math
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -21,6 +23,7 @@ from ftconsensus import (
     format_protocol_spec,
     parse_protocol_spec,
 )
+from ftconsensus import config, protocols
 from ftconsensus.errors import WrongProtocolKind
 
 from conftest import random_claim1_bank
@@ -88,8 +91,8 @@ class TestEvaluate:
             assert np.array_equal(bank.eval(np.zeros(len(bank))), np.zeros(len(bank)))
 
     def test_bank_eval_any_leading_shape(self):
-        # every kind's bank applies f_i along the last axis; the mixed bank
-        # keeps the scalar evaluate of each agent, so a 1-D call is exact
+        # every bank applies f_i along the last axis; in the mixed bank each
+        # kind has one agent, whose kernel call is the one evaluate makes
         rng = np.random.default_rng(1)
         for bank in [ProtocolBank(ALL_KINDS), ProtocolBank([LogPower(1.0, 0.5), LogPower(0.7, 0.2)])]:
             y = rng.uniform(-3, 3, (4, 5, len(bank)))
@@ -102,6 +105,49 @@ class TestEvaluate:
         mixed = ProtocolBank(ALL_KINDS)
         z = rng.uniform(-3, 3, len(mixed))
         assert mixed.eval(z).tolist() == [evaluate(f, zi) for f, zi in zip(mixed, z)]
+
+
+FUNCTIONS = st.one_of(
+    st.builds(Linear, k=st.floats(0.1, 5.0)),
+    st.builds(PowerLinear, a=st.floats(0.1, 3.0), b=st.floats(0.0, 2.0), c=st.floats(0.05, 0.95)),
+    st.builds(LogPower, a=st.floats(0.1, 3.0), c=st.floats(0.05, 0.65)),
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestKernels:
+    def test_one_kernel_pair_per_family(self):
+        families = typing.get_args(config.ProtocolFunction)
+        assert sorted(protocols._KERNELS, key=repr) == sorted(families, key=repr)
+        for family, (f, F, names) in protocols._KERNELS.items():
+            assert callable(f) and callable(F) and f is not F
+            assert names == tuple(field.name for field in fields(family))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(functions=st.lists(FUNCTIONS, min_size=1, max_size=6),
+           lead=st.lists(st.integers(1, 4), max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shape_invariance(self, functions, lead, seed):
+        # a point's f and F do not depend on the shape it is evaluated in,
+        # and a bank's single agent gives exactly the scalar evaluate
+        bank = ProtocolBank(functions)
+        rng = np.random.default_rng(seed)
+        shape = (*lead, len(bank))
+        y = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-9.0, 1.5, shape)
+        y.flat[rng.integers(0, y.size, 2)] = [0.0, math.exp(-1.0)]
+        fy, Fy = bank.eval(y), bank.antiderivatives(y)
+        assert fy.shape == Fy.shape == shape
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(_bits(fy[idx]), _bits(bank.eval(y[idx])))
+            assert np.array_equal(_bits(Fy[idx]), _bits(bank.antiderivatives(y[idx])))
+        for f, z in zip(bank, y.reshape(-1, len(bank))[0]):
+            single = ProtocolBank([f])
+            assert _bits(evaluate(f, z)) == _bits(single.eval([z])[0])
+            assert _bits(antiderivative(f, z)) == _bits(single.antiderivatives([z])[0])
 
 
 class TestAntiderivative:
