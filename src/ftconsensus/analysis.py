@@ -14,13 +14,12 @@ The certificate machinery follows the Lyapunov argument stage by stage:
   ancestors have settled.  The composed bound is therefore labeled an
   empirical hybrid: each stage bound is rigorous given its observed start.
 
-C1 is not constructively available (it is the minimum of a quadratic form
-over a set that is not closed), so two estimators ship: an a priori
-sampled upper estimate of the minimum, polished by the in-package
-Nelder-Mead search (``_minimize.nelder_mead``), and the a posteriori
-minimum of the Rayleigh quotient over the recorded states of an actual run
-(every ``record_stride``-th step, not the whole path), the one used to
-certify it.
+C1 is the infimum of the Rayleigh quotient of the mirror Laplacian over
+the feedback directions, so two estimators ship: the a priori infimum over
+every mixed-sign direction, computed exactly from the principal submatrices
+of B (a rigorous lower bound under A1), and the a posteriori minimum of the
+Rayleigh quotient over the recorded states of an actual run (every
+``record_stride``-th step, not the whole path), the one used to certify it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._minimize import nelder_mead
 from .errors import (
     DegenerateInput,
     InvalidConstants,
@@ -84,7 +82,7 @@ class ConvergenceCertificate:
     beta: float
     beta_source: str  # closed-form | empirical
     c1: float
-    c1_source: str  # a-priori-sampled | a-posteriori-trajectory | smallest-eigenvalue
+    c1_source: str  # mixed-sign-infimum | a-posteriori-trajectory | smallest-eigenvalue | singleton-root
     c2: float
     v0: float
     t_star: float
@@ -144,23 +142,22 @@ def c2_constant(omega: np.ndarray, alpha: float) -> float:
     return float(1.0 / np.max(omega) ** alpha)
 
 
-def _mixed_sign(xi: np.ndarray) -> bool:
-    nz = xi[xi != 0.0]
-    return nz.size > 0 and nz.min() < 0.0 < nz.max()
-
-
-def estimate_c1(
-    B: np.ndarray,
-    mode: str = "a_priori",
-    fy: np.ndarray | None = None,
-    samples: int = 200_000,
-    seed: int = 0,
-) -> tuple:
+def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy: np.ndarray | None = None) -> tuple:
     """Estimate the Rayleigh-quotient lower constant for a mirror Laplacian.
 
-    a_priori: Monte Carlo over mixed-sign unit vectors, then a Nelder-Mead
-    polish from the best sample.  The result is the smallest value found,
-    i.e. an UPPER estimate of the true minimum (provenance flag says so).
+    a_priori: the exact infimum of u^T B u over unit vectors u with entries
+    of both signs, min_i lambda_min(B_-i), where B_-i is B with row and
+    column i deleted and the kernel of B is span{1} (a strongly connected
+    graph).  The infimum is a minimum over the closure of that set, where
+    some u_i may be 0.  A minimiser inside the set is a critical point of
+    the quotient, so an eigenvector of B other than 1/sqrt(n), with value
+    at least lambda_2.  A minimiser on the boundary has some u_i = 0, so
+    its value is at least lambda_min(B_-i), and the eigenvector of B_-i
+    with a 0 inserted at i attains that value.  Cauchy interlacing gives
+    lambda_min(B_-i) <= lambda_2.  Under A1 f is sign-preserving, and
+    omega^T y = 0 with omega > 0 makes every nonzero y, hence f(y),
+    mixed-sign: the value is a rigorous lower bound on C1.  A single agent
+    has no mixed-sign direction; its one direction gives B[0, 0].
 
     a_posteriori: minimum of f(y)^T B f(y) / f(y)^T f(y) over the supplied
     feedback vectors (zero vectors excluded).  ``certify`` passes the recorded
@@ -170,7 +167,8 @@ def estimate_c1(
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
-    lam = np.linalg.eigvalsh((B + B.T) / 2.0)
+    S = (B + B.T) / 2.0
+    lam = np.linalg.eigvalsh(S)
     if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
         raise DegenerateInput("matrix is not positive semidefinite within tolerance")
 
@@ -189,45 +187,9 @@ def estimate_c1(
     if mode != "a_priori":
         raise ValueError(f"unknown mode {mode!r}")
     if n == 1:
-        return float(B[0, 0]), "a-priori-sampled"
-
-    rng = np.random.default_rng(seed)
-    best_val = math.inf
-    best_xi = None
-    # rows per chunk under a fixed element budget, so memory does not grow
-    # with n; the normal stream does not depend on the chunking, and the
-    # strict < below keeps the first global minimum, so neither does the result
-    chunk = max(1, 16_384 // n)
-    remaining = samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        xi = rng.standard_normal((m, n))
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        mixed = (xi.min(axis=1) < 0.0) & (xi.max(axis=1) > 0.0)
-        xi = xi[mixed]
-        if xi.size == 0:
-            continue
-        q = np.einsum("ij,jk,ik->i", xi, B, xi)
-        k = int(np.argmin(q))
-        if q[k] < best_val:
-            best_val = float(q[k])
-            best_xi = xi[k].copy()
-
-    def obj(v):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return math.inf
-        u = v / nv
-        if not _mixed_sign(u):
-            return math.inf
-        return float(u @ B @ u)
-
-    if best_xi is not None:
-        fun = nelder_mead(obj, best_xi, xatol=1e-12, fatol=1e-14, maxiter=5_000)[1]
-        if np.isfinite(fun) and fun < best_val:
-            best_val = float(fun)
-    return best_val, "a-priori-sampled"
+        return float(B[0, 0]), "mixed-sign-infimum"
+    low = min(np.linalg.eigvalsh(np.delete(np.delete(S, i, 0), i, 1))[0] for i in range(n))
+    return float(low), "mixed-sign-infimum"
 
 
 def settling_bound_strongly_connected(

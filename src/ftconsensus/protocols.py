@@ -184,7 +184,8 @@ class GridSpec:
 
     def positive_grid(self, M: float) -> np.ndarray:
         z = np.geomspace(M * 10.0**-self.span_decades, M, self.points)
-        return np.unique(np.concatenate([z, [M, _BREAK] if M >= _BREAK else [M]]))
+        z = np.sort(np.concatenate([z, [M, _BREAK] if M >= _BREAK else [M]]))
+        return z[np.concatenate([[True], z[1:] != z[:-1]])]  # first of each run of equal values
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,8 @@ def check_a1(f: ProtocolFunction, M: float, points: int = 10_001) -> A1Report:
     # Coarse scan: no jump far out of line with its neighbors.
     jumps = np.abs(np.diff(vals))
     if jumps.size >= 3:
-        med = float(np.median(jumps))
+        ordered = np.sort(jumps)
+        med = float(np.mean(ordered[(ordered.size - 1) // 2:ordered.size // 2 + 1]))  # the median
         frange = float(vals.max() - vals.min())
         if float(jumps.max()) > max(1e3 * med, 1e-2 * frange):
             continuous = False

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftconsensus import (
     Linear,
@@ -58,41 +60,83 @@ class TestC2Constant:
             c2_constant(np.array([1.0]), 1.0)
 
 
+def deleted_row_oracle(B):
+    """min over i of the smallest eigenvalue of B without row and column i."""
+    lows = []
+    for i in range(len(B)):
+        lows.append(np.linalg.eigvalsh(np.delete(np.delete(B, i, axis=0), i, axis=1))[0])
+    return min(lows)
+
+
 class TestEstimateC1:
     def test_two_path_range(self):
         # B = [[w,-w],[-w,w]]: over mixed-sign unit vectors the quadratic
-        # form is w(1 - 2 xi1 xi2), ranging over (w, 2w]; the sampled upper
-        # estimate of the infimum must land in that range
+        # form is w(1 - 2 xi1 xi2), ranging over (w, 2w]; its infimum is w
         for w in [0.5, 1.0, 3.0]:
             B = np.array([[w, -w], [-w, w]])
-            val, prov = estimate_c1(B, mode="a_priori", samples=100_000)
-            assert prov == "a-priori-sampled"
-            assert w - 1e-6 <= val <= 2 * w + 1e-12
+            val, prov = estimate_c1(B, mode="a_priori")
+            assert prov == "mixed-sign-infimum"
+            assert val == w
             # dense angular sweep oracle over mixed-sign directions
             theta = np.linspace(1e-6, np.pi / 2 - 1e-6, 100_000)
             xi = np.column_stack([np.cos(theta), -np.sin(theta)])
             sweep = np.einsum("ij,jk,ik->i", xi, B, xi).min()
-            assert val <= sweep + 1e-6
+            assert val <= sweep <= val + 1e-5
 
     def test_triangle_positive(self):
         B = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-        val, _ = estimate_c1(B, mode="a_priori", samples=100_000)
+        val, _ = estimate_c1(B, mode="a_priori")
         assert 0 < val <= np.linalg.eigvalsh(B)[-1]
 
     def test_a_priori_values_and_memory(self):
-        # the values of the sampler that drew 20_000 rows per chunk at any n;
-        # chunks now hold at most 16_384 elements, so memory stays flat in n
+        # the exact value equals the deleted-row oracle; at n = 200 it sits
+        # far below lambda_2, and n principal submatrices fit in a few MB
         B3 = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
         g4 = random_strongly_connected(np.random.default_rng(4), 4)
         B4 = mirror_laplacian(g4, left_null_vector(g4))
-        assert estimate_c1(B3, samples=10_000)[0] == 1.0
-        assert estimate_c1(B4, samples=10_000)[0] == 0.05360832212106886
+        assert estimate_c1(B3)[0] == deleted_row_oracle(B3) == 1.0
+        assert estimate_c1(B4)[0] == deleted_row_oracle(B4)
         g = random_strongly_connected(np.random.default_rng(200), 200, extra_p=0.05)
         B = mirror_laplacian(g, left_null_vector(g))
         out = []
-        peak = traced_peak(lambda: out.append(estimate_c1(B, samples=10_000)[0]))
-        assert peak < 8 * 2**20  # one (10_000, 200) chunk alone is 16 MB
-        assert out == [0.04165311994901362]
+        peak = traced_peak(lambda: out.append(estimate_c1(B)[0]))
+        assert peak < 8 * 2**20
+        assert out == [deleted_row_oracle(B)]
+        assert 0.0 < out[0] < 0.01 * np.linalg.eigvalsh(B)[1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_a_priori_is_a_lower_bound(self, n, seed):
+        # Cauchy interlacing brackets the infimum by lambda_1 and lambda_2, no
+        # mixed-sign unit vector goes below it, and neither does the feedback
+        # of a trajectory on the same graph
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(rng, n)
+        B = mirror_laplacian(g, left_null_vector(g))
+        val, _ = estimate_c1(B)
+        lam = np.linalg.eigvalsh(B)
+        tol = 1e-10 * max(1.0, lam[-1])
+        assert lam[0] - tol <= val <= lam[1] + tol
+        xi = rng.standard_normal((500, n))
+        xi[:, 0], xi[:, 1] = -np.abs(xi[:, 0]), np.abs(xi[:, 1])
+        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+        assert val <= np.einsum("ij,jk,ik->i", xi, B, xi).min() + tol
+        bank = random_claim1_bank(rng, n)
+        traj = integrate(SimulationConfig(t_max=1.0), g, bank, rng.uniform(-2.0, 2.0, n))
+        # at (near) consensus -L x is matvec rounding, not a feedback direction
+        states = traj.states[traj.disagreement > 1e-6]
+        fy = bank.eval((-(laplacian(g) @ states.T)).T)
+        assert val <= estimate_c1(B, mode="a_posteriori", fy=fy)[0] + tol
+
+    def test_certify_consensus_start_uses_the_infimum(self):
+        # V(0) = 0 leaves no feedback to measure, so the root stage takes the
+        # a-priori value: 1/6 on the 3-cycle, whose omega is 1/3 everywhere
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
+        report, _ = certify(directed_cycle(3), bank, np.ones(3), SimulationConfig(t_max=0.1))
+        root = report.certificates[0]
+        assert root.c1_source == "mixed-sign-infimum"
+        assert root.c1 == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert root.t_star == 0.0
 
     def test_a_posteriori_rayleigh_range(self):
         g = directed_cycle(3)

@@ -416,9 +416,11 @@ cfg, out = sys.argv[1], sys.argv[2]
 commands = [["simulate", cfg, "--out", out], ["certify", cfg, "--out", out],
             ["check-protocol", "--spec", "logpower{a=1,c=0.5}", "--bound", "6"],
             ["demo-paper", "--out", out]]
-steps = [[ftconsensus.cli.main(argv), "scipy" in sys.modules] for argv in commands]
+def loaded():
+    return [m for m in ("scipy", "numpy.random", "numpy.ma") if m in sys.modules]
+steps = [[ftconsensus.cli.main(argv), loaded()] for argv in commands]
 B = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-steps.append([estimate_c1(B, "a_priori", samples=1_000)[1], "scipy" in sys.modules])
+steps.append([estimate_c1(B, "a_priori")[1], loaded()])
 print(json.dumps(steps))
 """
 
@@ -473,9 +475,10 @@ print(json.dumps(steps))
         return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
     def test_simulate_never_loads_scipy_optimize(self, tmp_path):
-        # every command, and the a-priori C1 estimate, runs without scipy
+        # every command, and the a-priori C1 estimate, runs without scipy,
+        # numpy.random or numpy.ma
         steps, _ = self._run_fresh(self.SCRIPT, FIG1_CFG, tmp_path / "o")
-        assert steps == [[0, False], [0, False], [0, False], [0, False], ["a-priori-sampled", False]]
+        assert steps == [[0, []], [0, []], [0, []], [0, []], ["mixed-sign-infimum", []]]
 
     def test_config_checks_load_no_numpy(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -538,6 +541,25 @@ print(json.dumps(steps))
                     names = []
                 offenders += [f"{path.name}:{node.lineno} {m}" for m in names
                               if m.split(".")[0] == "scipy"]
+        assert offenders == []
+
+    def test_no_module_uses_numpy_random_unique_or_median(self):
+        # np.random costs ~6 MB of RSS, and np.unique and np.median load
+        # numpy.ma; this also covers paths the fresh-interpreter test skips
+        heavy = {"random", "ma", "unique", "median"}
+        offenders = []
+        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    names = [node.attr] if node.value.id in ("np", "numpy") else []
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                    names = node.module.split(".")[1:] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [part for a in node.names if a.name.startswith("numpy.")
+                             for part in a.name.split(".")[1:]]
+                else:
+                    names = []
+                offenders += [f"{path.name}:{node.lineno} {m}" for m in names if m in heavy]
         assert offenders == []
 
     # importing these loads no numeric module; each command imports its own
