@@ -1,10 +1,14 @@
-"""Derivative-free scalar minimiser: bounded Brent.
+"""Derivative-free minimisers: bounded Brent and Nelder-Mead.
 
-A port of SciPy's ``_minimize_scalar_bounded`` (in
-``scipy/optimize/_optimize.py``), reduced to the code path this package
-uses: no callback, no ``disp``.  The arithmetic is kept operation for
-operation (numpy scalar helpers included), so every iterate and result is
-bit-identical to SciPy's.
+Both are ports of the SciPy implementations (``_minimize_scalar_bounded``
+and ``_minimize_neldermead`` in ``scipy/optimize/_optimize.py``), reduced
+to the code paths this package uses: no bounds on the simplex, the
+non-adaptive coefficients, no callback, no ``disp``.  The arithmetic is
+kept operation for operation (numpy scalar helpers, a copy of x per
+evaluation, argsort/take re-sorting), so every iterate and result is
+bit-identical to SciPy's.  Bounded Brent refines the ratio bound beta;
+Nelder-Mead has no caller in the package since the a-priori C1 became an
+exact eigenvalue computation, and is kept with its parity tests.
 
 Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 All rights reserved.
@@ -133,3 +137,93 @@ def bounded_brent(func, lo: float, hi: float, xatol: float, maxiter: int = 500) 
             break
     return xf, fx
 
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple:
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> tuple:
+    """(x, func(x)) at the best vertex of a downhill-simplex search from x0.
+
+    Nelder & Mead 1965 (*Computer Journal* 7(4)) with reflection 1,
+    expansion 2, contraction 1/2 and shrink 1/2.  Stops when every vertex
+    lies within ``xatol`` of the best one and every value within ``fatol``
+    of the best value, or after ``maxiter`` iterations.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    # reflection, expansion, contraction and shrink coefficients
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt = 0.05
+    zdelt = 0.00025
+
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    def f(x):
+        return func(np.copy(x))  # the objective never sees the simplex's own storage
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    # sorted twice, as SciPy does: argsort is not stable, so a second pass
+    # can reorder tied values
+    sim, fsim = _sorted(sim, fsim)
+    sim, fsim = _sorted(sim, fsim)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        doshrink = 0
+
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    doshrink = 1
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    doshrink = 1
+            if doshrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = _sorted(sim, fsim)
+
+    return sim[0], np.min(fsim)

@@ -1,13 +1,16 @@
-"""The in-package bounded Brent against SciPy's, compared bit for bit."""
+"""The in-package minimisers against SciPy's, compared bit for bit."""
 
 import math
 
+import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
-from ftconsensus import Linear, LogPower, PowerLinear
-from ftconsensus._minimize import bounded_brent
+from ftconsensus import Linear, LogPower, PowerLinear, graph
+from ftconsensus._minimize import bounded_brent, nelder_mead
 from ftconsensus.protocols import GridSpec, antiderivative, evaluate
+
+from conftest import random_strongly_connected
 
 
 def ratio_objective(f, alpha):
@@ -17,6 +20,20 @@ def ratio_objective(f, alpha):
         if F <= 0.0:
             return math.inf
         return evaluate(f, z) ** 2 / F**alpha
+    return obj
+
+
+def rayleigh_objective(B):
+    """u^T B u over unit vectors with entries of both signs, +inf elsewhere."""
+    def obj(v):
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            return math.inf
+        u = v / nv
+        nz = u[u != 0.0]
+        if not (nz.size > 0 and nz.min() < 0.0 < nz.max()):
+            return math.inf
+        return float(u @ B @ u)
     return obj
 
 
@@ -34,3 +51,18 @@ def test_bounded_brent_matches_scipy(f, M):
             x, fun = bounded_brent(obj, lo, hi, xatol=1e-14 * M)
             assert (x, fun) == (ref.x, ref.fun), (alpha, k)
 
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_nelder_mead_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    g = random_strongly_connected(rng, n)
+    obj = rayleigh_objective(graph.mirror_laplacian(g, graph.left_null_vector(g)))
+    for _ in range(2):
+        x0 = rng.standard_normal(n)
+        x0[:2] = -abs(x0[0]), abs(x0[1])  # a mixed-sign start
+        x0 /= np.linalg.norm(x0)
+        ref = minimize(obj, x0, method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5_000})
+        x, fun = nelder_mead(obj, x0, xatol=1e-12, fatol=1e-14, maxiter=5_000)
+        assert np.array_equal(x, ref.x)
+        assert fun == ref.fun
