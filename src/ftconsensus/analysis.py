@@ -32,26 +32,24 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     InvalidConstants,
-    NotStronglyConnected,
     ZeroCoupling,
 )
 from .graph import (
     Condensation,
     WeightedDigraph,
-    _left_null_vector,
-    _mirror_laplacian,
     condensation,
     infinity_norms,
-    is_strongly_connected,
     laplacian,
+    left_null_vector,
+    mirror_laplacian,
     smallest_eigenvalue_symmetric,
 )
 from .dynamics import (
     SimulationConfig,
     Trajectory,
-    _lyapunov,
     _settled_index,
     integrate,
+    lyapunov_value,
 )
 from .protocols import (
     GridSpec,
@@ -205,10 +203,8 @@ def settling_bound_strongly_connected(
     c1_source: str = "a-posteriori-trajectory",
 ) -> ConvergenceCertificate:
     """Comparison-principle bound for a strongly connected topology."""
-    if not is_strongly_connected(g):
-        raise NotStronglyConnected("strongly connected stage bound needs one SCC")
     _check_constants(alpha, beta, c1)
-    v0 = _lyapunov(laplacian(g), np.asarray(omega, dtype=float), bank, np.asarray(x0, dtype=float))
+    v0 = lyapunov_value(g, omega, bank, x0)
     return _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v0)
 
 
@@ -257,16 +253,13 @@ def settling_bound_rooted(
     b_vec = np.asarray(b_vec, dtype=float)
     if np.all(b_vec == 0.0):
         raise ZeroCoupling("follower stage receives nothing from its parents")
-    if not is_strongly_connected(g_sub):
-        raise NotStronglyConnected("follower subgraph must be strongly connected")
     _check_constants(alpha, beta)
-    L_sub = laplacian(g_sub)
-    omega = _left_null_vector(L_sub)
-    B = _mirror_laplacian(L_sub, omega) + np.diag(omega * b_vec)
+    omega = left_null_vector(g_sub)
+    B = mirror_laplacian(g_sub, omega) + np.diag(omega * b_vec)
     lam1 = smallest_eigenvalue_symmetric(B)
     if not lam1 > 0:
         raise DegenerateInput("rooted-stage matrix not positive definite")
-    y0 = -(L_sub @ np.asarray(z0, dtype=float) + b_vec * np.asarray(z0, dtype=float))
+    y0 = -(laplacian(g_sub) @ np.asarray(z0, dtype=float) + b_vec * np.asarray(z0, dtype=float))
     v0 = float(np.dot(omega, bank_sub.antiderivatives(y0)))
     return _certificate(component_id, alpha, beta, beta_source, lam1, "smallest-eigenvalue",
                         omega, v0, lambda1=lam1)
@@ -315,18 +308,21 @@ def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
         cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0, "empirical",
                             math.inf, "singleton-root", np.ones(1), 0.0)
         return cert, float(x0[verts[0]])
-    L_sub = laplacian(g.subgraph(verts))
+    g_root = g.component(0)
     bank_sub = ProtocolBank([bank[v] for v in verts])
-    omega = _left_null_vector(L_sub)
-    B = _mirror_laplacian(L_sub, omega)
+    omega = left_null_vector(g_root)
+    B = mirror_laplacian(g_root, omega)
     # the one full product y = -L x; the feedback f(y) then overwrites it in
     # place, chunk by chunk, so the kernel's temporaries stay chunk-sized
-    fy = (L_sub @ states[:, verts].T).T
+    fy = (laplacian(g_root) @ states[:, verts].T).T
     np.negative(fy, out=fy)
     rows = max(1, _FEEDBACK_CHUNK // len(verts))
     for a in range(0, len(fy), rows):
+        x = states[a:a + rows, verts]
         fy[a:a + rows] = bank_sub.eval(fy[a:a + rows])
-    v0 = _lyapunov(L_sub, omega, bank_sub, x0[verts])
+        # a record at exact consensus has y = 0; its computed y is rounding noise
+        fy[a:a + rows][x.max(axis=1) == x.min(axis=1)] = 0.0
+    v0 = 0.0 if np.all(x0[verts] == x0[verts[0]]) else lyapunov_value(g_root, omega, bank_sub, x0[verts])
     if v0 == 0.0:
         c1, c1_src = estimate_c1(B, mode="a_priori")
     else:
@@ -346,7 +342,7 @@ def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> Conve
     b_vec = g.weights[np.ix_(verts, others)].sum(axis=1)
     z0 = x_start[verts] - float(np.mean(x_start[anc_verts]))
     return settling_bound_rooted(
-        g.subgraph(verts), b_vec, ProtocolBank([bank[v] for v in verts]), z0, alpha, beta,
+        g.component(k), b_vec, ProtocolBank([bank[v] for v in verts]), z0, alpha, beta,
         component_id=k, beta_source="empirical")
 
 

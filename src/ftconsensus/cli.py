@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,15 +40,14 @@ def _fmt(v: float) -> str:
 
 
 def _run_experiment(cfg: ExperimentConfig):
-    from .dynamics import _lyapunov_trace, integrate
-    from .graph import _left_null_vector, is_strongly_connected, laplacian
+    from .dynamics import integrate, lyapunov_trace
+    from .graph import is_strongly_connected, left_null_vector
 
     g = cfg.graph()
     bank = cfg.bank()
     traj = integrate(cfg.sim, g, bank, cfg.x0_array())
     if is_strongly_connected(g):
-        L = laplacian(g)
-        _lyapunov_trace(L, _left_null_vector(L), bank, traj)
+        lyapunov_trace(g, left_null_vector(g), bank, traj)
     return traj
 
 
@@ -121,16 +121,15 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def cmd_check_protocol(args) -> int:
-    f = parse_protocol_spec(args.spec)
-    M = args.bound
-    if not M > 0:
-        raise FtConsensusError("--bound must be positive")
-    from .protocols import ProtocolBank, check_a2, claim1_constants, claim2_constants
+def _criteria(f, M: float, alpha, beta) -> tuple:
+    """(check_a2 report, closed-form beta or None) for one protocol over (0, M]."""
+    from .protocols import (ProtocolBank, antiderivative, check_a2, claim1_constants,
+                            claim2_constants, evaluate)
 
+    fM, FM = evaluate(f, M), antiderivative(f, M)
+    if not (math.isfinite(fM * fM) and math.isfinite(FM)):
+        raise FtConsensusError(f"--bound {M:g} is too large: f(M)^2 or F(M) overflows a float")
     bank = ProtocolBank([f])
-    alpha = args.alpha
-    beta = args.beta
     closed = None
     if alpha is None:
         if isinstance(f, PowerLinear):
@@ -143,7 +142,25 @@ def cmd_check_protocol(args) -> int:
             alpha = 0.5
     if beta is None:
         beta = closed  # may stay None -> empirical verdict
-    report = check_a2(bank, M, alpha, beta)
+    return check_a2(bank, M, alpha, beta), closed
+
+
+def cmd_check_protocol(args) -> int:
+    f = parse_protocol_spec(args.spec)
+    M = args.bound
+    for flag, value in (("--bound", M), ("--alpha", args.alpha), ("--beta", args.beta)):
+        if value is not None and not math.isfinite(value):
+            raise FtConsensusError(f"{flag} must be finite")
+    if not M > 0:
+        raise FtConsensusError("--bound must be positive")
+    if args.beta is not None and not args.beta > 0:
+        raise FtConsensusError("--beta must be positive (A2 needs beta > 0)")
+    import numpy as np
+
+    # with f(M)^2 and F(M) finite, what may still overflow is a branch that
+    # np.where discards or a parabolic step that Brent rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, closed = _criteria(f, M, args.alpha, args.beta)
 
     a1 = report.a1[0]
     print(f"protocol: {args.spec}")

@@ -151,6 +151,8 @@ def parse_protocol_spec(spec: str) -> ProtocolFunction:
             params[key] = float(val)
         except ValueError as exc:
             raise ValueError(f"non-numeric value for {key!r} in spec {spec!r}") from exc
+        if not math.isfinite(params[key]):
+            raise ValueError(f"non-finite value for {key!r} in spec {spec!r}")
     expected = tuple(key.name for key in fields(_KINDS[kind]))
     if set(params) != set(expected):
         raise ValueError(f"spec {spec!r} must define exactly the keys {expected}")

@@ -7,6 +7,8 @@ deterministic fixed step plus an explicit freeze rule at the consensus
 threshold is both reproducible and honest about resolution.
 ``SimulationConfig`` lives in the numpy-free ``config`` module and is
 re-exported here.
+``lyapunov_value`` and ``lyapunov_trace`` take the graph and check it; the
+graph keeps its condensation and Laplacian, so the check costs no search.
 """
 
 from __future__ import annotations
@@ -199,11 +201,7 @@ def lyapunov_trace(
     """V along the recorded states; also stored on the trajectory."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
-    return _lyapunov_trace(laplacian(g), omega, bank, traj)
-
-
-def _lyapunov_trace(L: np.ndarray, omega: np.ndarray, bank: ProtocolBank, traj: Trajectory) -> np.ndarray:
-    """``lyapunov_trace`` for the Laplacian of a graph known to be strongly connected."""
+    L = laplacian(g)
     omega = np.asarray(omega, dtype=float)
     v = np.array([_lyapunov(L, omega, bank, x) for x in traj.states])
     traj.lyapunov = v

@@ -13,10 +13,6 @@ class NotSymmetric(FtConsensusError):
     """Matrix is not symmetric within tolerance."""
 
 
-class NoSpanningTree(FtConsensusError):
-    """Topology has no directed spanning tree."""
-
-
 class WrongProtocolKind(FtConsensusError):
     """Closed-form constants requested for the wrong protocol family."""
 

@@ -8,6 +8,10 @@ Note on the Laplacian diagonal: we use ``l_ii = sum_{k != i} a_ik`` (the full
 row sum of the adjacency, since the diagonal is zero).  This is the standard
 definition and the one consistent with the row-sum-zero property that the
 whole analysis rests on.
+
+A graph keeps what ``condensation`` and ``laplacian`` compute (the Laplacian
+read-only), and ``g.component(k)`` is known to be strongly connected, so the
+checked functions are the only path and cost a graph one SCC search.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ class WeightedDigraph:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_memo", {})  # condensation and Laplacian, once computed
 
     @property
     def n(self) -> int:
@@ -62,6 +67,16 @@ class WeightedDigraph:
     def subgraph(self, vertices) -> "WeightedDigraph":
         idx = np.asarray(sorted(vertices), dtype=int)
         return WeightedDigraph(self.weights[np.ix_(idx, idx)])
+
+    def component(self, k: int) -> "WeightedDigraph":
+        """Subgraph on SCC ``k`` of ``condensation(self)``, known strongly connected
+        (``self`` when that SCC is the whole graph)."""
+        comp = condensation(self).components[k]
+        if len(comp) == self.n:
+            return self
+        sub = self.subgraph(comp)
+        sub._memo["condensation"] = Condensation((tuple(range(sub.n)),), frozenset())
+        return sub
 
 
 @dataclass(frozen=True)
@@ -97,11 +112,12 @@ class Condensation:
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
-    """Graph Laplacian: row sums of the result are exactly zero."""
-    w = g.weights
-    L = -w.copy()
-    np.fill_diagonal(L, w.sum(axis=1))
-    return L
+    """Graph Laplacian, kept read-only on ``g``: row sums are exactly zero."""
+    if "laplacian" not in g._memo:
+        L = g._memo["laplacian"] = -g.weights.copy()
+        np.fill_diagonal(L, g.weights.sum(axis=1))
+        L.setflags(write=False)
+    return g._memo["laplacian"]
 
 
 def _tarjan_sccs(adj: list) -> list:
@@ -153,7 +169,9 @@ def _tarjan_sccs(adj: list) -> list:
 
 
 def condensation(g: WeightedDigraph) -> Condensation:
-    """SCC decomposition with components listed in a topological order."""
+    """SCC decomposition with components listed in a topological order, kept on ``g``."""
+    if "condensation" in g._memo:
+        return g._memo["condensation"]
     n = g.n
     # adj[v] lists the vertices v sends information to: arcs v -> u, i.e.
     # weights[u, v] > 0.
@@ -171,7 +189,8 @@ def condensation(g: WeightedDigraph) -> Condensation:
         ci, cj = comp_of[int(j)], comp_of[int(i)]
         if ci != cj:
             edges.add((ci, cj))
-    return Condensation(components=tuple(sccs), dag_edges=frozenset(edges))
+    cond = g._memo["condensation"] = Condensation(components=tuple(sccs), dag_edges=frozenset(edges))
+    return cond
 
 
 def has_spanning_tree(g: WeightedDigraph) -> bool:
@@ -195,14 +214,9 @@ def left_null_vector(g: WeightedDigraph) -> np.ndarray:
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("left null vector requires a strongly connected graph")
-    return _left_null_vector(laplacian(g))
-
-
-def _left_null_vector(L: np.ndarray) -> np.ndarray:
-    """``left_null_vector`` for the Laplacian of a graph known to be strongly connected."""
-    if L.shape[0] == 1:
+    if g.n == 1:
         return np.array([1.0])
-    _, _, vt = np.linalg.svd(L.T)
+    _, _, vt = np.linalg.svd(laplacian(g).T)
     w = vt[-1]
     # Strong connectivity makes the kernel one-dimensional with a vector of
     # uniform sign; fix the sign and normalize.
@@ -222,11 +236,7 @@ def mirror_laplacian(g: WeightedDigraph, omega: np.ndarray) -> np.ndarray:
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("mirror Laplacian requires a strongly connected graph")
-    return _mirror_laplacian(laplacian(g), omega)
-
-
-def _mirror_laplacian(L: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """``mirror_laplacian`` for the Laplacian of a graph known to be strongly connected."""
+    L = laplacian(g)
     W = np.diag(np.asarray(omega, dtype=float))
     return (W @ L + L.T @ W) / 2.0
 

@@ -68,14 +68,13 @@ def random_claim1_bank(rng: np.random.Generator, n: int) -> ProtocolBank:
     ])
 
 
-def count_graph_searches(monkeypatch, n: int) -> list:
-    """Record every SCC search over an n-vertex graph; returns the live list."""
+def count_graph_searches(monkeypatch) -> list:
+    """Record the vertex count of every SCC search, subgraphs included; returns the live list."""
     calls = []
     original = graph._tarjan_sccs
 
     def counting(adj):
-        if len(adj) == n:
-            calls.append(n)
+        calls.append(len(adj))
         return original(adj)
 
     monkeypatch.setattr(graph, "_tarjan_sccs", counting)

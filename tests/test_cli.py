@@ -75,6 +75,9 @@ class TestParseConfig:
         (lambda d: d.update(sim={"dt": 10**400}), "dt must be finite"),
         (lambda d: d.update(sim={"eps_consensus": math.inf}), "eps_consensus must be finite"),
         (lambda d: d.update(sim={"record_stride": 10**400}), "record_stride must be finite"),
+        (lambda d: d.update(protocols="powerlinear{a=1,b=nan,c=0.5}"), r"non-finite value for 'b' in spec"),
+        (lambda d: d.update(protocols="linear{k=inf}"), r"non-finite value for 'k' in spec 'linear\{k=inf\}'"),
+        (lambda d: d.update(protocols="logpower{a=1e309,c=0.5}"), r"non-finite value for 'a' in spec"),
     ])
     def test_validation_errors(self, mutate, fragment):
         doc = make_doc()
@@ -350,9 +353,32 @@ def test_strongly_connected_graph_is_searched_once(command, tmp_path, monkeypatc
         sim={"t_max": 2.0},
     )
     (tmp_path / "scc.cfg").write_text(json.dumps(doc))
-    searches = count_graph_searches(monkeypatch, n)
+    searches = count_graph_searches(monkeypatch)
     assert main([command, str(tmp_path / "scc.cfg"), "--out", str(tmp_path / "o")]) == 0
     assert len(searches) == 1
+
+
+def _chained_cycles_doc() -> dict:
+    """Three unit 3-cycles, the first feeding the second and both feeding the third."""
+    edges = [[c + a, c + b, 1.0] for c in (1, 4, 7) for a, b in ((0, 1), (1, 2), (2, 0))]
+    return make_doc(graph={"n": 9, "edges": edges + [[3, 4, 1.0], [6, 7, 1.0], [1, 8, 0.5]]},
+                    x0=[2.0, -1.0, 3.0, -2.0, 0.5, 1.5, -0.5, 2.5, 0.0],
+                    sim={"t_max": 30.0, "eps_consensus": 1e-6})
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("config", ["fig1", "chained-cycles"])
+def test_each_command_runs_one_scc_search(command, config, tmp_path, monkeypatch):
+    path = FIG1_CFG
+    if config == "chained-cycles":
+        path = tmp_path / "chain.cfg"
+        path.write_text(json.dumps(_chained_cycles_doc()))
+    searches = count_graph_searches(monkeypatch)
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(searches) == 1
+    if command == "certify":  # every stage, followers included, was certified
+        report = json.loads((tmp_path / "o" / "certificate.json").read_text())
+        assert len(report["components"]) > 1 and None not in report["certificates"]
 
 
 class TestCheckProtocolCommand:
@@ -386,6 +412,28 @@ class TestCheckProtocolCommand:
                    "--bound", "6", "--alpha", str(6 / 7), "--beta", "100"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning would be a second stderr line
+    @pytest.mark.parametrize("spec,flags,code,fragment", [
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--beta", "-5"], 1, "--beta must be positive"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--beta", "0"], 1, "--beta must be positive"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--beta", "inf"], 1, "--beta must be finite"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--alpha", "nan"], 1, "--alpha must be finite"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "inf"], 1, "--bound must be finite"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e160"], 1, "--bound 1e+160 is too large"),
+        ("logpower{a=1,c=0.5}", ["--bound", "1e300"], 1, "--bound 1e+300 is too large"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e150"], 0, None),
+        ("linear{k=1}", ["--bound", "1e150"], 1, None),
+        # F(M) is finite, but np.where's discarded ln-branch overflows there
+        ("logpower{a=12528.6,c=0.4968}", ["--bound", "2.03e202"], 1, None),
+    ])
+    def test_numeric_flags_exit_with_one_line(self, spec, flags, code, fragment, capsys):
+        rc = main(["check-protocol", "--spec", spec, *flags])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert err.count("\n") <= 1
+        if fragment is not None:
+            assert fragment in err
 
 
 class TestDemoPaper:

@@ -15,6 +15,7 @@ from ftconsensus.errors import NotStronglyConnected, NotSymmetric
 
 from conftest import (
     brute_force_spanning_tree,
+    count_graph_searches,
     directed_cycle,
     fig1_graph,
     random_digraph,
@@ -93,6 +94,13 @@ class TestLaplacian:
                     else:
                         assert L[i, j] == -g.weights[i, j]
 
+    def test_computed_once_and_read_only(self):
+        g = fig1_graph()
+        L = laplacian(g)
+        assert laplacian(g) is L
+        with pytest.raises(ValueError):
+            L[0, 0] = 5.0
+
 
 class TestCondensation:
     def test_cycle_single_component(self):
@@ -119,6 +127,19 @@ class TestCondensation:
             assert all_vertices == list(range(g.n))
             # topological order: every dag edge goes forward
             assert all(i < j for (i, j) in cond.dag_edges)
+
+    def test_computed_once_and_components_need_no_search(self, monkeypatch):
+        g = random_digraph(np.random.default_rng(13), 12, p=0.15)
+        cond = condensation(g)
+        searches = count_graph_searches(monkeypatch)
+        assert condensation(g) is cond
+        for k, comp in enumerate(cond.components):
+            sub = g.component(k)
+            assert np.array_equal(sub.weights, g.subgraph(comp).weights)
+            assert condensation(sub).components == (tuple(range(len(comp))),)
+            assert np.allclose(left_null_vector(sub) @ laplacian(sub), 0.0)
+        assert searches == []
+        assert len(cond.components) > 1
 
     def test_against_pairwise_reachability_oracle(self):
         from conftest import reachable_from
