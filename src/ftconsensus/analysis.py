@@ -165,7 +165,7 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy: np.ndarray | None = N
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
-    S = (B + B.T) / 2.0
+    S = B if np.array_equal(B, B.T) else (B + B.T) / 2.0
     lam = np.linalg.eigvalsh(S)
     if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
         raise DegenerateInput("matrix is not positive semidefinite within tolerance")
@@ -178,9 +178,10 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy: np.ndarray | None = N
         mask = norms2 > 0.0
         if not np.any(mask):
             raise ValueError("all feedback vectors are zero; nothing to estimate")
-        fm = fy[mask]
-        quad = np.einsum("ij,jk,ik->i", fm, B, fm)
-        return float(np.min(quad / norms2[mask])), "a-posteriori-trajectory"
+        if not np.all(mask):
+            fy, norms2 = fy[mask], norms2[mask]
+        quad = np.einsum("ij,jk,ik->i", fy, B, fy)
+        return float(np.min(quad / norms2)), "a-posteriori-trajectory"
 
     if mode != "a_priori":
         raise ValueError(f"unknown mode {mode!r}")
@@ -314,7 +315,7 @@ def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
     B = mirror_laplacian(g_root, omega)
     # the one full product y = -L x; the feedback f(y) then overwrites it in
     # place, chunk by chunk, so the kernel's temporaries stay chunk-sized
-    fy = (laplacian(g_root) @ states[:, verts].T).T
+    fy = (laplacian(g_root) @ (states if len(verts) == g.n else states[:, verts]).T).T
     np.negative(fy, out=fy)
     rows = max(1, _FEEDBACK_CHUNK // len(verts))
     for a in range(0, len(fy), rows):

@@ -123,12 +123,16 @@ def cmd_certify(args) -> int:
 
 def _criteria(f, M: float, alpha, beta) -> tuple:
     """(check_a2 report, closed-form beta or None) for one protocol over (0, M]."""
-    from .protocols import (ProtocolBank, antiderivative, check_a2, claim1_constants,
+    from .protocols import (GridSpec, ProtocolBank, antiderivative, check_a2, claim1_constants,
                             claim2_constants, evaluate)
 
     fM, FM = evaluate(f, M), antiderivative(f, M)
     if not (math.isfinite(fM * fM) and math.isfinite(FM)):
         raise FtConsensusError(f"--bound {M:g} is too large: f(M)^2 or F(M) overflows a float")
+    z = GridSpec().bottom(M)
+    if not (evaluate(f, z) ** 2 > 0.0 and antiderivative(f, z) > 0.0):
+        raise FtConsensusError(f"--bound {M:g} is too small: f^2 or F underflows to 0 at the "
+                               f"bottom of the ratio grid, z = {z:g}")
     bank = ProtocolBank([f])
     closed = None
     if alpha is None:
@@ -136,13 +140,14 @@ def _criteria(f, M: float, alpha, beta) -> tuple:
             alpha, closed = claim1_constants(bank, M)
         elif isinstance(f, LogPower):
             alpha, closed, emp = claim2_constants(bank, M)
-            if emp < closed:
+            if closed is not None and emp < closed:
                 closed = None  # closed form unsound here; fall back to empirical
         else:
             alpha = 0.5
-    if beta is None:
-        beta = closed  # may stay None -> empirical verdict
-    return check_a2(bank, M, alpha, beta), closed
+    report = check_a2(bank, M, alpha, closed if beta is None else beta)
+    if beta is None and closed is not None:
+        report = dataclasses.replace(report, beta_source="closed-form")
+    return report, closed
 
 
 def cmd_check_protocol(args) -> int:

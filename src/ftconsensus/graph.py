@@ -12,6 +12,11 @@ whole analysis rests on.
 A graph keeps what ``condensation`` and ``laplacian`` compute (the Laplacian
 read-only), and ``g.component(k)`` is known to be strongly connected, so the
 checked functions are the only path and cost a graph one SCC search.
+
+The left null vector omega comes from Grassmann-Taksar-Heyman elimination on
+one n x n copy of the weights, with no subtraction and no dense SVD, and the
+mirror Laplacian from one n x n product; the one dense eigen-solver here is
+``smallest_eigenvalue_symmetric``.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ class Condensation:
 def laplacian(g: WeightedDigraph) -> np.ndarray:
     """Graph Laplacian, kept read-only on ``g``: row sums are exactly zero."""
     if "laplacian" not in g._memo:
-        L = g._memo["laplacian"] = -g.weights.copy()
+        L = g._memo["laplacian"] = np.negative(g.weights)
         np.fill_diagonal(L, g.weights.sum(axis=1))
         L.setflags(write=False)
     return g._memo["laplacian"]
@@ -207,23 +212,56 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     return len(condensation(g).components) == 1
 
 
+# states eliminated per block of left_null_vector; what a block adds to the
+# rates among the states below it is applied as one matrix product
+_GTH_BLOCK = 16
+
+
 def left_null_vector(g: WeightedDigraph) -> np.ndarray:
     """Positive row vector w with w @ L = 0, normalized to sum to 1.
 
-    Requires strong connectivity; computed by a dense SVD null-space solve.
+    Requires strong connectivity.  w @ L = 0 reads w_j sum_i a_ji =
+    sum_i w_i a_ij: the global-balance equation of a Markov chain that jumps
+    from i to j at rate a_ij, so w is its stationary distribution.  The
+    Grassmann-Taksar-Heyman elimination (Oper. Res. 33(5), 1985) solves it
+    on one copy of the weights.  Eliminating state k = n-1, ..., 1 censors
+    the chain to states 0..k-1: a jump i -> k is rerouted to j < k with
+    probability a_kj / s_k, where s_k = sum_{j<k} a_kj, so the rates become
+    a_ij + (a_ik / s_k) a_kj.  The column a_ik / s_k is kept, and the
+    balance of state k in the censored chain gives back-substitution
+    w_0 = 1, w_k = sum_{i<k} w_i a_ik / s_k.  The states are eliminated in
+    blocks of ``_GTH_BLOCK``; within a block no step reads the rates among
+    the states below it, so their rank-1 updates are summed as one matrix
+    product when the block is done.
+
+    s_k is the (off-diagonal) row sum itself, not the diagonal of L less
+    the eliminated entries, so no step subtracts: every quantity is a sum,
+    product or quotient of nonnegative numbers.  Each entry of w therefore
+    has a small relative error however small the entry is (O'Cinneide,
+    Numer. Math. 65, 1993, bounds it by a polynomial in n times the unit
+    roundoff).  Strong connectivity keeps every censored chain irreducible,
+    so s_k > 0 and w_k > 0 at every step.
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("left null vector requires a strongly connected graph")
     if g.n == 1:
         return np.array([1.0])
-    _, _, vt = np.linalg.svd(laplacian(g).T)
-    w = vt[-1]
-    # Strong connectivity makes the kernel one-dimensional with a vector of
-    # uniform sign; fix the sign and normalize.
-    if w.sum() < 0:
-        w = -w
-    w = w / w.sum()
-    if np.any(w <= 0):
+    a = np.array(g.weights)
+    for top in range(g.n - 1, 0, -_GTH_BLOCK):
+        lo = max(1, top - _GTH_BLOCK + 1)
+        for k in range(top, lo - 1, -1):
+            a[:k, k] /= a[k, :k].sum()
+            # the rank-1 update of a[:k, :k], except on a[:lo, :lo], which
+            # no step of this block reads: that part waits for the product below
+            a[lo:k, :k] += a[lo:k, k, None] * a[k, :k]
+            a[:lo, lo:k] += a[:lo, k, None] * a[k, lo:k]
+        a[:lo, :lo] += a[:lo, lo:top + 1] @ a[lo:top + 1, :lo]
+    w = np.empty(g.n)
+    w[0] = 1.0
+    for k in range(1, g.n):
+        w[k] = w[:k] @ a[:k, k]
+    w /= w.sum()
+    if not np.all(w > 0):
         raise NotStronglyConnected("null vector not entrywise positive; graph not strongly connected?")
     return w
 
@@ -232,13 +270,15 @@ def mirror_laplacian(g: WeightedDigraph, omega: np.ndarray) -> np.ndarray:
     """Symmetrized Laplacian (diag(w) L + L^T diag(w)) / 2.
 
     PSD with kernel span{1} for a strongly connected graph and its left null
-    vector.
+    vector.  Built as (w_i l_ij + w_j l_ji) / 2 entry by entry, the same bits
+    as the two diagonal products, and exactly symmetric.
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("mirror Laplacian requires a strongly connected graph")
-    L = laplacian(g)
-    W = np.diag(np.asarray(omega, dtype=float))
-    return (W @ L + L.T @ W) / 2.0
+    B = np.asarray(omega, dtype=float)[:, None] * laplacian(g)
+    B += B.T
+    B /= 2.0
+    return B
 
 
 def smallest_eigenvalue_symmetric(m: np.ndarray, sym_tol: float = 1e-12) -> float:

@@ -182,8 +182,12 @@ class GridSpec:
     points: int = 10_000
     span_decades: float = 12.0  # grid reaches down to M * 10^-span_decades
 
+    def bottom(self, M: float) -> float:
+        """Smallest point of the log-spaced grid, M * 10^-span_decades."""
+        return M * 10.0**-self.span_decades
+
     def positive_grid(self, M: float) -> np.ndarray:
-        z = np.geomspace(M * 10.0**-self.span_decades, M, self.points)
+        z = np.geomspace(self.bottom(M), M, self.points)
         z = np.sort(np.concatenate([z, [M, _BREAK] if M >= _BREAK else [M]]))
         return z[np.concatenate([[True], z[1:] != z[:-1]])]  # first of each run of equal values
 
@@ -298,10 +302,12 @@ def check_a2(
     for f in distinct:
         best, ratio, z = _ratio_min_single(f, M, alpha, grid)
         emp = min(emp, best)
-        # log-log slope of the ratio over the grid's bottom decade
+        # least-squares log-log slope of the ratio over the grid's bottom
+        # decade, in closed form: np.polyfit would load LAPACK's SVD solver
         nlo = max(2, grid.points // 12)
-        s = np.polyfit(np.log(z[:nlo]), np.log(ratio[:nlo]), 1)[0]
-        bottom_slope = max(bottom_slope, float(s))
+        x, y = np.log(z[:nlo]), np.log(ratio[:nlo])
+        x -= x.mean()
+        bottom_slope = max(bottom_slope, float(x @ (y - y.mean()) / (x @ x)))
         # negative z adds nothing for odd f, but scan it anyway as a guard,
         # with the positive grid's array expression so equal values stay equal
         zn = -z[:: max(1, grid.points // 100)]
@@ -335,8 +341,17 @@ def _closed_form_alpha(bank: ProtocolBank) -> float | None:
     return max(forms[kind](max(f.c for f in bank if type(f) is kind)) for kind in bank.kinds)
 
 
+def _usable(beta: float) -> float | None:
+    """A closed-form beta if it is a positive float, else None (unavailable)."""
+    return beta if 0.0 < beta < math.inf else None
+
+
 def claim1_constants(bank: ProtocolBank, M: float) -> tuple:
-    """Closed-form (alpha, beta) for a power-linear bank over (0, M]."""
+    """Closed-form (alpha, beta) for a power-linear bank over (0, M].
+
+    beta is None when the closed form is not a positive float: a large
+    parameter or a small M can overflow its intermediate powers.
+    """
     if bank.uniform_kind is not PowerLinear:
         raise WrongProtocolKind("closed-form constants require an all power-linear bank")
     if not M > 0:
@@ -344,13 +359,16 @@ def claim1_constants(bank: ProtocolBank, M: float) -> tuple:
     c = max(f.c for f in bank)
     alpha = _closed_form_alpha(bank)
     beta = math.inf
-    for f in bank:
-        e1 = 2.0 * f.c - 2.0 * c * (1.0 + f.c) / (1.0 + c)
-        e2 = 2.0 * f.c - 4.0 * c / (1.0 + c)
-        num = f.a**2 * min(M**e1, M**e2)
-        den = 2.0 * max((f.a / (1.0 + f.c)) ** alpha, (f.b / 2.0) ** alpha)
-        beta = min(beta, num / den)
-    return alpha, beta
+    try:
+        for f in bank:
+            e1 = 2.0 * f.c - 2.0 * c * (1.0 + f.c) / (1.0 + c)
+            e2 = 2.0 * f.c - 4.0 * c / (1.0 + c)
+            num = f.a**2 * min(M**e1, M**e2)
+            den = 2.0 * max((f.a / (1.0 + f.c)) ** alpha, (f.b / 2.0) ** alpha)
+            beta = min(beta, num / den)
+    except OverflowError:  # float ** raises where numpy would return inf
+        beta = math.inf
+    return alpha, _usable(beta)
 
 
 def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) -> tuple:
@@ -359,6 +377,7 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
     The closed form rests on a sandwich bound that can fail for small c, so
     the empirical grid minimum is returned alongside; downstream consumers
     must prefer the empirical value when it is the smaller of the two.
+    beta_closed is None when the closed form is not a positive float.
     """
     if bank.uniform_kind is not LogPower:
         raise WrongProtocolKind("closed-form constants require an all log-power bank")
@@ -368,13 +387,15 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
     alpha = _closed_form_alpha(bank)
     beta1 = math.inf
     beta2 = math.inf
-    for f in bank:
-        exp1 = 2.0 * f.c - 4.0 * c * (1.0 + f.c) / (2.0 + c)
-        exp2 = 2.0 * f.c - 2.0 * c * (2.0 + f.c) / (2.0 + c)
-        beta1 = min(beta1, f.a**2 * M**exp1 / (2.0 * (f.a / (1.0 + f.c)) ** alpha))
-        beta2 = min(beta2, f.a**2 * M**exp2 / (2.0 * (2.0 * f.a / (2.0 + f.c)) ** alpha))
-    beta_closed = min(beta1, beta2)
-    return alpha, beta_closed, _empirical_beta(bank, M, alpha, grid)
+    try:
+        for f in bank:
+            exp1 = 2.0 * f.c - 4.0 * c * (1.0 + f.c) / (2.0 + c)
+            exp2 = 2.0 * f.c - 2.0 * c * (2.0 + f.c) / (2.0 + c)
+            beta1 = min(beta1, f.a**2 * M**exp1 / (2.0 * (f.a / (1.0 + f.c)) ** alpha))
+            beta2 = min(beta2, f.a**2 * M**exp2 / (2.0 * (2.0 * f.a / (2.0 + f.c)) ** alpha))
+    except OverflowError:
+        beta1 = beta2 = math.inf
+    return alpha, _usable(min(beta1, beta2)), _empirical_beta(bank, M, alpha, grid)
 
 
 def _empirical_beta(bank: ProtocolBank, M: float, alpha: float, grid: GridSpec) -> float:

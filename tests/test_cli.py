@@ -426,6 +426,10 @@ class TestCheckProtocolCommand:
         ("linear{k=1}", ["--bound", "1e150"], 1, None),
         # F(M) is finite, but np.where's discarded ln-branch overflows there
         ("logpower{a=12528.6,c=0.4968}", ["--bound", "2.03e202"], 1, None),
+        # F underflows to 0 at the bottom of the grid, M * 1e-12
+        ("linear{k=1}", ["--bound", "1e-300"], 1, "--bound 1e-300 is too small"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e-300"], 1, "--bound 1e-300 is too small"),
+        ("logpower{a=1,c=0.5}", ["--bound", "1e-300"], 1, "--bound 1e-300 is too small"),
     ])
     def test_numeric_flags_exit_with_one_line(self, spec, flags, code, fragment, capsys):
         rc = main(["check-protocol", "--spec", spec, *flags])
@@ -434,6 +438,29 @@ class TestCheckProtocolCommand:
         assert err.count("\n") <= 1
         if fragment is not None:
             assert fragment in err
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", ["powerlinear{a=1e200,b=1,c=0.5}", "logpower{a=1e200,c=0.5}"])
+    @pytest.mark.parametrize("bound", ["1e-300", "1e-100"])
+    def test_overflowing_closed_form_is_not_used(self, spec, bound, capsys):
+        # a**2 overflows a float: the closed form is unavailable, not an internal error
+        rc = main(["check-protocol", "--spec", spec, "--bound", bound])
+        captured = capsys.readouterr()
+        assert rc in (0, 1), captured.err
+        assert captured.err.count("error:") <= 1
+        assert "closed-form" not in captured.out
+
+    @pytest.mark.parametrize("flags,line", [
+        ([], "beta (used, closed-form) = 0.483295511233"),
+        (["--beta", "0.1"], "beta (used, explicit) = 0.1"),
+    ])
+    def test_beta_label_names_its_source(self, flags, line, capsys):
+        rc = main(["check-protocol", "--spec", "logpower{a=1,c=0.5}", "--bound", "6", *flags])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "beta (closed-form) = 0.483295511233" in out
+        assert line in out
 
 
 class TestDemoPaper:
@@ -608,6 +635,18 @@ print(json.dumps(steps))
                 else:
                     names = []
                 offenders += [f"{path.name}:{node.lineno} {m}" for m in names if m in heavy]
+        assert offenders == []
+
+    def test_no_module_calls_svd(self):
+        # omega comes from GTH elimination and the ratio's bottom slope from a
+        # closed form; an SVD (or the SVD least squares behind lstsq and
+        # polyfit) would load LAPACK code and workspace that no result needs
+        svd = {"svd", "lstsq", "polyfit"}
+        offenders = [f"{path.name}:{node.lineno}"
+                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if (isinstance(node, ast.Attribute) and node.attr in svd)
+                     or (isinstance(node, ast.alias) and node.name.split(".")[-1] in svd)]
         assert offenders == []
 
     # importing these loads no numeric module; each command imports its own

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftconsensus import (
     WeightedDigraph,
@@ -184,8 +186,10 @@ class TestSpanningTree:
 
 class TestLeftNullVector:
     def test_unit_cycle_is_uniform(self):
-        w = left_null_vector(directed_cycle(3))
-        assert np.allclose(w, np.full(3, 1.0 / 3.0), atol=1e-12)
+        # elimination on a unit cycle only ever adds 1 * 1, so omega is 1/n
+        # exactly, also across elimination blocks (n = 40)
+        for n in (3, 4, 7, 40):
+            assert np.array_equal(left_null_vector(directed_cycle(n)), np.full(n, 1.0 / n))
 
     def test_symmetric_graph_is_uniform(self):
         rng = np.random.default_rng(15)
@@ -211,8 +215,44 @@ class TestLeftNullVector:
             assert w.min() > 0
             assert abs(w.sum() - 1.0) < 1e-12
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_wide_weights_against_svd_oracle(self, n, seed):
+        # a Hamiltonian cycle plus random arcs, weights log-uniform on [1e-3, 1e3]
+        rng = np.random.default_rng(seed)
+        w = np.zeros((n, n))
+        perm = rng.permutation(n)
+        w[np.roll(perm, -1), perm] = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        extra = (rng.random((n, n)) < rng.uniform(0.0, 0.5)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+        w = np.maximum(w, extra)
+        np.fill_diagonal(w, 0.0)
+        g = WeightedDigraph(w)
+        L = laplacian(g)
+        eps = np.finfo(float).eps
+        omega = left_null_vector(g)
+        assert omega.min() > 0.0
+        assert abs(omega.sum() - 1.0) <= n * eps
+        # no subtraction: the residual is the matvec's own rounding, far below
+        # n eps ||L||_inf (measured at most 0.1 of it over 3000 such draws)
+        assert np.abs(omega @ L).max() <= n * eps * np.abs(L).sum(axis=1).max()
+        # the SVD's null vector is itself accurate only to about
+        # eps sigma_1 / sigma_{n-1} (the two agreed within 1.5 times that over
+        # 3000 draws), so the tolerance is 1e-10 or 4 times that, the larger
+        _, sigma, vt = np.linalg.svd(L.T)
+        v = vt[-1] / vt[-1].sum()
+        tol = max(1e-10, 4.0 * eps * sigma[0] / sigma[-2])
+        assert np.abs(omega - v).max() <= tol * omega.max()
+
 
 class TestMirrorLaplacian:
+    def test_equals_the_diagonal_products(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            g = random_strongly_connected(rng, int(rng.integers(1, 30)))
+            omega = left_null_vector(g)
+            L, W = laplacian(g), np.diag(omega)
+            assert np.array_equal(mirror_laplacian(g, omega), (W @ L + L.T @ W) / 2.0)
+
     def test_symmetric_graph_scaled(self):
         rng = np.random.default_rng(17)
         a = rng.uniform(0.5, 2.0, (4, 4))

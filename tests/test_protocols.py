@@ -301,6 +301,10 @@ class TestClaim1Constants:
         )
         assert beta == pytest.approx(expected, rel=1e-14)
 
+    def test_overflowing_closed_form_is_unavailable(self):
+        # a^2 overflows a float, so the closed form has no float value
+        assert claim1_constants(ProtocolBank([PowerLinear(1e200, 1.0, 0.5)]), M=1e-100)[1] is None
+
     def test_wrong_kind(self):
         with pytest.raises(WrongProtocolKind):
             claim1_constants(ProtocolBank([Linear(k=1.0)]), M=6.0)
@@ -335,6 +339,10 @@ class TestClaim2Constants:
             M = float(rng.uniform(1.0, 8.0))
             _, _, emp = claim2_constants(bank, M)
             assert emp > 0
+
+    def test_overflowing_closed_form_is_unavailable(self):
+        _, beta, emp = claim2_constants(ProtocolBank([LogPower(1e200, 0.5)]), M=1e-100)
+        assert beta is None and 0.0 < emp < math.inf
 
     def test_wrong_kind(self):
         with pytest.raises(WrongProtocolKind):
