@@ -25,7 +25,8 @@ Rayleigh quotient over the recorded states of an actual run (every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,20 +87,6 @@ class ConvergenceCertificate:
     t_star: float
     lambda1: float | None = None  # rooted stages only
 
-    def to_dict(self) -> dict:
-        return {
-            "component_id": self.component_id,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "beta_source": self.beta_source,
-            "c1": self.c1,
-            "c1_source": self.c1_source,
-            "c2": self.c2,
-            "v0": self.v0,
-            "t_star": self.t_star,
-            "lambda1": self.lambda1,
-        }
-
 
 @dataclass
 class CertificationReport:
@@ -116,20 +103,9 @@ class CertificationReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "spanning_tree": self.spanning_tree,
-            "components": [list(c) for c in self.components],
-            "dag_edges": [list(e) for e in self.dag_edges],
-            "certificates": [c.to_dict() if c is not None else None for c in self.certificates],
-            "stage_starts": self.stage_starts,
-            "extinction_times": self.extinction_times,
-            "overall_bound": self.overall_bound,
-            "overall_bound_kind": "empirical-hybrid" if self.overall_bound is not None else None,
-            "consensus_value": self.consensus_value,
-            "final_disagreement": self.final_disagreement,
-            "settled_at": self.settled_at,
-            "notes": self.notes,
-        }
+        """The fields as plain data for JSON, the certificates as dicts too."""
+        kind = "empirical-hybrid" if self.overall_bound is not None else None
+        return dict(asdict(self), overall_bound_kind=kind)
 
 
 def c2_constant(omega: np.ndarray, alpha: float) -> float:
@@ -140,8 +116,26 @@ def c2_constant(omega: np.ndarray, alpha: float) -> float:
     return float(1.0 / np.max(omega) ** alpha)
 
 
-def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy: np.ndarray | None = None) -> tuple:
+def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy=None) -> tuple:
     """Estimate the Rayleigh-quotient lower constant for a mirror Laplacian.
+
+    Either mode first proves that S = (B + B^T)/2 (B itself when exactly
+    symmetric) is positive semidefinite within tolerance, that is
+    lambda_min(S) >= -1e-10 max(1, |lambda_max(S)|), and raises
+    ``DegenerateInput`` where it is not.  The proof needs no eigensolve when
+    S is diagonally dominant.  By Gershgorin every eigenvalue lies in a disc
+    |lambda - s_ii| <= sum_{j != i} |s_ij|, so lambda_min >= g = min_i
+    (s_ii + |s_ii| - sum_j |s_ij|).  Computed in floating point, g is off by
+    at most gamma_{n+1} max_i sum_j |s_ij| (the row sum of n nonnegative
+    terms in any order, then one subtraction), which the margin (n + 2) eps
+    max_i sum_j |s_ij| covers.  S is accepted at once when g minus that
+    margin is at least -1e-10 max(1, max_i s_ii).  Since max_i s_ii =
+    max_i e_i^T S e_i <= lambda_max, that acceptance implies the eigenvalue
+    test above.  Otherwise ``np.linalg.eigvalsh`` decides with the same test,
+    so the accepted set is that of the eigenvalue test alone.  A mirror
+    Laplacian has zero row sums (L 1 = 0 and omega^T L = 0), nonpositive
+    off-diagonal and nonnegative diagonal entries, so its g is 0 up to
+    rounding and it never reaches the eigensolve.
 
     a_priori: the exact infimum of u^T B u over unit vectors u with entries
     of both signs, min_i lambda_min(B_-i), where B_-i is B with row and
@@ -158,30 +152,39 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy: np.ndarray | None = N
     has no mixed-sign direction; its one direction gives B[0, 0].
 
     a_posteriori: minimum of f(y)^T B f(y) / f(y)^T f(y) over the supplied
-    feedback vectors (zero vectors excluded).  ``certify`` passes the recorded
-    states, every ``record_stride``-th step, so this is not the path minimum.
+    feedback vectors (zero vectors excluded).  ``fy`` is one (records, n)
+    array, or an iterator of such row blocks, taken one at a time, so the
+    caller need not hold every vector at once.  ``certify`` passes the
+    recorded states, every ``record_stride``-th step, so this is not the
+    path minimum.
 
     Returns (value, provenance).
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
     S = B if np.array_equal(B, B.T) else (B + B.T) / 2.0
-    lam = np.linalg.eigvalsh(S)
-    if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
-        raise DegenerateInput("matrix is not positive semidefinite within tolerance")
+    d, rows = np.diagonal(S), np.abs(S).sum(axis=1)
+    bound = np.min(d + np.abs(d) - rows) - (n + 2) * np.finfo(float).eps * rows.max()
+    if not bound >= -1e-10 * max(1.0, d.max()):
+        lam = np.linalg.eigvalsh(S)
+        if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
+            raise DegenerateInput("matrix is not positive semidefinite within tolerance")
 
     if mode == "a_posteriori":
         if fy is None:
             raise ValueError("a_posteriori mode requires the feedback vectors fy")
-        fy = np.asarray(fy, dtype=float)
-        norms2 = np.einsum("ij,ij->i", fy, fy)
-        mask = norms2 > 0.0
-        if not np.any(mask):
+        low = math.inf
+        for block in fy if isinstance(fy, Iterator) else (fy,):
+            block = np.asarray(block, dtype=float)
+            norms2 = np.einsum("ij,ij->i", block, block)
+            mask = norms2 > 0.0
+            if not np.all(mask):
+                block, norms2 = block[mask], norms2[mask]
+            if len(block):
+                low = min(low, float(np.min(np.einsum("ij,jk,ik->i", block, B, block) / norms2)))
+        if low == math.inf:
             raise ValueError("all feedback vectors are zero; nothing to estimate")
-        if not np.all(mask):
-            fy, norms2 = fy[mask], norms2[mask]
-        quad = np.einsum("ij,jk,ik->i", fy, B, fy)
-        return float(np.min(quad / norms2)), "a-posteriori-trajectory"
+        return low, "a-posteriori-trajectory"
 
     if mode != "a_priori":
         raise ValueError(f"unknown mode {mode!r}")
@@ -223,18 +226,8 @@ def _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v
     """Stage certificate with the comparison time t* = V0^(1-a) / (C1 C2 beta (1-a))."""
     c2 = c2_constant(omega, alpha)
     t_star = 0.0 if v0 == 0.0 else v0 ** (1.0 - alpha) / (c1 * c2 * beta * (1.0 - alpha))
-    return ConvergenceCertificate(
-        component_id=component_id,
-        alpha=alpha,
-        beta=beta,
-        beta_source=beta_source,
-        c1=c1,
-        c1_source=c1_source,
-        c2=c2,
-        v0=v0,
-        t_star=t_star,
-        lambda1=lambda1,
-    )
+    return ConvergenceCertificate(component_id, alpha, beta, beta_source, c1, c1_source, c2, v0,
+                                  t_star, lambda1)
 
 
 def settling_bound_rooted(
@@ -297,8 +290,29 @@ def _first_settled_index(traj: Trajectory, vertices, eps: float) -> int | None:
     return _settled_index(sub.max(axis=1) - sub.min(axis=1), eps)
 
 
-# elements per chunk when the root stage evaluates its feedback
-_FEEDBACK_CHUNK = 16_384
+# elements per block when the root stage evaluates its feedback: 64 KiB of
+# float64, so the kernel's block-sized temporaries stay under the 128 KiB at
+# which glibc's malloc maps fresh pages for an allocation
+_FEEDBACK_CHUNK = 8192
+
+
+def _feedback_blocks(L, bank, states, verts):
+    """f(-L x) over the recorded states x of the agents ``verts``, block by block.
+
+    Every block is written in place into one buffer of about
+    ``_FEEDBACK_CHUNK`` elements and is valid until the next one is drawn,
+    so no records-sized array is held.  A record at exact consensus has
+    y = 0; its computed y is rounding noise, so its row is zeroed."""
+    rows = max(1, _FEEDBACK_CHUNK // len(verts))
+    # y^T is stored, so a block has the memory layout of the whole product (L x^T)^T;
+    # the einsum in estimate_c1 sums a C-ordered block in another order
+    buf = np.empty((len(verts), min(rows, len(states))))
+    for a in range(0, len(states), rows):
+        x = states[a:a + rows, verts]
+        y = np.matmul(L, x.T, out=buf[:, :len(x)]).T
+        y[...] = bank.eval(np.negative(y, out=y))
+        y[x.max(axis=1) == x.min(axis=1)] = 0.0
+        yield y
 
 
 def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
@@ -313,20 +327,11 @@ def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
     bank_sub = ProtocolBank([bank[v] for v in verts])
     omega = left_null_vector(g_root)
     B = mirror_laplacian(g_root, omega)
-    # the one full product y = -L x; the feedback f(y) then overwrites it in
-    # place, chunk by chunk, so the kernel's temporaries stay chunk-sized
-    fy = (laplacian(g_root) @ (states if len(verts) == g.n else states[:, verts]).T).T
-    np.negative(fy, out=fy)
-    rows = max(1, _FEEDBACK_CHUNK // len(verts))
-    for a in range(0, len(fy), rows):
-        x = states[a:a + rows, verts]
-        fy[a:a + rows] = bank_sub.eval(fy[a:a + rows])
-        # a record at exact consensus has y = 0; its computed y is rounding noise
-        fy[a:a + rows][x.max(axis=1) == x.min(axis=1)] = 0.0
     v0 = 0.0 if np.all(x0[verts] == x0[verts[0]]) else lyapunov_value(g_root, omega, bank_sub, x0[verts])
     if v0 == 0.0:
         c1, c1_src = estimate_c1(B, mode="a_priori")
     else:
+        fy = _feedback_blocks(laplacian(g_root), bank_sub, states, verts)
         try:
             c1, c1_src = estimate_c1(B, mode="a_posteriori", fy=fy)
         except ValueError:

@@ -18,7 +18,7 @@ class WrongProtocolKind(FtConsensusError):
 
 
 class ProtocolDomainError(FtConsensusError):
-    """Antiderivative is nonpositive at a nonzero point (invalid protocol)."""
+    """Antiderivative is nonpositive at a nonzero point (underflow at a tiny bound)."""
 
 
 class NonFiniteState(FtConsensusError):

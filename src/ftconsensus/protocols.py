@@ -255,8 +255,10 @@ def _ratio_min_single(f: ProtocolFunction, M: float, alpha: float, grid: GridSpe
     """Refined minimum of f(z)^2 / F(z)^alpha over 0 < z <= M (even in z)."""
     z = grid.positive_grid(M)
     fv, Fv = _f(f, z), _F(f, z)
-    if np.any(Fv <= 0.0):
-        raise ProtocolDomainError("antiderivative nonpositive at a nonzero grid point")
+    if np.any(Fv <= 0.0):  # a validated f has F > 0 off 0: F underflowed at small z
+        raise ProtocolDomainError(
+            f"argument bound M = {M:g} too small (certify takes M = ||L||_inf ||x0||_inf, the x0 "
+            f"scale): F underflows to 0 at the bottom of the ratio grid, z = {z[0]:g}")
     ratio = fv**2 / Fv**alpha
     k = int(np.argmin(ratio))
     best = float(ratio[k])

@@ -26,9 +26,10 @@ from ftconsensus import (
     settling_bound_rooted,
     settling_bound_strongly_connected,
 )
-from ftconsensus import protocols
+from ftconsensus import analysis, protocols
 from ftconsensus.analysis import constants_for_bank
 from ftconsensus.errors import (
+    DegenerateInput,
     InvalidConstants,
     NotStronglyConnected,
     ZeroCoupling,
@@ -159,6 +160,77 @@ class TestEstimateC1:
         fy = np.array([[0.0, 0.0], [1.0, 0.0]])
         val, _ = estimate_c1(B, mode="a_posteriori", fy=fy)
         assert val == pytest.approx(1.0)
+
+    def test_a_posteriori_takes_row_blocks(self):
+        g = random_strongly_connected(np.random.default_rng(5), 6)
+        B = mirror_laplacian(g, left_null_vector(g))
+        fy = np.random.default_rng(6).standard_normal((40, 6))
+        fy[[3, 17, 39]] = 0.0
+        whole, source = estimate_c1(B, mode="a_posteriori", fy=fy)
+        blocks = estimate_c1(B, mode="a_posteriori", fy=iter(np.split(fy, [7, 8, 30])))
+        # the same quotients, each summed in an order the block's layout may change
+        assert blocks == (pytest.approx(whole, rel=1e-13), source)
+        with pytest.raises(ValueError, match="all feedback vectors are zero"):
+            estimate_c1(B, mode="a_posteriori", fy=iter([np.zeros((2, 6)), np.zeros((1, 6))]))
+
+    @pytest.mark.parametrize("mode", ["a_priori", "a_posteriori"])
+    def test_psd_check_accepts_what_the_eigensolve_accepts(self, mode, monkeypatch):
+        # Gershgorin decides a diagonally dominant matrix; anything else goes
+        # to the eigensolve and its test, so the accepted set is unchanged
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            sizes.append(len(m))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+
+        def run(B):
+            fy = np.random.default_rng(7).standard_normal((5, len(B)))
+            return estimate_c1(B, mode=mode, fy=fy if mode == "a_posteriori" else None)
+
+        with pytest.raises(DegenerateInput):
+            run(np.array([[1.0, 2.0], [2.0, 1.0]]))  # symmetric, eigenvalues -1 and 3
+        assert sizes == [2]
+        # PSD (eigenvalues 0, 0, 3) but no row is diagonally dominant
+        run(np.ones((3, 3)))
+        assert sizes[1] == 3
+        sizes.clear()
+        w = random_strongly_connected(np.random.default_rng(8), 30).weights * 1e6
+        g = WeightedDigraph(w)
+        run(mirror_laplacian(g, left_null_vector(g)))
+        assert 30 not in sizes  # a priori still solves the 29 x 29 deletions
+
+    def test_certify_runs_no_eigensolve(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("eigvalsh called")
+
+        g = random_strongly_connected(np.random.default_rng(200), 200)
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * g.n)
+        x0 = np.random.default_rng(201).uniform(-2.0, 2.0, g.n)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        report, _ = certify(g, bank, x0, SimulationConfig(t_max=0.2))
+        root = report.certificates[0]
+        assert root.v0 > 0.0 and root.c1_source == "a-posteriori-trajectory" and root.c1 > 0.0
+
+    def test_root_stage_memory_does_not_grow_with_the_horizon(self):
+        # no records x n array: the feedback is evaluated in reused blocks
+        g = random_strongly_connected(np.random.default_rng(200), 200)
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * g.n)
+        x0 = np.random.default_rng(202).uniform(-2.0, 2.0, g.n)
+        verts = list(range(g.n))
+        peaks, stages = [], []
+        for t_max in (1.0, 10.0):
+            cfg = SimulationConfig(t_max=t_max, freeze_on_consensus=False)
+            states = integrate(cfg, g, bank, x0).states
+            analysis._root_stage(g, bank, verts, x0, states, 0.8, 0.5)  # first-call caches
+            peaks.append(traced_peak(lambda: stages.append(
+                analysis._root_stage(g, bank, verts, x0, states, 0.8, 0.5))))
+            assert len(states) >= analysis._FEEDBACK_CHUNK // g.n  # at least one full block
+        # a records x n copy would add 900 records x 200 x 8 B = 1406 KiB
+        assert peaks[1] <= peaks[0] + 16 * 2**10
+        assert stages[0][0].c1_source == stages[1][0].c1_source == "a-posteriori-trajectory"
 
 
 class TestStronglyConnectedBound:
@@ -308,9 +380,10 @@ class TestCertify:
         assert report.consensus_value == pytest.approx(x0[0])
         assert abs(traj.states[-1].mean() - x0[0]) <= 1e-9
 
-    def test_mixed_kind_root_with_follower(self, fig1):
+    def test_mixed_kind_root_with_follower(self, fig1, monkeypatch):
         # the root 3-cycle mixes both finite-time families; the 2002 records
-        # span several of the chunks the root stage evaluates its feedback in
+        # span five blocks of 500 rows when the root stage evaluates its feedback
+        monkeypatch.setattr(analysis, "_FEEDBACK_CHUNK", 1500)
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), LogPower(1.0, 0.5),
                              PowerLinear(1.5, 0.5, 0.6), LogPower(0.8, 0.4)])
         x0 = np.array([2.0, -1.0, 3.0, -2.0])

@@ -341,6 +341,22 @@ class TestCertifyCommand:
         assert doc["spanning_tree"] is False
         assert doc["overall_bound"] is None
 
+    @pytest.mark.parametrize("scale, code", [(1e-300, 1), (1e-200, 1), (1e-150, 0)])
+    def test_tiny_x0_scale_is_named(self, scale, code, tmp_path, capsys):
+        # below some scale f^2 or F underflows to 0 at the bottom of the ratio
+        # grid, M * 1e-12; that is the state's fault, not the protocol's
+        doc = json.loads(FIG1_CFG.read_text())
+        doc["x0"] = [v * scale for v in doc["x0"]]
+        (tmp_path / "tiny.cfg").write_text(json.dumps(doc))
+        rc = main(["certify", str(tmp_path / "tiny.cfg"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == code
+        if code:
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: argument bound M = {6 * scale:g} too small")
+            assert "the x0 scale" in err and "antiderivative" not in err
+            assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 def test_strongly_connected_graph_is_searched_once(command, tmp_path, monkeypatch):
