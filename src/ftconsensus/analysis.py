@@ -36,7 +36,6 @@ from .errors import (
     ZeroCoupling,
 )
 from .graph import (
-    Condensation,
     WeightedDigraph,
     condensation,
     infinity_norms,
@@ -47,7 +46,6 @@ from .graph import (
 )
 from .dynamics import (
     SimulationConfig,
-    Trajectory,
     _settled_index,
     integrate,
     lyapunov_value,
@@ -212,7 +210,7 @@ def settling_bound_strongly_connected(
     return _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v0)
 
 
-def _check_constants(alpha: float, beta: float, c1: float | None = None):
+def _check_constants(alpha, beta, c1=None):
     if not 0 < alpha < 1:
         raise InvalidConstants("alpha must lie in (0, 1)")
     if not beta > 0:
@@ -253,7 +251,8 @@ def settling_bound_rooted(
     lam1 = smallest_eigenvalue_symmetric(B)
     if not lam1 > 0:
         raise DegenerateInput("rooted-stage matrix not positive definite")
-    y0 = -(laplacian(g_sub) @ np.asarray(z0, dtype=float) + b_vec * np.asarray(z0, dtype=float))
+    z0 = np.asarray(z0, dtype=float)
+    y0 = -(laplacian(g_sub) @ z0 + b_vec * z0)
     v0 = float(np.dot(omega, bank_sub.antiderivatives(y0)))
     return _certificate(component_id, alpha, beta, beta_source, lam1, "smallest-eigenvalue",
                         omega, v0, lambda1=lam1)
@@ -284,8 +283,11 @@ def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()
     return alpha, _empirical_beta(bank, M, alpha, grid), beta_closed, note
 
 
-def _first_settled_index(traj: Trajectory, vertices, eps: float) -> int | None:
-    """First recorded index after which the given vertex set stays eps-agreed."""
+def _first_settled_index(traj, vertices, eps):
+    """First record after which the agents ``vertices`` stay eps-agreed, read
+    from the held state rows, or from the disagreement when they are all."""
+    if len(vertices) == traj.n:
+        return _settled_index(traj.disagreement, eps)
     sub = traj.states[:, vertices]
     return _settled_index(sub.max(axis=1) - sub.min(axis=1), eps)
 
@@ -352,7 +354,7 @@ def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> Conve
         component_id=k, beta_source="empirical")
 
 
-def _compose(cond: Condensation, certificates: list) -> float | None:
+def _compose(cond, certificates) -> float | None:
     """Max over root-to-leaf condensation paths of the summed stage bounds
     (each stage anchored at its empirical start); None if a stage has none."""
     if any(cert is None for cert in certificates):

@@ -54,7 +54,7 @@ def _run_experiment(cfg: ExperimentConfig):
 def _summary(traj) -> dict:
     return {
         "settled_at": traj.settled_at,
-        "final_state": [float(v) for v in traj.final_state()],
+        "final_state": traj.final_state().tolist(),
         "final_disagreement": float(traj.disagreement[-1]),
         "t_end": float(traj.times[-1]),
     }
@@ -68,8 +68,9 @@ def _write_text(path: Path, text: str):
 def _write_trajectory_csv(path: Path, traj):
     """Stream ``traj`` as CSV (t, x_1..x_n, disagreement[, V]), one row at a time.
 
-    The rows go to a temporary name beside ``path`` that replaces it only once
-    complete, so a failed write leaves no partial file.
+    Records after the held state rows repeat the last row's cells, formatted
+    once; each adds only its t.  Rows go to a temporary name beside ``path``
+    that replaces it once complete: a failed write leaves no partial file.
     """
     import os
 
@@ -80,8 +81,10 @@ def _write_trajectory_csv(path: Path, traj):
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for k, state in enumerate(traj.states):
-                cells = [traj.times[k], *state, *(col[k] for col in columns)]
-                fh.write(",".join(map(_fmt, cells)) + "\n")
+                rest = ",".join(map(_fmt, [*state, *(col[k] for col in columns)])) + "\n"
+                fh.write(f"{_fmt(traj.times[k])},{rest}")
+            for t in traj.times[k + 1:]:
+                fh.write(f"{_fmt(t)},{rest}")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -226,15 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and certify finite-time consensus on weighted digraphs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("simulate", help="integrate a config and export the trajectory")
-    s.add_argument("config", help="path to the JSON experiment config")
-    s.add_argument("--out", required=True, help="output directory")
-    s.set_defaults(func=cmd_simulate)
-
-    s = sub.add_parser("certify", help="produce a staged settling-time certificate")
-    s.add_argument("config", help="path to the JSON experiment config")
-    s.add_argument("--out", required=True, help="output directory")
-    s.set_defaults(func=cmd_certify)
+    for name, text, func in (
+            ("simulate", "integrate a config and export the trajectory", cmd_simulate),
+            ("certify", "produce a staged settling-time certificate", cmd_certify)):
+        s = sub.add_parser(name, help=text)
+        s.add_argument("config", help="path to the JSON experiment config")
+        s.add_argument("--out", required=True, help="output directory")
+        s.set_defaults(func=func)
 
     s = sub.add_parser("check-protocol", help="verify the shape and ratio criteria")
     s.add_argument("--spec", required=True, help="protocol spec, e.g. powerlinear{a=1,b=1,c=0.75}")

@@ -4,9 +4,10 @@ Each agent integrates dx_i/dt = f_i(y_i) with y = -L x.  The integrator is
 classical fixed-step RK4: the right-hand side is continuous but not
 Lipschitz at consensus, where adaptive step control chatters, so a
 deterministic fixed step plus an explicit freeze rule at the consensus
-threshold is both reproducible and honest about resolution.
-``SimulationConfig`` lives in the numpy-free ``config`` module and is
-re-exported here.
+threshold is both reproducible and honest about resolution.  After the
+freeze the exact solution is constant, so the frozen tail is implicit (see
+``Trajectory``); nothing in the package expands it.  ``SimulationConfig``
+lives in the numpy-free ``config`` module and is re-exported here.
 ``lyapunov_value`` and ``lyapunov_trace`` take the graph and check it; the
 graph keeps its condensation and Laplacian, so the check costs no search.
 """
@@ -36,11 +37,16 @@ __all__ = [
 
 @dataclass
 class Trajectory:
+    """One time, disagreement and V per record, but state rows only up to the
+    freeze record: every later record repeats the last row, its disagreement and V."""
+
     times: np.ndarray
-    states: np.ndarray  # shape (len(times), n)
+    states: np.ndarray  # shape (held records, n)
     disagreement: np.ndarray
     lyapunov: np.ndarray | None = None
     settled_at: float | None = None
+    steps: int | None = None  # RK4 steps taken
+    freeze_step: int | None = None  # None: the freeze rule never fired
 
     @property
     def n(self) -> int:
@@ -56,7 +62,7 @@ def disagreement(x: np.ndarray) -> float:
     return float(x.max() - x.min())
 
 
-def _settled_index(dis: np.ndarray, eps: float) -> int | None:
+def _settled_index(dis, eps):
     """First index of the trailing run of ``dis <= eps``; None if dis[-1] > eps."""
     ok = dis <= eps
     if not ok[-1]:
@@ -103,16 +109,16 @@ def integrate(
 
     Records every ``record_stride`` steps plus the final step.  Once the
     disagreement drops below the threshold (with freezing enabled) the states
-    snap to their arithmetic mean and stay constant, which suppresses
-    floating-point chatter around the non-Lipschitz equilibrium; the freeze
-    step is recorded too, and the remaining grid points repeat its state.
+    snap to their arithmetic mean, which suppresses floating-point chatter
+    around the non-Lipschitz equilibrium; the freeze step is recorded too,
+    and the run stops there.  A step is four ``L @ x`` products, four
+    ``bank.eval`` calls and a few O(n) ufuncs.
 
-    Memory is the records array and O(n) per step: the record count follows
-    from ``t_max``, ``dt`` and ``record_stride`` alone, so one array with a
-    spare row for an off-stride freeze step is allocated up front and every
-    record, the frozen tail included, is written into it in place.  A run
-    whose records x n exceeds ``MAX_RECORD_VALUES`` raises
-    ``RecordBudgetExceeded`` before integrating.
+    The record count follows from ``t_max``, ``dt`` and ``record_stride``
+    alone, so one array with a spare row for an off-stride freeze step is
+    allocated up front.  Rows past the freeze record are never written, so
+    their pages are never touched.  A run whose records x n exceeds
+    ``MAX_RECORD_VALUES`` raises ``RecordBudgetExceeded`` before integrating.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (g.n,):
@@ -121,58 +127,49 @@ def integrate(
         raise ValueError("x0 must be finite")
     if len(bank) != g.n:
         raise ValueError("bank size must equal agent count")
-    n_steps, records = _record_plan(cfg, g.n)
+    n_steps, _ = _record_plan(cfg, g.n)
 
     L = laplacian(g)
-    dt = cfg.dt
-    stride = cfg.record_stride
+    dt, eps, freeze = cfg.dt, cfg.eps_consensus, cfg.freeze_on_consensus
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def deriv(xv):
-        return bank.eval(-(L @ xv))
+    def field(v):
+        y = L @ v
+        return bank.eval(np.negative(y, out=y))
 
-    states = np.empty((records + 1, g.n))
-    idx = np.empty(records + 1, dtype=np.int64)
-    frozen = disagreement(x) <= cfg.eps_consensus and cfg.freeze_on_consensus
-    if frozen:
-        x[:] = x.mean()
-    states[0] = x
-    idx[0] = 0
-    r = 1
+    plan = np.append(np.arange(0, n_steps, cfg.record_stride), n_steps)  # the recorded steps
+    states = np.empty((plan.size + 1, g.n))  # a spare row for a freeze step off the plan
+    frozen, r = False, 0
 
-    for k in range(1, n_steps + 1):
-        if frozen:
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = deriv(x)
-            k2 = deriv(x + 0.5 * dt * k1)
-            k3 = deriv(x + 0.5 * dt * k2)
-            k4 = deriv(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(f"state non-finite at t={k * dt:g}; reduce dt")
-        if cfg.freeze_on_consensus and float(x.max() - x.min()) <= cfg.eps_consensus:
-            x[:] = x.mean()
-            frozen = True
-        if k % stride == 0 or k == n_steps or frozen:
-            states[r] = x
-            idx[r] = k
-            r += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):  # step 0 is x0
+            if k:
+                k1 = field(x)
+                k2 = field(x + half * k1)
+                k3 = field(x + half * k2)
+                k4 = field(x + dt * k3)
+                x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                # a finite sum proves every entry finite
+                if not (math.isfinite(x.sum()) or np.all(np.isfinite(x))):
+                    raise NonFiniteState(f"state non-finite at t={k * dt:g}; reduce dt")
+            if freeze and x.max() - x.min() <= eps:
+                x[:] = x.mean()
+                frozen = True
+            if frozen or k == plan[r]:
+                states[r] = x
+                r += 1
+                if frozen:
+                    break
 
-    last = int(idx[r - 1])
-    if frozen and last < n_steps:
-        # the exact solution is constant after consensus: the remaining grid
-        # points (stride multiples, then the final step) repeat the frozen state
-        tail = np.arange((last // stride + 1) * stride, n_steps, stride)
-        idx[r:r + tail.size] = tail
-        idx[r + tail.size] = n_steps
-        states[r:r + tail.size + 1] = x
-        r += tail.size + 1
-
+    if plan[r - 1] != k:
+        plan = np.insert(plan, r - 1, k)
+    # the exact solution is constant after the freeze: later records get no row
     states = states[:r]
-    times = idx[:r] * dt
     dis = states.max(axis=1) - states.min(axis=1)
-    traj = Trajectory(times=times, states=states, disagreement=dis)
-    traj.settled_at = settling_time(traj, cfg.eps_consensus)
+    traj = Trajectory(times=plan * dt, states=states,
+                      disagreement=np.pad(dis, (0, plan.size - r), "edge"),
+                      steps=k, freeze_step=k if frozen else None)
+    traj.settled_at = settling_time(traj, eps)
     return traj
 
 
@@ -188,7 +185,7 @@ def lyapunov_value(
     return _lyapunov(laplacian(g), np.asarray(omega, dtype=float), bank, np.asarray(x, dtype=float))
 
 
-def _lyapunov(L: np.ndarray, omega: np.ndarray, bank: ProtocolBank, x: np.ndarray) -> float:
+def _lyapunov(L, omega, bank, x) -> float:
     return float(np.dot(omega, bank.antiderivatives(-(L @ x))))
 
 
@@ -198,11 +195,12 @@ def lyapunov_trace(
     bank: ProtocolBank,
     traj: Trajectory,
 ) -> np.ndarray:
-    """V along the recorded states; also stored on the trajectory."""
+    """V at every record, computed on the held state rows; also stored on the trajectory."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
     L = laplacian(g)
     omega = np.asarray(omega, dtype=float)
     v = np.array([_lyapunov(L, omega, bank, x) for x in traj.states])
-    traj.lyapunov = v
+    # the frozen tail repeats V of the freeze record
+    traj.lyapunov = v = np.pad(v, (0, traj.times.size - v.size), "edge")
     return v

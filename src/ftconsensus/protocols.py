@@ -103,18 +103,18 @@ _KERNELS = {
 }
 
 
-def _params(functions: Sequence[ProtocolFunction]) -> tuple:
+def _params(functions) -> tuple:
     """Kernel parameters of same-family functions: an array per name, or floats for
     one function (a length-1 array would broadcast into a differently rounded loop)."""
     columns = ([float(getattr(f, p)) for f in functions] for p in _KERNELS[type(functions[0])][2])
     return tuple(col[0] if len(col) == 1 else np.array(col) for col in columns)
 
 
-def _f(f: ProtocolFunction, z: np.ndarray) -> np.ndarray:
+def _f(f, z):
     return _KERNELS[type(f)][0](z, *_params([f]))
 
 
-def _F(f: ProtocolFunction, z: np.ndarray) -> np.ndarray:
+def _F(f, z):
     return _KERNELS[type(f)][1](z, *_params([f]))
 
 
@@ -140,11 +140,13 @@ class ProtocolBank:
             members.setdefault(type(f), []).append(i)
         self.kinds = tuple(members)
         self.uniform_kind = self.kinds[0] if len(self.kinds) == 1 else None  # None: mixed bank
-        # (agents of the family, its kernels, their parameters) per family
+        order = sum(members.values(), [])  # agents in family-sorted order
+        # (slice of that order, kernels, parameters) per family
         self._groups = tuple(
-            (slice(None) if len(idx) == len(self.functions) else np.array(idx),
-             _KERNELS[kind][:2], _params([self.functions[i] for i in idx]))
+            (slice(order.index(idx[0]), order.index(idx[-1]) + 1), _KERNELS[kind][:2],
+             _params([self.functions[i] for i in idx]))
             for kind, idx in members.items())
+        self._order = np.array(order)  # scattered back, not inverted: np.argsort pages in sort code
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -155,11 +157,19 @@ class ProtocolBank:
     def __getitem__(self, i):
         return self.functions[i]
 
-    def _apply(self, which: int, y) -> np.ndarray:
+    def _apply(self, which, y):
+        # a uniform bank's kernel takes y as it is; a mixed bank gathers y into
+        # family-sorted order, applies each kernel to its slice in place and
+        # scatters the result back
         y = np.asarray(y, dtype=float)
+        if self.uniform_kind:
+            _, kernels, params = self._groups[0]
+            return kernels[which](y, *params)
+        ys = y.take(self._order, axis=-1)
+        for part, kernels, params in self._groups:
+            ys[..., part] = kernels[which](ys[..., part], *params)
         out = np.empty_like(y)
-        for idx, kernels, params in self._groups:
-            out[..., idx] = kernels[which](y[..., idx], *params)
+        out[..., self._order] = ys
         return out
 
     def eval(self, y: np.ndarray) -> np.ndarray:
@@ -251,7 +261,7 @@ def check_a1(f: ProtocolFunction, M: float, points: int = 10_001) -> A1Report:
     return A1Report(zero_at_zero, sign_preserving, continuous, monotone)
 
 
-def _ratio_min_single(f: ProtocolFunction, M: float, alpha: float, grid: GridSpec):
+def _ratio_min_single(f, M, alpha, grid):
     """Refined minimum of f(z)^2 / F(z)^alpha over 0 < z <= M (even in z)."""
     z = grid.positive_grid(M)
     fv, Fv = _f(f, z), _F(f, z)
@@ -272,9 +282,7 @@ def _ratio_min_single(f: ProtocolFunction, M: float, alpha: float, grid: GridSpe
     lo = z[max(k - 1, 0)]
     hi = z[min(k + 1, z.size - 1)]
     if hi > lo:
-        fun = bounded_brent(obj, lo, hi, xatol=1e-14 * M)[1]
-        if fun < best:
-            best = float(fun)
+        best = min(best, float(bounded_brent(obj, lo, hi, xatol=1e-14 * M)[1]))
     return best, ratio, z
 
 
@@ -315,18 +323,14 @@ def check_a2(
         zn = -z[:: max(1, grid.points // 100)]
         emp = min(emp, float((_f(f, zn) ** 2 / _F(f, zn) ** alpha).min()))
     if beta is None:
-        beta_used = emp
-        a2_pass = emp > 0.0 and bottom_slope <= 0.05
-        source = "empirical"
+        beta, a2_pass, source = emp, emp > 0.0 and bottom_slope <= 0.05, "empirical"
     else:
-        beta_used = beta
-        a2_pass = emp >= beta - 1e-9
-        source = "explicit"
+        a2_pass, source = emp >= beta - 1e-9, "explicit"
     return CriteriaReport(
         a1=tuple(a1[f] for f in bank),
         a2_pass=bool(a2_pass),
         alpha=alpha,
-        beta=float(beta_used),
+        beta=float(beta),
         empirical_ratio_min=float(emp),
         bound_M=float(M),
         grid_size=grid.points,
@@ -334,7 +338,7 @@ def check_a2(
     )
 
 
-def _closed_form_alpha(bank: ProtocolBank) -> float | None:
+def _closed_form_alpha(bank) -> float | None:
     """Largest per-agent closed-form alpha, 2c/(1+c) for power-linear and 4c/(2+c) for
     log-power, each at its family's largest c; None when the bank has a linear agent."""
     if Linear in bank.kinds:
@@ -343,7 +347,7 @@ def _closed_form_alpha(bank: ProtocolBank) -> float | None:
     return max(forms[kind](max(f.c for f in bank if type(f) is kind)) for kind in bank.kinds)
 
 
-def _usable(beta: float) -> float | None:
+def _usable(beta):
     """A closed-form beta if it is a positive float, else None (unavailable)."""
     return beta if 0.0 < beta < math.inf else None
 
@@ -387,8 +391,7 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
         raise ValueError("M must be positive")
     c = max(f.c for f in bank)
     alpha = _closed_form_alpha(bank)
-    beta1 = math.inf
-    beta2 = math.inf
+    beta1 = beta2 = math.inf
     try:
         for f in bank:
             exp1 = 2.0 * f.c - 4.0 * c * (1.0 + f.c) / (2.0 + c)
@@ -400,6 +403,6 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
     return alpha, _usable(min(beta1, beta2)), _empirical_beta(bank, M, alpha, grid)
 
 
-def _empirical_beta(bank: ProtocolBank, M: float, alpha: float, grid: GridSpec) -> float:
+def _empirical_beta(bank, M, alpha, grid) -> float:
     """Smallest refined ratio minimum over the bank, one minimisation per distinct spec."""
     return min(_ratio_min_single(f, M, alpha, grid)[0] for f in dict.fromkeys(bank))

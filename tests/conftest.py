@@ -81,6 +81,53 @@ def count_graph_searches(monkeypatch) -> list:
     return calls
 
 
+def full_states(traj) -> np.ndarray:
+    """Every record's state: the held rows, then the last one repeated for the frozen tail."""
+    return traj.states[np.minimum(np.arange(traj.times.size), len(traj.states) - 1)]
+
+
+def rk4_reference(cfg, g, bank, x0) -> tuple:
+    """(recorded steps, held state rows) of a plain RK4 loop with the freeze rule.
+
+    The field evaluates each family on its agents with a fancy-index gather
+    and scatter, and every step writes the textbook expressions, so the
+    result does not share the integrator's loop or the bank's gather."""
+    from ftconsensus.protocols import _KERNELS, _params
+
+    L = graph.laplacian(g)
+    families = [(_KERNELS[kind][0], [i for i, f in enumerate(bank) if type(f) is kind])
+                for kind in dict.fromkeys(type(f) for f in bank)]
+
+    def field(x):
+        y = -(L @ x)
+        out = np.empty_like(y)
+        for kernel, idx in families:
+            out[idx] = kernel(y[idx], *_params([bank[i] for i in idx]))
+        return out
+
+    dt = cfg.dt
+    n_steps = max(1, int(round(cfg.t_max / dt)))
+    x = np.array(x0, dtype=float)
+    steps, rows = [], []
+    for k in range(n_steps + 1):
+        if k > 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                k1 = field(x)
+                k2 = field(x + 0.5 * dt * k1)
+                k3 = field(x + 0.5 * dt * k2)
+                k4 = field(x + dt * k3)
+                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        frozen = cfg.freeze_on_consensus and float(x.max() - x.min()) <= cfg.eps_consensus
+        if frozen:
+            x[:] = x.mean()
+        if frozen or k % cfg.record_stride == 0 or k == n_steps:
+            steps.append(k)
+            rows.append(x.copy())
+        if frozen:
+            break
+    return steps, np.array(rows)
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
     tracemalloc.start()

@@ -38,6 +38,7 @@ from scipy.linalg import expm
 from conftest import (
     brute_force_spanning_tree,
     fig1_graph,
+    full_states,
     random_claim1_bank,
     random_digraph,
     random_strongly_connected,
@@ -76,7 +77,7 @@ def test_01_power_linear_reproduction():
     assert traj.settled_at is not None and traj.settled_at < 20.0
     assert traj.disagreement[-1] <= 1e-9
     k = np.searchsorted(traj.times, traj.settled_at)
-    assert np.all(np.abs(traj.states[k:] - traj.states[-1]) <= 1e-9)
+    assert np.all(np.abs(full_states(traj)[k:] - traj.states[-1]) <= 1e-9)
     assert elapsed < 1.0
     verdict(1, "power-linear four-agent run settles in finite time")
 

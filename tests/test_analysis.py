@@ -39,6 +39,7 @@ from conftest import (
     count_graph_searches,
     directed_cycle,
     fig1_graph,
+    full_states,
     random_claim1_bank,
     random_strongly_connected,
     traced_peak,
@@ -125,7 +126,7 @@ class TestEstimateC1:
         bank = random_claim1_bank(rng, n)
         traj = integrate(SimulationConfig(t_max=1.0), g, bank, rng.uniform(-2.0, 2.0, n))
         # at (near) consensus -L x is matvec rounding, not a feedback direction
-        states = traj.states[traj.disagreement > 1e-6]
+        states = full_states(traj)[traj.disagreement > 1e-6]
         fy = bank.eval((-(laplacian(g) @ states.T)).T)
         assert val <= estimate_c1(B, mode="a_posteriori", fy=fy)[0] + tol
 
@@ -351,6 +352,26 @@ class TestCertify:
         assert report.overall_bound == cert.t_star
         assert report.extinction_times[0] is not None
         assert report.extinction_times[0] <= cert.t_star
+
+    def test_first_settled_index_reads_held_rows(self, fig1):
+        # every vertex subset settles at the record the expanded states give;
+        # with every agent the run's disagreement answers and no row is read
+        import dataclasses
+        from itertools import combinations
+
+        from ftconsensus.dynamics import _settled_index
+
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
+        traj = integrate(SimulationConfig(t_max=8.0), fig1, bank, np.array([2.0, -1.0, 3.0, -2.0]))
+        assert len(traj.states) < traj.times.size  # a frozen tail
+        full = full_states(traj)
+        for size in (1, 2, 3, 4):
+            for verts in combinations(range(4), size):
+                sub = full[:, list(verts)]
+                expected = _settled_index(sub.max(axis=1) - sub.min(axis=1), 1e-9)
+                assert analysis._first_settled_index(traj, list(verts), 1e-9) == expected
+        rowless = dataclasses.replace(traj, states=np.full((1, 4), np.nan))
+        assert analysis._first_settled_index(rowless, [3, 0, 1, 2], 1e-9) == len(traj.states) - 1
 
     def test_fig1_two_stages(self, fig1, monkeypatch):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)

@@ -276,6 +276,21 @@ def _hand_built(with_v: bool):
 
 
 class TestTrajectoryCsv:
+    def test_frozen_tail_rows_repeat_the_last_held_row(self, tmp_path):
+        # two held rows and three tail records: each tail row is the last
+        # held row's cells after its own t
+        traj, _ = _hand_built(True)
+        times = [0.0, 0.1, 0.2, 0.25, 1 / 3]
+        tail = Trajectory(times=np.array(times), states=traj.states[:2],
+                          disagreement=np.array([3.5, 0.0, 0.0, 0.0, 0.0]),
+                          lyapunov=np.array([1.5, 5e-324, 5e-324, 5e-324, 5e-324]))
+        x2 = [f"{v:.17g}" for v in traj.states[1]]
+        rows = [[f"{v:.17g}" for v in (0.0, *traj.states[0], 3.5, 1.5)]]
+        rows += [[f"{t:.17g}", *x2, "0", "4.9406564584124654e-324"] for t in times[1:]]
+        text = "t,x_1,x_2,disagreement,V\n" + "".join(",".join(r) + "\n" for r in rows)
+        cli._write_trajectory_csv(tmp_path / "trajectory.csv", tail)
+        assert (tmp_path / "trajectory.csv").read_text() == text
+
     @pytest.mark.parametrize("with_v", [False, True])
     def test_rows_are_17g_joins(self, with_v, tmp_path):
         traj, text = _hand_built(with_v)
@@ -663,6 +678,30 @@ print(json.dumps(steps))
                      for node in ast.walk(ast.parse(path.read_text()))
                      if (isinstance(node, ast.Attribute) and node.attr in svd)
                      or (isinstance(node, ast.alias) and node.name.split(".")[-1] in svd)]
+        assert offenders == []
+
+    def test_no_module_expands_the_frozen_tail(self):
+        # a trajectory holds state rows only up to the freeze record: no module
+        # may rebuild the tail as rows, by a repeating call, by joining the
+        # states with more rows, or by indexing them with a computed index array
+        repeaters = {"repeat", "tile", "broadcast_to", "resize"}
+        joiners = {"pad", "concatenate", "stack", "vstack", "append", "insert"}
+
+        def names(node):
+            return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+                    if isinstance(n, (ast.Attribute, ast.Name))}
+
+        offenders = []
+        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in repeaters:
+                    offenders.append(f"{path.name}:{node.lineno} {node.attr}")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in joiners and "states" in names(ast.List(node.args))):
+                    offenders.append(f"{path.name}:{node.lineno} {node.func.attr} of states")
+                elif (isinstance(node, ast.Subscript) and "states" in names(node.value)
+                      and any(isinstance(n, ast.Call) for n in ast.walk(node.slice))):
+                    offenders.append(f"{path.name}:{node.lineno} computed index into states")
         assert offenders == []
 
     # importing these loads no numeric module; each command imports its own

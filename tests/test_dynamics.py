@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from ftconsensus import (
     Linear,
+    LogPower,
     PowerLinear,
     ProtocolBank,
     SimulationConfig,
@@ -26,8 +27,10 @@ from conftest import (
     count_graph_searches,
     directed_cycle,
     fig1_graph,
+    full_states,
     random_claim1_bank,
     random_strongly_connected,
+    rk4_reference,
 )
 
 PL_BANK4 = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
@@ -128,7 +131,7 @@ class TestIntegrate:
         steps.add(k_f)
         assert traj.settled_at == k_f * 0.01
         after = traj.times >= traj.settled_at
-        assert np.all(traj.states[after] == free.states[k_f].mean())
+        assert np.all(full_states(traj)[after] == free.states[k_f].mean())
         assert list(traj.times) == pytest.approx([k * 0.01 for k in sorted(steps)])
 
     @pytest.mark.parametrize("t_max,stride,freeze", [
@@ -147,7 +150,7 @@ class TestIntegrate:
         grid = set(range(0, n_steps, stride)) | {n_steps}
         assert traj.times.size == records + len(set(k) - grid)
         assert set(k) >= grid and len(set(k) - grid) <= int(freeze)
-        assert np.all(np.diff(k) > 0) and traj.states.shape == (traj.times.size, 3)
+        assert np.all(np.diff(k) > 0) and full_states(traj).shape == (traj.times.size, 3)
 
     def test_record_budget_refused_before_integrating(self, monkeypatch):
         g = fig1_graph()
@@ -210,6 +213,99 @@ class TestIntegrate:
         assert traj.settled_at is not None
         assert np.abs(traj.states[:, 0] - x0[0]).max() <= 1e-9
         assert abs(traj.states[-1].mean() - x0[0]) <= 1e-9
+
+
+FIG1_X0 = np.array([2.0, -1.0, 3.0, -2.0])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _fig1_case():
+    return fig1_graph(), PL_BANK4, FIG1_X0, SimulationConfig(t_max=4.0, record_stride=10)
+
+
+def _uniform_200_case():
+    rng = np.random.default_rng(200)
+    g = random_strongly_connected(rng, 200, extra_p=0.05)
+    bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 200)
+    return g, bank, rng.uniform(-2.5, 2.5, 200), SimulationConfig(t_max=1.2, eps_consensus=1e-6)
+
+
+def _mixed_case():
+    # power-linear and log-power agents interleaved, so the bank's family
+    # order differs from the agent order
+    rng = np.random.default_rng(11)
+    g = random_strongly_connected(rng, 9)
+    bank = ProtocolBank([LogPower(rng.uniform(0.5, 1.0), rng.uniform(0.5, 0.6)) if i % 3 == 1
+                         else PowerLinear(rng.uniform(1.0, 2.0), rng.uniform(0.5, 1.5),
+                                          rng.uniform(0.5, 0.75)) for i in range(9)])
+    assert bank.uniform_kind is None and bank[0] != bank[1]
+    return g, bank, rng.uniform(-2.5, 2.5, 9), SimulationConfig(t_max=2.5, eps_consensus=1e-4,
+                                                                 record_stride=7)
+
+
+class TestRk4Loop:
+    @pytest.mark.parametrize("case", [_fig1_case, _uniform_200_case, _mixed_case])
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_states_bit_equal_to_plain_rk4(self, case, freeze):
+        g, bank, x0, cfg = case()
+        cfg = dataclasses.replace(cfg, freeze_on_consensus=freeze)
+        traj = integrate(cfg, g, bank, x0)
+        steps, rows = rk4_reference(cfg, g, bank, x0)
+        assert np.array_equal(_bits(traj.states), _bits(rows))
+        assert np.array_equal(traj.times[:len(steps)], np.array(steps) * cfg.dt)
+        n_steps, records = dynamics._record_plan(cfg, g.n)
+        if freeze:
+            # each case freezes before t_max, so there is a tail of records
+            assert traj.freeze_step == traj.steps == steps[-1] < n_steps
+            assert traj.times.size > len(steps)
+        else:
+            assert traj.freeze_step is None and traj.steps == n_steps
+            assert traj.times.size == len(steps) == records
+
+    def test_freeze_step_and_steps(self):
+        g, bank, x0, cfg = _fig1_case()
+        traj = integrate(cfg, g, bank, x0)
+        assert traj.freeze_step == round(traj.settled_at / cfg.dt) == traj.steps
+        assert traj.settled_at == traj.times[len(traj.states) - 1]
+        free = integrate(dataclasses.replace(cfg, freeze_on_consensus=False), g, bank, x0)
+        assert free.freeze_step is None and free.steps == round(cfg.t_max / cfg.dt)
+        at_consensus = integrate(cfg, g, bank, np.full(4, 1.5))
+        assert at_consensus.freeze_step == at_consensus.steps == 0
+
+    def test_frozen_tail_holds_no_rows(self):
+        # the state rows end at the freeze record, whatever the horizon; the
+        # later records repeat its disagreement and V
+        g, bank, x0, cfg = _fig1_case()
+        short = integrate(cfg, g, bank, x0)
+        long = integrate(dataclasses.replace(cfg, t_max=10 * cfg.t_max), g, bank, x0)
+        held = len(short.states)
+        assert held == len(long.states) < short.times.size < long.times.size
+        assert np.array_equal(_bits(short.states), _bits(long.states))
+        assert long.freeze_step == short.freeze_step and long.settled_at == short.settled_at
+        assert np.array_equal(short.times[:held], long.times[:held])
+        assert np.all(long.disagreement[held - 1:] == 0.0)
+        cycle = directed_cycle(3)
+        bank3 = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
+        traj = integrate(SimulationConfig(t_max=5.0), cycle, bank3, np.array([1.0, 0.0, -1.0]))
+        v = lyapunov_trace(cycle, left_null_vector(cycle), bank3, traj)
+        held = len(traj.states)
+        assert held < v.size == traj.times.size
+        assert list(v[:held]) == [lyapunov_value(cycle, left_null_vector(cycle), bank3, x)
+                                  for x in traj.states]
+        assert np.all(v[held:] == v[held - 1])
+
+    def test_finite_state_with_overflowing_sum_runs(self):
+        # two entries of 1e308 sum to inf, so the quick check fails and the
+        # entry-by-entry check passes; the state sits at consensus and stays
+        x0 = np.array([1e308, 1e308])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(x0.sum())
+        cfg = SimulationConfig(dt=0.01, t_max=0.1, record_stride=1, freeze_on_consensus=False)
+        traj = integrate(cfg, directed_cycle(2), ProtocolBank([Linear(k=1.0)] * 2), x0)
+        assert np.array_equal(traj.states, np.full((11, 2), 1e308))
 
 
 class TestLyapunovValue:

@@ -107,6 +107,39 @@ class TestEvaluate:
         assert mixed.eval(z).tolist() == [evaluate(f, zi) for f, zi in zip(mixed, z)]
 
 
+    def test_mixed_bank_gather_matches_per_family_indexing(self):
+        # one gather into family-sorted order and one back give, bit for bit,
+        # what indexing each family's agents in place gives, for inputs of any
+        # memory layout, and leave the input as it was
+        rng = np.random.default_rng(5)
+        kinds = [LogPower(0.8, 0.55), PowerLinear(1.5, 0.7, 0.6), Linear(1.3), PowerLinear(1.1, 1.2, 0.7)]
+        bank = ProtocolBank([kinds[i] for i in rng.integers(0, 4, 23)])
+        assert bank.uniform_kind is None
+        for y in [rng.uniform(-3, 3, 23), rng.uniform(-3, 3, (7, 23)),
+                  np.asfortranarray(rng.uniform(-3, 3, (7, 23))), rng.uniform(-3, 3, (23, 7)).T]:
+            before = y.copy()
+            for which, method in [(0, bank.eval), (1, bank.antiderivatives)]:
+                expected = np.empty_like(y)
+                for kind in bank.kinds:
+                    idx = [i for i, f in enumerate(bank) if type(f) is kind]
+                    family = [bank[i] for i in idx]
+                    expected[..., idx] = protocols._KERNELS[kind][which](
+                        y[..., idx], *protocols._params(family))
+                assert np.array_equal(_bits(method(y)), _bits(expected))
+            assert np.array_equal(y, before)
+
+    def test_uniform_bank_applies_its_kernel_to_the_input(self, monkeypatch):
+        # no copy of y and no output buffer: the kernel sees y itself
+        seen = []
+        f, F, names = protocols._KERNELS[PowerLinear]
+        monkeypatch.setitem(protocols._KERNELS, PowerLinear,
+                            (lambda z, *p: seen.append(z) or f(z, *p), F, names))
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), PowerLinear(2.0, 0.5, 0.6)])
+        y = np.array([0.5, -2.0])
+        out = bank.eval(y)
+        assert seen[0] is y and out is not y and np.array_equal(y, [0.5, -2.0])
+        assert np.array_equal(out, f(y, np.array([1.0, 2.0]), np.array([1.0, 0.5]), np.array([0.75, 0.6])))
+
 FUNCTIONS = st.one_of(
     st.builds(Linear, k=st.floats(0.1, 5.0)),
     st.builds(PowerLinear, a=st.floats(0.1, 3.0), b=st.floats(0.0, 2.0), c=st.floats(0.05, 0.95)),
