@@ -6,11 +6,16 @@ Usage (from the root of a checkout)::
         --seeds 1 2 3 4 5 6 7 8 9 10 --seconds 20 --out BENCH_11.json
 
 For each workload and seed the unchanged ``bench/run.py --trace 0`` runs
-once on the base revision and once on the current checkout, one after the
-other; the order alternates from pair to pair so that drift over the session
-falls on both sides alike.  The base revision is unpacked with ``git archive``
-into a temporary directory, which leaves the repository's own metadata
-untouched (no worktree to register or prune) and is removed at the end.
+once on the base revision and once on the change, the committed files of
+HEAD, one after the other; the order alternates from pair to pair so that
+drift over the session falls on both sides alike.  Both revisions are
+unpacked with ``git archive`` into sibling temporary directories whose paths
+have the same length, which leaves the repository's own metadata untouched
+(no worktree to register or prune) and is removed at the end.  The paths
+must match: ``peak_rss_mb`` moves with the length of the checkout path (one
+fig1-paper tree read 36.84-36.93 MB under ``/tmp/bench_pairs_*/tree`` and
+37.01-37.09 MB under a path 10 characters shorter, seeds 111-113).
+Uncommitted edits are not measured; ``uncommitted_changes`` records them.
 
 The output holds, per workload and end-to-end metric of ``BENCHMARK.json``:
 every pair's two values, each side's median and quartiles (the IQR is
@@ -43,7 +48,8 @@ def git(*args: str) -> str:
 
 def unpack(rev: str, dest: Path) -> Path:
     """The committed files of ``rev`` under ``dest``."""
-    archive = dest / "base.tar"
+    dest.mkdir()
+    archive = dest / "rev.tar"
     with open(archive, "wb") as fh:
         subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=fh)
     with tarfile.open(archive) as tar:
@@ -109,14 +115,16 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base_tree = unpack(base_sha, Path(tmp))
+        # equal-length sibling paths, so that neither side's layout is favoured
+        base_tree = unpack(base_sha, Path(tmp) / "base")
+        change_tree = unpack(result["change"]["commit"], Path(tmp) / "head")
         for workload in args.workload:
             pairs = []
             for i, seed in enumerate(args.seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    r = run_bench(base_tree if side == "base" else ROOT, workload, seed,
+                    r = run_bench(base_tree if side == "base" else change_tree, workload, seed,
                                   args.seconds)
                     pair[side] = {"ok": bool(r["correct"]) and r["failed"] == 0,
                                   "correct": r["correct"], "failed": r["failed"],
