@@ -4,10 +4,9 @@ Each agent integrates dx_i/dt = f_i(y_i) with y = -L x.  The integrator is
 classical fixed-step RK4: the right-hand side is continuous but not
 Lipschitz at consensus, where adaptive step control chatters, so a
 deterministic fixed step plus an explicit freeze rule at the consensus
-threshold is both reproducible and honest about resolution.  After the
-freeze the exact solution is constant, so the frozen tail is implicit (see
-``Trajectory``); nothing in the package expands it.  ``SimulationConfig``
-lives in the numpy-free ``config`` module and is re-exported here.
+threshold is both reproducible and honest about resolution.  The frozen
+tail is implicit (see ``Trajectory``).  ``SimulationConfig`` lives in the
+numpy-free ``config`` module and is re-exported here.
 ``lyapunov_value`` and ``lyapunov_trace`` take the graph and check it; the
 graph keeps its condensation and Laplacian, so the check costs no search.
 """
@@ -37,8 +36,8 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """One time, disagreement and V per record, but state rows only up to the
-    freeze record: every later record repeats the last row, its disagreement and V."""
+    """One time, disagreement and V per record, and state rows up to the freeze
+    record: the solution is constant after it, so later records repeat its row."""
 
     times: np.ndarray
     states: np.ndarray  # shape (held records, n)
@@ -107,18 +106,16 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 on [0, t_max] with optional freeze at consensus.
 
-    Records every ``record_stride`` steps plus the final step.  Once the
-    disagreement drops below the threshold (with freezing enabled) the states
-    snap to their arithmetic mean, which suppresses floating-point chatter
-    around the non-Lipschitz equilibrium; the freeze step is recorded too,
-    and the run stops there.  A step is four ``L @ x`` products, four
-    ``bank.eval`` calls and a few O(n) ufuncs.
+    Records step 0, every ``record_stride``-th step and the last.  Once the
+    disagreement drops to ``eps_consensus`` (freezing enabled) the states
+    snap to their mean, which stops floating-point chatter at the
+    non-Lipschitz equilibrium; the freeze step is recorded and the run stops.
+    A step costs four ``L @ x``, four ``bank.eval`` and a few O(n) ufuncs.
 
-    The record count follows from ``t_max``, ``dt`` and ``record_stride``
-    alone, so one array with a spare row for an off-stride freeze step is
-    allocated up front.  Rows past the freeze record are never written, so
-    their pages are never touched.  A run whose records x n exceeds
-    ``MAX_RECORD_VALUES`` raises ``RecordBudgetExceeded`` before integrating.
+    The records array (a spare row for an off-stride freeze step) is
+    allocated up front; rows past the freeze record are never written.  A
+    run whose records x n exceeds ``MAX_RECORD_VALUES`` raises
+    ``RecordBudgetExceeded`` first.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (g.n,):
@@ -137,12 +134,13 @@ def integrate(
         y = L @ v
         return bank.eval(np.negative(y, out=y))
 
-    plan = np.append(np.arange(0, n_steps, cfg.record_stride), n_steps)  # the recorded steps
-    states = np.empty((plan.size + 1, g.n))  # a spare row for a freeze step off the plan
+    plan = np.arange(0, n_steps + cfg.record_stride, cfg.record_stride)  # the recorded steps
+    plan[-1] = n_steps
+    states = np.empty((plan.size + 1, g.n))
     frozen, r = False, 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):  # step 0 is x0
+        for k in range(n_steps + 1):  # step 0: x0
             if k:
                 k1 = field(x)
                 k2 = field(x + half * k1)
@@ -163,11 +161,11 @@ def integrate(
 
     if plan[r - 1] != k:
         plan = np.insert(plan, r - 1, k)
-    # the exact solution is constant after the freeze: later records get no row
     states = states[:r]
-    dis = states.max(axis=1) - states.min(axis=1)
-    traj = Trajectory(times=plan * dt, states=states,
-                      disagreement=np.pad(dis, (0, plan.size - r), "edge"),
+    dis = np.empty(plan.size)
+    np.subtract(states.max(axis=1), states.min(axis=1), out=dis[:r])
+    dis[r:] = dis[r - 1]
+    traj = Trajectory(times=plan * dt, states=states, disagreement=dis,
                       steps=k, freeze_step=k if frozen else None)
     traj.settled_at = settling_time(traj, eps)
     return traj
@@ -185,7 +183,7 @@ def lyapunov_value(
     return _lyapunov(laplacian(g), np.asarray(omega, dtype=float), bank, np.asarray(x, dtype=float))
 
 
-def _lyapunov(L, omega, bank, x) -> float:
+def _lyapunov(L, omega, bank, x):
     return float(np.dot(omega, bank.antiderivatives(-(L @ x))))
 
 
@@ -195,12 +193,13 @@ def lyapunov_trace(
     bank: ProtocolBank,
     traj: Trajectory,
 ) -> np.ndarray:
-    """V at every record, computed on the held state rows; also stored on the trajectory."""
+    """V at every record from the held state rows; also stored on the trajectory."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
     L = laplacian(g)
     omega = np.asarray(omega, dtype=float)
-    v = np.array([_lyapunov(L, omega, bank, x) for x in traj.states])
-    # the frozen tail repeats V of the freeze record
-    traj.lyapunov = v = np.pad(v, (0, traj.times.size - v.size), "edge")
+    traj.lyapunov = v = np.empty(traj.times.size)
+    for i, x in enumerate(traj.states):
+        v[i] = _lyapunov(L, omega, bank, x)
+    v[i + 1:] = v[i]  # the frozen tail repeats V of the freeze record
     return v
