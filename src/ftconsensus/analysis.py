@@ -108,9 +108,7 @@ class CertificationReport:
 
 def c2_constant(omega: np.ndarray, alpha: float) -> float:
     """1 / max_i omega_i^alpha."""
-    if not 0 < alpha < 1:
-        raise InvalidConstants("alpha must lie in (0, 1)")
-    omega = np.asarray(omega, dtype=float)
+    _check_constants(alpha)
     return float(1.0 / np.max(omega) ** alpha)
 
 
@@ -154,7 +152,7 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy=None) -> tuple:
     array, or an iterator of such row blocks, taken one at a time, so the
     caller need not hold every vector at once.  ``certify`` passes the
     recorded states, every ``record_stride``-th step, so this is not the
-    path minimum.
+    path minimum.  ``ValueError`` if some u^T B u or |u|^2 overflows.
 
     Returns (value, provenance).
     """
@@ -179,16 +177,19 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy=None) -> tuple:
             if not np.all(mask):
                 block, norms2 = block[mask], norms2[mask]
             if len(block):
-                low = min(low, float(np.min(np.einsum("ij,jk,ik->i", block, B, block) / norms2)))
+                with np.errstate(invalid="ignore"):
+                    q = np.einsum("ij,jk,ik->i", block, B, block) / norms2
+                    if not np.isfinite(q * norms2).all():
+                        raise ValueError("a Rayleigh quotient overflows")
+                low = min(low, float(np.min(q)))
         if low == math.inf:
             raise ValueError("all feedback vectors are zero; nothing to estimate")
         return low, "a-posteriori-trajectory"
 
     if mode != "a_priori":
         raise ValueError(f"unknown mode {mode!r}")
-    if n == 1:
-        return float(B[0, 0]), "mixed-sign-infimum"
-    low = min(np.linalg.eigvalsh(np.delete(np.delete(S, i, 0), i, 1))[0] for i in range(n))
+    low = B[0, 0] if n == 1 else min(
+        np.linalg.eigvalsh(np.delete(np.delete(S, i, 0), i, 1))[0] for i in range(n))
     return float(low), "mixed-sign-infimum"
 
 
@@ -210,12 +211,12 @@ def settling_bound_strongly_connected(
     return _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v0)
 
 
-def _check_constants(alpha, beta, c1=None):
+def _check_constants(alpha, beta=1.0, c1=1.0):
     if not 0 < alpha < 1:
         raise InvalidConstants("alpha must lie in (0, 1)")
     if not beta > 0:
         raise InvalidConstants("beta must be positive")
-    if c1 is not None and not c1 > 0:
+    if not c1 > 0:
         raise InvalidConstants("c1 must be positive")
 
 
@@ -223,7 +224,10 @@ def _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v
                  lambda1=None) -> ConvergenceCertificate:
     """Stage certificate with the comparison time t* = V0^(1-a) / (C1 C2 beta (1-a))."""
     c2 = c2_constant(omega, alpha)
-    t_star = 0.0 if v0 == 0.0 else v0 ** (1.0 - alpha) / (c1 * c2 * beta * (1.0 - alpha))
+    # a rate underflowed to 0 makes t* nan
+    t_star = 0.0 if v0 == 0.0 else v0 ** (1.0 - alpha) / (c1 * c2 * beta * (1.0 - alpha) or math.nan)
+    if not t_star < math.inf:
+        raise InvalidConstants("t* overflows a float")
     return ConvergenceCertificate(component_id, alpha, beta, beta_source, c1, c1_source, c2, v0,
                                   t_star, lambda1)
 
@@ -251,7 +255,6 @@ def settling_bound_rooted(
     lam1 = smallest_eigenvalue_symmetric(B)
     if not lam1 > 0:
         raise DegenerateInput("rooted-stage matrix not positive definite")
-    z0 = np.asarray(z0, dtype=float)
     y0 = -(laplacian(g_sub) @ z0 + b_vec * z0)
     v0 = float(np.dot(omega, bank_sub.antiderivatives(y0)))
     return _certificate(component_id, alpha, beta, beta_source, lam1, "smallest-eigenvalue",
@@ -288,8 +291,7 @@ def _first_settled_index(traj, vertices, eps):
     from the held state rows, or from the disagreement when they are all."""
     if len(vertices) == traj.n:
         return _settled_index(traj.disagreement, eps)
-    sub = traj.states[:, vertices]
-    return _settled_index(sub.max(axis=1) - sub.min(axis=1), eps)
+    return _settled_index(np.ptp(traj.states[:, vertices], axis=1), eps)
 
 
 # elements per block when the root stage evaluates its feedback: 64 KiB of
@@ -357,7 +359,7 @@ def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> Conve
 def _compose(cond, certificates) -> float | None:
     """Max over root-to-leaf condensation paths of the summed stage bounds
     (each stage anchored at its empirical start); None if a stage has none."""
-    if any(cert is None for cert in certificates):
+    if None in certificates:
         return None
     path_sum = []
     for k, cert in enumerate(certificates):  # topological order
@@ -398,9 +400,9 @@ def certify(
         return report, traj
 
     M = infinity_norms(laplacian(g), x0)
-    alpha, beta, beta_closed, note = constants_for_bank(bank, M, GridSpec())
+    alpha, beta, beta_closed, note = constants_for_bank(bank, M)
     report.notes.append(note)
-    if beta_closed is not None and math.isfinite(beta) and beta < beta_closed - 1e-9:
+    if beta_closed is not None and beta < beta_closed - 1e-9:
         report.notes.append(
             "closed-form beta exceeds the observed ratio minimum; the empirical "
             "value is used for the bounds"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Union
 
 from .errors import ConfigParseError, ConfigValidationError
@@ -57,6 +57,16 @@ def _finite(value) -> bool:
         return False
 
 
+def _check_finite(record, names, is_kind=_number, kind="a real number"):
+    """Raise ValueError unless each named field of ``record`` is ``kind`` and finite."""
+    for name in names:
+        value = getattr(record, name)
+        if not is_kind(value):
+            raise ValueError(f"{name} must be {kind}")
+        if not _finite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     dt: float = 1e-3
@@ -66,15 +76,8 @@ class SimulationConfig:
     freeze_on_consensus: bool = True
 
     def __post_init__(self):
-        for name in ("dt", "t_max", "eps_consensus"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a real number")
-        if isinstance(self.record_stride, bool) or not isinstance(self.record_stride, int):
-            raise ValueError("record_stride must be a positive integer")
-        for name in ("dt", "t_max", "eps_consensus", "record_stride"):
-            if not _finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_finite(self, ("dt", "t_max", "eps_consensus"))
+        _check_finite(self, ("record_stride",), _integer, "a positive integer")
         if not isinstance(self.freeze_on_consensus, bool):
             raise ValueError("freeze_on_consensus must be a boolean")
         if not self.dt > 0 or not self.t_max > 0 or self.dt > self.t_max:
@@ -85,12 +88,13 @@ class SimulationConfig:
             raise ValueError("record_stride must be a positive integer")
 
 
-# protocol families; their f and F live in ``protocols``
+# protocol families, with finite real parameters; their f and F live in ``protocols``
 @dataclass(frozen=True)
 class Linear:
     k: float
 
     def __post_init__(self):
+        _check_finite(self, ("k",))
         if not self.k > 0:
             raise ValueError("linear gain k must be positive")
 
@@ -102,6 +106,7 @@ class PowerLinear:
     c: float
 
     def __post_init__(self):
+        _check_finite(self, ("a", "b", "c"))
         if not self.a > 0:
             raise ValueError("power-linear a must be positive")
         if self.b < 0:
@@ -116,6 +121,7 @@ class LogPower:
     c: float
 
     def __post_init__(self):
+        _check_finite(self, ("a", "c"))
         if not self.a > 0:
             raise ValueError("log-power a must be positive")
         if not 0 < self.c < 2.0 / 3.0:
@@ -278,13 +284,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         "graph": {"n": cfg.n, "edges": [[s, d, w] for (s, d, w) in cfg.edges]},
         "protocols": list(cfg.protocol_specs),
         "x0": list(cfg.x0),
-        "sim": {
-            "dt": cfg.sim.dt,
-            "t_max": cfg.sim.t_max,
-            "eps_consensus": cfg.sim.eps_consensus,
-            "record_stride": cfg.sim.record_stride,
-            "freeze_on_consensus": cfg.sim.freeze_on_consensus,
-        },
+        "sim": asdict(cfg.sim),
         "certify": cfg.certify,
     }
     return json.dumps(doc, indent=2, sort_keys=True)

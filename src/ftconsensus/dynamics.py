@@ -57,8 +57,7 @@ class Trajectory:
 
 def disagreement(x: np.ndarray) -> float:
     """max_i x_i - min_i x_i."""
-    x = np.asarray(x, dtype=float)
-    return float(x.max() - x.min())
+    return float(np.ptp(x))
 
 
 def _settled_index(dis, eps):
@@ -180,11 +179,15 @@ def lyapunov_value(
     """V(x) = sum_i omega_i * F_i(y_i), y = -L x; zero exactly at consensus."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
-    return _lyapunov(laplacian(g), np.asarray(omega, dtype=float), bank, np.asarray(x, dtype=float))
+    return _lyapunov(laplacian(g), omega, bank, x)
 
 
 def _lyapunov(L, omega, bank, x):
-    return float(np.dot(omega, bank.antiderivatives(-(L @ x))))
+    with np.errstate(all="ignore"):
+        v = float(np.dot(omega, bank.antiderivatives(-(L @ x))))
+    if math.isfinite(v):
+        return v
+    raise NonFiniteState("V overflows a float: the state scale is too large")
 
 
 def lyapunov_trace(
@@ -197,7 +200,6 @@ def lyapunov_trace(
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
     L = laplacian(g)
-    omega = np.asarray(omega, dtype=float)
     traj.lyapunov = v = np.empty(traj.times.size)
     for i, x in enumerate(traj.states):
         v[i] = _lyapunov(L, omega, bank, x)

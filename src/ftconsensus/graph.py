@@ -106,13 +106,8 @@ class Condensation:
     def ancestors(self, k: int) -> set:
         acc, frontier = set(), {k}
         while frontier:
-            nxt = set()
-            for c in frontier:
-                for p in self.parents(c):
-                    if p not in acc:
-                        acc.add(p)
-                        nxt.add(p)
-            frontier = nxt
+            frontier = {p for c in frontier for p in self.parents(c)} - acc
+            acc |= frontier
         return acc
 
 
@@ -183,10 +178,7 @@ def condensation(g: WeightedDigraph) -> Condensation:
     adj = [[int(u) for u in np.flatnonzero(g.weights[:, v] > 0)] for v in range(n)]
     sccs = _tarjan_sccs(adj)
     sccs.reverse()  # Tarjan emits sinks first; reversed is topological
-    comp_of = {}
-    for k, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = k
+    comp_of = {v: k for k, comp in enumerate(sccs) for v in comp}
     edges = set()
     rows, cols = np.nonzero(g.weights > 0)
     for i, j in zip(rows, cols):
@@ -240,29 +232,30 @@ def left_null_vector(g: WeightedDigraph) -> np.ndarray:
     has a small relative error however small the entry is (O'Cinneide,
     Numer. Math. 65, 1993, bounds it by a polynomial in n times the unit
     roundoff).  Strong connectivity keeps every censored chain irreducible,
-    so s_k > 0 and w_k > 0 at every step.
+    so s_k > 0 and w_k > 0 at every step, unless the weights span more than
+    the float range: then an entry overflows or underflows, and the final
+    positivity check raises.
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("left null vector requires a strongly connected graph")
-    if g.n == 1:
-        return np.array([1.0])
     a = np.array(g.weights)
-    for top in range(g.n - 1, 0, -_GTH_BLOCK):
-        lo = max(1, top - _GTH_BLOCK + 1)
-        for k in range(top, lo - 1, -1):
-            a[:k, k] /= a[k, :k].sum()
-            # the rank-1 update of a[:k, :k], except on a[:lo, :lo], which
-            # no step of this block reads: that part waits for the product below
-            a[lo:k, :k] += a[lo:k, k, None] * a[k, :k]
-            a[:lo, lo:k] += a[:lo, k, None] * a[k, lo:k]
-        a[:lo, :lo] += a[:lo, lo:top + 1] @ a[lo:top + 1, :lo]
-    w = np.empty(g.n)
-    w[0] = 1.0
-    for k in range(1, g.n):
-        w[k] = w[:k] @ a[:k, k]
-    w /= w.sum()
+    with np.errstate(all="ignore"):  # w beyond float range fails the check
+        for top in range(g.n - 1, 0, -_GTH_BLOCK):
+            lo = max(1, top - _GTH_BLOCK + 1)
+            for k in range(top, lo - 1, -1):
+                a[:k, k] /= a[k, :k].sum()
+                # the rank-1 update of a[:k, :k], except on a[:lo, :lo], which
+                # no step of this block reads: that part waits for the product below
+                a[lo:k, :k] += a[lo:k, k, None] * a[k, :k]
+                a[:lo, lo:k] += a[:lo, k, None] * a[k, lo:k]
+            a[:lo, :lo] += a[:lo, lo:top + 1] @ a[lo:top + 1, :lo]
+        w = np.empty(g.n)
+        w[0] = 1.0
+        for k in range(1, g.n):
+            w[k] = w[:k] @ a[:k, k]
+        w /= w.sum()
     if not np.all(w > 0):
-        raise NotStronglyConnected("null vector not entrywise positive; graph not strongly connected?")
+        raise NotStronglyConnected("null vector not entrywise positive: weights out of float range")
     return w
 
 
@@ -296,4 +289,4 @@ def infinity_norms(L: np.ndarray, x0: np.ndarray) -> float:
     x0 = np.asarray(x0, dtype=float)
     if L.shape[0] != L.shape[1] or L.shape[0] != x0.shape[0]:
         raise ValueError("dimension mismatch")
-    return float(np.abs(L).sum(axis=1).max() * np.abs(x0).max())
+    return float(np.abs(L).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning

@@ -456,7 +456,12 @@ class TestCheckProtocolCommand:
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e150"], 0, None),
         ("linear{k=1}", ["--bound", "1e150"], 1, None),
         # F(M) is finite, but np.where's discarded ln-branch overflows there
-        ("logpower{a=12528.6,c=0.4968}", ["--bound", "2.03e202"], 1, None),
+        ("logpower{a=12528.6,c=0.4968}", ["--bound", "2.03e202"], 0, None),
+        # continuous couplings with a large gain or a small c: every A1 line passes
+        ("powerlinear{a=1e3,b=1,c=0.5}", ["--bound", "6"], 0, None),
+        ("powerlinear{a=1,b=1e6,c=0.5}", ["--bound", "6"], 0, None),
+        ("logpower{a=1e3,c=0.5}", ["--bound", "6"], 0, None),
+        ("logpower{a=1,c=0.01}", ["--bound", "6"], 0, None),
         # F underflows to 0 at the bottom of the grid, M * 1e-12
         ("linear{k=1}", ["--bound", "1e-300"], 1, "--bound 1e-300 is too small"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e-300"], 1, "--bound 1e-300 is too small"),

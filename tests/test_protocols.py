@@ -1,6 +1,7 @@
 import math
 import typing
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ class TestParameterRanges:
         lambda: PowerLinear(a=1.0, b=1.0, c=0.0),
         lambda: LogPower(a=0.0, c=0.5),
         lambda: LogPower(a=1.0, c=2.0 / 3.0),
+    ] + [
+        # check_a1's proofs hold for finite real parameters: a bool or a
+        # non-finite value is refused in every field, not only by the spec grammar
+        partial(kind, **{**valid, name: value})
+        for kind, valid in [(Linear, {"k": 1.0}), (PowerLinear, {"a": 1.0, "b": 1.0, "c": 0.5}),
+                            (LogPower, {"a": 1.0, "c": 0.5})]
+        for name in valid
+        for value in (True, False, math.nan, math.inf, -math.inf)
     ])
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -68,10 +77,22 @@ class TestEvaluate:
         assert evaluate(f, -4.0) == pytest.approx(-(4.0**0.75 + 4.0), rel=1e-15)
 
     @pytest.mark.parametrize("f", ALL_KINDS)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(z=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_odd(self, f, z):
         assert evaluate(f, -z) == -evaluate(f, z)
+        assert antiderivative(f, -z) == antiderivative(f, z)
+
+    @pytest.mark.parametrize("f", ALL_KINDS)
+    @pytest.mark.parametrize("M", [1e-100, 6.0, 1e150])
+    def test_odd_and_even_on_the_ratio_grid(self, f, M):
+        # f odd and F even bit for bit on the grid check_a2 scans: the ratio at
+        # -z is the ratio at z, so (0, M] covers [-M, M]
+        f_kernel, F_kernel, _ = protocols._KERNELS[type(f)]
+        params = protocols._params([f])
+        z = GridSpec().positive_grid(M)
+        assert np.array_equal(f_kernel(-z, *params), -f_kernel(z, *params))
+        assert np.array_equal(F_kernel(-z, *params), F_kernel(z, *params))
 
     @pytest.mark.parametrize("f", ALL_KINDS)
     def test_sign_preservation_on_grid(self, f):
@@ -241,6 +262,20 @@ class TestCheckA1:
         assert r.zero_at_zero and r.sign_preserving and r.continuous
         assert not r.monotone
         assert r.passed  # monotonicity is informational, not fatal
+
+    @pytest.mark.parametrize("factor,monotone", [(0.99, True), (1.01, False)])
+    def test_logpower_monotone_up_to_the_inner_peak(self, factor, monotone):
+        # with c = 0.5 the inner branch peaks at e^(-1/c) = e^-2
+        f = LogPower(a=1.0, c=0.5)
+        M = factor * math.exp(-2.0)
+        z = np.linspace(0.0, M, 2001)
+        assert bool(np.all(np.diff(protocols._f(f, z)) >= 0.0)) is monotone
+        r = check_a1(f, M=M)
+        assert r.monotone is monotone and r.passed
+
+    def test_not_a_protocol_family(self):
+        with pytest.raises(TypeError):
+            check_a1(math.sin, M=6.0)
 
 
 class TestCheckA2:
