@@ -121,8 +121,9 @@ def _F(f, z):
 
 
 def evaluate(f: ProtocolFunction, z: float) -> float:
-    """f(z) for a single protocol function."""
-    return float(_f(f, np.asarray(z, dtype=float)))
+    """f(z) for a single protocol function, as a numpy float: its square
+    overflows to inf, as the kernels' values do, instead of raising."""
+    return np.float64(_f(f, np.asarray(z, dtype=float)))
 
 
 def antiderivative(f: ProtocolFunction, z: float) -> float:
@@ -179,10 +180,8 @@ class ProtocolBank:
         return self._apply(0, y)
 
     def antiderivatives(self, y: np.ndarray) -> np.ndarray:
-        """F_i applied along the last axis of ``y``, of shape (..., n); inf, with no
-        warning, where F exceeds the float range."""
-        with np.errstate(over="ignore"):
-            return self._apply(1, y)
+        """F_i applied along the last axis of ``y``, of shape (..., n)."""
+        return self._apply(1, y)
 
 
 # ---------------------------------------------------------------------------

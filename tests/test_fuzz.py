@@ -48,6 +48,10 @@ def run(argv):
 # the ratio underflows to 0 at the bottom of the grid: ln 0 in the unused slope warned
 @example(spec="linear{k=3.0243206146338013e-242}", bound=3.1172788346219667e+163,
          alpha=0.1639141061644983, beta=7.550655460825254e-189)
+# f^2 at the bottom of the grid overflows a Python float ** (log-power's inner branch
+# exceeds f(M) for tiny c)
+@example(spec="logpower{a=1.3056691265377758e+153,c=1.175494351e-38}", bound=1.0,
+         alpha=None, beta=None)
 @given(spec=specs, bound=magnitudes,
        alpha=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        beta=st.none() | magnitudes)
