@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -35,8 +36,7 @@ FIG1_EDGES = ((1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0), (1, 4, 1.0))
 FIG1_X0 = (2.0, -1.0, 3.0, -2.0)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_fmt = "{:.17g}".format
 
 
 def _run_experiment(cfg: ExperimentConfig):
@@ -60,9 +60,28 @@ def _summary(traj) -> dict:
     }
 
 
-def _write_text(path: Path, text: str):
+def _json(v, pad="\n"):
+    """``json.dumps(v, indent=2, sort_keys=True)`` for string keys, without reference cycles.
+
+    ``indent`` selects the pure-Python encoder, whose nested closures are left
+    in cycles on every call; this puts the containers together itself and
+    passes only scalars to the default (C) encoder.
+    """
+    inner = pad + "  "
+    if isinstance(v, dict):
+        parts = [f"{inner}{json.dumps(k)}: {_json(x, inner)}" for k, x in sorted(v.items())]
+        ends = "{}"
+    elif isinstance(v, (list, tuple)):
+        parts = [inner + _json(x, inner) for x in v]
+        ends = "[]"
+    else:
+        return json.dumps(v)
+    return ends[0] + ",".join(parts) + pad + ends[1] if parts else ends
+
+
+def _write_text(path: Path, text: str):  # text, then a final newline
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(text + "\n")
 
 
 def _write_trajectory_csv(path: Path, traj):
@@ -95,7 +114,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
     traj = _run_experiment(cfg)
-    summary_text = json.dumps(_summary(traj), indent=2, sort_keys=True) + "\n"
+    summary_text = _json(_summary(traj))
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out / "trajectory.csv", traj)
     _write_text(out / "summary.json", summary_text)
@@ -113,7 +132,7 @@ def cmd_certify(args) -> int:
     from .analysis import certify
 
     report, traj = certify(cfg.graph(), cfg.bank(), cfg.x0_array(), cfg.sim)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    text = _json(report.to_dict())
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "certificate.json", text)
     print(f"wrote {out / 'certificate.json'}")
@@ -176,7 +195,7 @@ def cmd_check_protocol(args) -> int:
     print(f"A1 zero only at zero: {'pass' if a1.zero_at_zero and a1.sign_preserving else 'FAIL'}")
     print(f"A1 sign preservation: {'pass' if a1.sign_preserving else 'FAIL'}")
     if not a1.monotone:
-        print("warning: sampled monotonicity fails (non-fatal; the convergence "
+        print("warning: monotonicity fails (non-fatal; the convergence "
               "argument uses sign preservation, not monotonicity)")
     print(f"alpha = {report.alpha:.12g}")
     if closed is not None:
@@ -188,32 +207,24 @@ def cmd_check_protocol(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _fig1_config(spec: str, sim: SimulationConfig | None = None) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        n=4, edges=FIG1_EDGES, protocol_specs=(spec,) * 4, x0=FIG1_X0)
-    if sim is not None:
-        cfg = dataclasses.replace(cfg, sim=sim)
-    return cfg
-
-
 def cmd_demo_paper(args) -> int:
     out = Path(args.out)
     # the log-power field stalls under fixed-step RK4 at a disagreement around
     # 1e-5 (dt = 1e-3), so its consensus threshold sits above that resolution
     # floor; the freeze rule then lands the states exactly on their mean
     cases = [
-        ("fig2.csv", "powerlinear{a=1,b=1,c=0.75}", None),
+        ("fig2.csv", "powerlinear{a=1,b=1,c=0.75}", SimulationConfig()),
         ("fig3.csv", "logpower{a=1,c=0.5}", SimulationConfig(eps_consensus=1e-4)),
     ]
     # compute everything before touching the filesystem so a failure leaves
     # no partial outputs behind
     results = []
     for name, spec, sim in cases:
-        cfg = _fig1_config(spec, sim)
-        traj = _run_experiment(cfg)
+        traj = _run_experiment(ExperimentConfig(
+            n=4, edges=FIG1_EDGES, protocol_specs=(spec,) * 4, x0=FIG1_X0, sim=sim))
         results.append((name, spec, traj, _summary(traj)))
     combined = {name: dict(summary, protocol=spec) for name, spec, _, summary in results}
-    combined_text = json.dumps(combined, indent=2, sort_keys=True) + "\n"
+    combined_text = _json(combined)
     out.mkdir(parents=True, exist_ok=True)
     for name, _, traj, _ in results:
         _write_trajectory_csv(out / name, traj)
@@ -223,47 +234,46 @@ def cmd_demo_paper(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input: exit 1 with one line
+        raise FtConsensusError(message)
+
+
+@functools.cache  # one parser per process: each build leaves argparse objects in cycles
+def build_parser() -> _Parser:
+    p = _Parser(
         prog="ftconsensus",
         description="Simulate and certify finite-time consensus on weighted digraphs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, text, func in (
-            ("simulate", "integrate a config and export the trajectory", cmd_simulate),
-            ("certify", "produce a staged settling-time certificate", cmd_certify)):
+    for name, text in (("simulate", "integrate a config and export the trajectory"),
+                       ("certify", "produce a staged settling-time certificate")):
         s = sub.add_parser(name, help=text)
         s.add_argument("config", help="path to the JSON experiment config")
         s.add_argument("--out", required=True, help="output directory")
-        s.set_defaults(func=func)
 
     s = sub.add_parser("check-protocol", help="verify the shape and ratio criteria")
     s.add_argument("--spec", required=True, help="protocol spec, e.g. powerlinear{a=1,b=1,c=0.75}")
     s.add_argument("--bound", required=True, type=float, help="argument range bound M")
-    s.add_argument("--alpha", type=float, default=None, help="override alpha")
-    s.add_argument("--beta", type=float, default=None, help="override beta")
-    s.set_defaults(func=cmd_check_protocol)
+    s.add_argument("--alpha", type=float, help="override alpha")
+    s.add_argument("--beta", type=float, help="override beta")
 
     s = sub.add_parser("demo-paper", help="run the bundled four-agent demonstration cases")
     s.add_argument("--out", required=True, help="output directory")
-    s.set_defaults(func=cmd_demo_paper)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (FtConsensusError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+        # looked up by name on each call, so the cached parser holds no command function
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except (FtConsensusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_FAIL
     except Exception as exc:  # an internal fault still ends in one line, not a traceback
-        message = " ".join(str(exc).split())
-        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
+        print(f"error: internal error ({type(exc).__name__}): {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return EXIT_IO
 
 

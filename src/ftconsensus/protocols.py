@@ -201,7 +201,10 @@ class GridSpec:
 
     def positive_grid(self, M: float) -> np.ndarray:
         z = np.geomspace(self.bottom(M), M, self.points)
-        z = np.sort(np.concatenate([z, [M, _BREAK] if M >= _BREAK else [M]]))
+        # geomspace ascends, so M goes last and 1/e before the first point not below it:
+        # the sorted union, without paging in numpy's sort code
+        k = np.count_nonzero(z < _BREAK)
+        z = np.concatenate([z[:k], [_BREAK] if M >= _BREAK else [], z[k:], [M]])
         return z[np.concatenate([[True], z[1:] != z[:-1]])]  # first of each run of equal values
 
 

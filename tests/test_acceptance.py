@@ -197,7 +197,7 @@ def test_08_criteria_checker(capsys):
     rc = main(["check-protocol", "--spec", "logpower{a=1,c=0.5}", "--bound", "6"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "warning: sampled monotonicity fails" in out
+    assert "warning: monotonicity fails" in out
     verdict(8, "closed-form and empirical ratio constants verified; monotonicity caveat surfaced")
 
 

@@ -45,6 +45,8 @@ def run(argv):
 
 
 @FUZZ
+# a separate "-1e+16" (exponent form) reads as an option to argparse: a usage error, exit 1
+@example(spec="linear{k=1.0}", bound=6.0, alpha=None, beta=-1e16)
 # the ratio underflows to 0 at the bottom of the grid: ln 0 in the unused slope warned
 @example(spec="linear{k=3.0243206146338013e-242}", bound=3.1172788346219667e+163,
          alpha=0.1639141061644983, beta=7.550655460825254e-189)
@@ -56,10 +58,9 @@ def run(argv):
        alpha=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        beta=st.none() | magnitudes)
 def test_check_protocol(spec, bound, alpha, beta):
-    # --flag=value: argparse takes a separate "-1e+16" for an option, not a value
-    flags = [f"--bound={bound!r}"]
-    flags += [] if alpha is None else [f"--alpha={alpha!r}"]
-    flags += [] if beta is None else [f"--beta={beta!r}"]
+    flags = ["--bound", repr(bound)]
+    flags += [] if alpha is None else ["--alpha", repr(alpha)]
+    flags += [] if beta is None else ["--beta", repr(beta)]
     out = run(["check-protocol", "--spec", spec, *flags])
     for line in out.splitlines():
         if line.startswith("A1 "):

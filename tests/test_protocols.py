@@ -278,6 +278,27 @@ class TestCheckA1:
             check_a1(math.sin, M=6.0)
 
 
+class TestPositiveGrid:
+    @staticmethod
+    def _sorted_union(grid, M):
+        # the construction positive_grid replaced: sort the grid, M and 1/e, drop repeats
+        z = np.geomspace(grid.bottom(M), M, grid.points)
+        z = np.sort(np.concatenate([z, [M, protocols._BREAK] if M >= protocols._BREAK else [M]]))
+        return z[np.concatenate([[True], z[1:] != z[:-1]])]
+
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(points=1), GridSpec(points=2),
+                                      GridSpec(points=7, span_decades=0.5)])
+    def test_bit_identical_to_the_sorted_union(self, grid):
+        rng = np.random.default_rng(15)
+        b = protocols._BREAK
+        bounds = [*10.0 ** rng.uniform(-300.0, 300.0, 3000), b, np.nextafter(b, 0.0),
+                  np.nextafter(b, 1.0), 1.0, 6.0, 1e-310, 1e-311, 1.7e308]
+        for M in map(float, bounds):
+            z = grid.positive_grid(M)
+            assert z.tobytes() == self._sorted_union(grid, M).tobytes(), M
+            assert np.all(z[1:] > z[:-1]) and z[-1] == M
+
+
 class TestCheckA2:
     def test_linear_fails_any_beta(self):
         bank = ProtocolBank([Linear(k=1.0)])
