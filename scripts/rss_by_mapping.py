@@ -31,6 +31,10 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# bench/run.py's PINNED_THREADS; importing run.py would load statistics and
+# decimal, which the workload process does not, into the process measured
+PINNED_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                  "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def rss_by_mapping() -> dict:
@@ -57,12 +61,11 @@ def main(argv=None) -> int:
     if args.passes < 1:
         p.error("--passes must be at least 1")
 
+    os.environ.update({name: "1" for name in PINNED_THREADS})
     sys.path.insert(0, str(args.root.resolve() / "bench"))
-    import run
     import worker
     import workloads
 
-    os.environ.update({name: "1" for name in run.PINNED_THREADS})
     w = workloads.build(args.workload, args.seed)
     cyclic, failures = [], []
     with tempfile.TemporaryDirectory(prefix="rss_by_mapping_") as tmp:
