@@ -56,7 +56,7 @@ from .protocols import (
     PowerLinear,
     ProtocolBank,
     _closed_form_alpha,
-    _empirical_beta,
+    _ratio_bound,
     claim1_constants,
     claim2_constants,
 )
@@ -77,7 +77,7 @@ class ConvergenceCertificate:
     component_id: int
     alpha: float
     beta: float
-    beta_source: str  # closed-form | empirical
+    beta_source: str  # closed-form | grid-bound
     c1: float
     c1_source: str  # mixed-sign-infimum | a-posteriori-trajectory | smallest-eigenvalue | singleton-root
     c2: float
@@ -202,7 +202,7 @@ def settling_bound_strongly_connected(
     beta: float,
     c1: float,
     component_id: int = 0,
-    beta_source: str = "empirical",
+    beta_source: str = "grid-bound",
     c1_source: str = "a-posteriori-trajectory",
 ) -> ConvergenceCertificate:
     """Comparison-principle bound for a strongly connected topology."""
@@ -240,7 +240,7 @@ def settling_bound_rooted(
     alpha: float,
     beta: float,
     component_id: int = 0,
-    beta_source: str = "empirical",
+    beta_source: str = "grid-bound",
 ) -> ConvergenceCertificate:
     """Bound for a follower stage coupled to an already-converged parent.
 
@@ -262,12 +262,13 @@ def settling_bound_rooted(
 
 
 def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) -> tuple:
-    """(alpha, beta_empirical, beta_closed, source_note) for certification.
+    """(alpha, beta_bound, beta_closed, source_note) for certification.
 
     alpha is the largest per-agent closed-form alpha; a uniform power-linear
     or log-power bank also gets its closed-form beta.  The beta used
-    downstream is always the refined empirical grid minimum of the ratio,
-    which is the bound that actually holds along trajectories.
+    downstream is always the proven lower bound on the ratio over (0, M]
+    (``protocols._ratio_min_single``), which holds along every trajectory
+    whose arguments stay within M.
     """
     if M <= 0:
         return 0.5, math.inf, None, "degenerate (already at consensus)"
@@ -283,7 +284,7 @@ def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()
         note = "alpha closed-form (largest per-agent value of a mixed bank)"
         if alpha is None:
             alpha, note = 0.5, "no closed form for this bank; alpha defaulted"
-    return alpha, _empirical_beta(bank, M, alpha, grid), beta_closed, note
+    return alpha, _ratio_bound(bank, M, alpha, grid), beta_closed, note
 
 
 def _first_settled_index(traj, vertices, eps):
@@ -324,7 +325,7 @@ def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
     strongly connected stage started at x0."""
     if len(verts) == 1:
         # no in-arcs anywhere: the state is constant, settled from t=0
-        cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0, "empirical",
+        cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0, "grid-bound",
                             math.inf, "singleton-root", np.ones(1), 0.0)
         return cert, float(x0[verts[0]])
     g_root = g.component(0)
@@ -341,7 +342,7 @@ def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
         except ValueError:
             c1, c1_src = estimate_c1(B, mode="a_priori")
     _check_constants(alpha, beta, c1)
-    cert = _certificate(0, alpha, beta, "empirical", c1, c1_src, omega, v0)
+    cert = _certificate(0, alpha, beta, "grid-bound", c1, c1_src, omega, v0)
     return cert, float(np.mean(states[-1, verts]))
 
 
@@ -353,7 +354,7 @@ def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> Conve
     z0 = x_start[verts] - float(np.mean(x_start[anc_verts]))
     return settling_bound_rooted(
         g.component(k), b_vec, ProtocolBank([bank[v] for v in verts]), z0, alpha, beta,
-        component_id=k, beta_source="empirical")
+        component_id=k, beta_source="grid-bound")
 
 
 def _compose(cond, certificates) -> float | None:
@@ -404,9 +405,7 @@ def certify(
     report.notes.append(note)
     if beta_closed is not None and beta < beta_closed - 1e-9:
         report.notes.append(
-            "closed-form beta exceeds the observed ratio minimum; the empirical "
-            "value is used for the bounds"
-        )
+            "closed-form beta exceeds the ratio lower bound; the bound is used")
 
     for k, comp in enumerate(cond.components):
         verts = list(comp)

@@ -152,8 +152,8 @@ def _criteria(f, M: float, alpha, beta) -> tuple:
     if not (math.isfinite(fM * fM) and math.isfinite(FM)):
         raise FtConsensusError(f"--bound {M:g} is too large: f(M)^2 or F(M) overflows a float")
     z = GridSpec().bottom(M)
-    if not (evaluate(f, z) ** 2 > 0.0 and antiderivative(f, z) > 0.0):
-        raise FtConsensusError(f"--bound {M:g} is too small: f^2 or F underflows to 0 at the "
+    if not min(evaluate(f, z) ** 2, antiderivative(f, z)) >= 2.2250738585072014e-308:
+        raise FtConsensusError(f"--bound {M:g} is too small: f^2 or F underflows at the "
                                f"bottom of the ratio grid, z = {z:g}")
     bank = ProtocolBank([f])
     closed = None
@@ -161,9 +161,9 @@ def _criteria(f, M: float, alpha, beta) -> tuple:
         if isinstance(f, PowerLinear):
             alpha, closed = claim1_constants(bank, M)
         elif isinstance(f, LogPower):
-            alpha, closed, emp = claim2_constants(bank, M)
-            if closed is not None and emp < closed:
-                closed = None  # closed form unsound here; fall back to empirical
+            alpha, closed, bound = claim2_constants(bank, M)
+            if closed is not None and bound < closed:
+                closed = None  # closed form unsound here; fall back to the grid bound
         else:
             alpha = 0.5
     report = check_a2(bank, M, alpha, closed if beta is None else beta)
@@ -184,8 +184,7 @@ def cmd_check_protocol(args) -> int:
         raise FtConsensusError("--beta must be positive (A2 needs beta > 0)")
     import numpy as np
 
-    # with f(M)^2 and F(M) finite, what may still overflow is a branch that
-    # np.where discards or a parabolic step that Brent rejects
+    # a branch that np.where discards may overflow, and so may f^2 at the grid bottom
     with np.errstate(over="ignore", invalid="ignore"):
         report, closed = _criteria(f, M, args.alpha, args.beta)
 
@@ -201,7 +200,7 @@ def cmd_check_protocol(args) -> int:
     if closed is not None:
         print(f"beta (closed-form) = {closed:.12g}")
     print(f"beta (used, {report.beta_source}) = {report.beta:.12g}")
-    print(f"empirical ratio minimum over (0, {M:g}] = {report.empirical_ratio_min:.12g}")
+    print(f"ratio lower bound over (0, {M:g}] = {report.ratio_bound:.12g}")
     ok = a1.passed and report.a2_pass
     print(f"ratio bound (A2): {'pass' if report.a2_pass else 'FAIL'}")
     return EXIT_OK if ok else EXIT_FAIL

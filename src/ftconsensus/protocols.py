@@ -17,12 +17,11 @@ Criteria over the reachable argument range (0, M]: the shape conditions A1
 proof, for finite real parameters, which the family records enforce, so
 ``check_a1`` reads them from a per-family table.  Its monotonicity flag is
 non-fatal: log-power is not monotone beyond e^(-1/c), yet still drives
-finite-time consensus.  The ratio bound f(z)^2 / F(z)^alpha >= beta is
-checked numerically.  Closed-form (alpha, beta) exist for uniform
-power-linear and log-power banks; the empirical grid minimum, refined by the
-in-package bounded Brent search (``_minimize.bounded_brent``), is the
-authoritative lower bound for certificates, computed once per distinct
-protocol function.
+finite-time consensus.  A2, f(z)^2 / F(z)^alpha >= beta, holds by
+construction: ``_ratio_min_single`` returns a proven lower bound on the
+ratio (grid cells bracketed, a per-family tail below the grid), once per
+distinct protocol; certificates use it.  Closed-form (alpha, beta) exist
+for uniform power-linear and log-power banks.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._minimize import bounded_brent
 from .config import (Linear, LogPower, PowerLinear, ProtocolFunction,  # re-exported
                      format_protocol_spec, parse_protocol_spec)
 from .errors import ProtocolDomainError, WrongProtocolKind
@@ -59,6 +57,8 @@ __all__ = [
 
 _BREAK = math.exp(-1.0)
 _TINY = 5e-324  # max(|z|, _TINY) is |z| except at 0, where ln stays finite and |z|^c = 0
+_NORMAL = 2.2250738585072014e-308  # smallest normal float
+_MARGIN = 1e-11  # relative rounding allowance of the ratio bound; _ratio_min_single proves it
 
 
 # The kernels use the ufuncs np.power/np.log, never ``**`` or ``math``, on
@@ -230,10 +230,10 @@ class CriteriaReport:
     a2_pass: bool
     alpha: float
     beta: float
-    empirical_ratio_min: float
+    ratio_bound: float  # proven lower bound on the ratio over (0, M]
     bound_M: float
     grid_size: int
-    beta_source: str = "explicit"  # explicit | closed-form | empirical
+    beta_source: str = "explicit"  # explicit | closed-form | grid-bound
 
 
 def check_a1(f: ProtocolFunction, M: float) -> A1Report:
@@ -254,8 +254,59 @@ def check_a1(f: ProtocolFunction, M: float) -> A1Report:
     return A1Report(True, True, True, type(f) is not LogPower or M <= math.exp(-1.0 / f.c))
 
 
+def _tail_bound(f, z0, alpha) -> float:
+    """Closed-form lower bound on f(z)^2 / F(z)^alpha over 0 < z <= z0 <= 1/e.
+
+    With e = 2c - (1+c) alpha, its sign decided exactly on integer ratios:
+    power-linear has f >= a z^c and F <= z^(1+c) D, D = a/(1+c) + b z0^(1-c)/2,
+    so the ratio is >= a^2 z^e / D^alpha >= a^2 z0^e / D^alpha when e <= 0.
+    Log-power, with L = -ln z >= -ln z0 >= 1, has the ratio a^(2-alpha) z^e
+    L^(2-alpha) / (1/(1+c) + 1/((1+c)^2 L))^alpha, each factor least at z0
+    when e <= 0.  For e > 0, and for linear, the ratio tends to 0.  The bound
+    is exp of a sum of logarithms, so nothing overflows; it is capped at e^709.
+    """
+    if type(f) is Linear:
+        return 0.0
+    c, a = float(f.c), float(f.a)
+    (p, q), (r, s) = c.as_integer_ratio(), float(alpha).as_integer_ratio()
+    if 2 * p * s > (p + q) * r:  # 2c > (1+c) alpha
+        return 0.0
+    if type(f) is PowerLinear:
+        log_L, d = 0.0, float(f.b) / a * z0 ** (1.0 - c) / 2.0
+    else:
+        L = -math.log(z0)
+        log_L, d = math.log(L), 1.0 / ((1.0 + c) ** 2 * L)
+    e = 2.0 * c - (1.0 + c) * alpha
+    x = (2.0 - alpha) * (math.log(a) + log_L) + e * math.log(z0) - alpha * math.log(1.0 / (1.0 + c) + d)
+    return math.exp(min(x, 709.0))
+
+
 def _ratio_min_single(f, M, alpha, grid):
-    """Refined minimum of f(z)^2 / F(z)^alpha over 0 < z <= M (even in z)."""
+    """A proven lower bound on f(z)^2 / F(z)^alpha over 0 < z <= M (even in z).
+
+    It is (1 - _MARGIN) times the least of two terms.  Cells of the grid
+    z_0 < ... < z_N = M: F increases (F' = f > 0), and on every cell f is
+    monotone or rises then falls (log-power's only interior local minimum,
+    1/e, is a grid point), so on [z_k, z_k+1] the ratio is at least
+    min(f(z_k), f(z_k+1))^2 / F(z_k+1)^alpha.  The tail (0, z_0]:
+    ``_tail_bound``, as z_0 <= 1/e (``GridSpec.positive_grid`` puts 1/e
+    first when M 10^-span_decades exceeds it).
+
+    Rounding.  The inputs (grid points, parameters, alpha) are exact floats.
+    A kernel value takes a few correctly rounded operations (<= u = 2^-53
+    each) and pow/log/exp calls (taken as <= 4 ulp = 8u each) over positive
+    terms, so it is within a factor 1 +- 100u, times exp(|ln z| dp) <= 1 +
+    4500u where an exponent (1 + c, 1 - c, 2 - alpha, e) is rounded by dp <= 6u,
+    as |ln z| <= 745 for every positive float.  (Log-power's F beyond 1/e, a
+    e^-(1+c)/(1+c)^2 + a z^(1+c)/(1+c), carries the error of z^(1+c) -
+    e^-(1+c) on its larger term.)  So a cell term errs by under 1e4 u.  The
+    tail's exponent sums terms of at most 3700 in size, each log within 8u and
+    six roundings within u: with e's 4500u it errs by under 3700 * 14u + 4500u
+    < 6e4 u, and the tail relatively by as much.  The float 1/e moves f there
+    by under u.  6e4 u < 7e-12 < _MARGIN.  This needs f^2 and F normal, which
+    is checked; a cell whose f^2 overflows has a ratio above f(M)^2 /
+    F(M)^alpha, which the last cell bounds; a bound below that range is 0.
+    """
     scale = f"argument bound M = {M:g} too {{}} (certify takes M = ||L||_inf ||x0||_inf, the x0 scale)"
     # a branch that np.where discards may overflow, and so may f^2 where F is small
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,24 +315,13 @@ def _ratio_min_single(f, M, alpha, grid):
             raise ProtocolDomainError(scale.format("large") + ": f(M)^2 or F(M) overflows a float")
         z = grid.positive_grid(M)
         fv, Fv = _f(f, z), _F(f, z)
-        if np.any(Fv <= 0.0):  # a validated f has F > 0 off 0: F underflowed at small z
-            raise ProtocolDomainError(scale.format("small") + ": F underflows to 0 at the bottom "
-                                      f"of the ratio grid, z = {z[0]:g}")
-        ratio = fv**2 / Fv**alpha
-        k = int(np.argmin(ratio))
-        best = float(ratio[k])
-
-        def obj(zi):
-            F = antiderivative(f, zi)
-            if F <= 0.0:
-                return math.inf
-            return evaluate(f, zi) ** 2 / F**alpha
-
-        lo = z[max(k - 1, 0)]
-        hi = z[min(k + 1, z.size - 1)]
-        if hi > lo:
-            best = min(best, float(bounded_brent(obj, lo, hi, xatol=1e-14 * M)[1]))
-    return best, ratio, z
+        f2 = np.minimum(fv[:-1], fv[1:]) ** 2
+        if not (Fv.min() >= _NORMAL and f2.min() >= _NORMAL):
+            raise ProtocolDomainError(scale.format("small") + ": f^2 or F underflows on the "
+                                      f"ratio grid, whose bottom is z = {z[0]:g}")
+        cells = float(np.min(f2 / Fv[1:] ** alpha))
+    bound = min(cells, _tail_bound(f, float(z[0]), alpha)) * (1.0 - _MARGIN)
+    return bound if bound >= _NORMAL else 0.0
 
 
 def check_a2(
@@ -291,43 +331,31 @@ def check_a2(
     beta: float | None = None,
     grid: GridSpec = GridSpec(),
 ) -> CriteriaReport:
-    """Verify the ratio bound over a log-spaced grid on (0, M]; f is odd and F even, bit
-    for bit, so the ratio on [-M, 0) repeats it.
+    """Verify the ratio bound f(z)^2 / F(z)^alpha >= beta on (0, M]; f is odd and F
+    even, bit for bit, so the ratio on [-M, 0) repeats it.
 
-    With an explicit ``beta`` the verdict is ``empirical_min >= beta - 1e-9``.
-    With ``beta=None`` the empirical minimum itself becomes beta, and the
-    verdict instead requires the infimum not to vanish as z -> 0 (detected
-    from the log-log slope of the ratio at the bottom of the grid; the linear
-    family fails exactly this way).
+    ``bound`` is the least ``_ratio_min_single`` over the distinct protocols.
+    With an explicit ``beta`` the verdict is ``bound >= beta - 1e-9``.  With
+    ``beta=None`` the bound becomes beta and the verdict is ``bound > 0``; it
+    is 0 where the ratio tends to 0 as z -> 0: for linear, and for a positive
+    tail exponent 2c - (1+c) alpha.
     """
     if not M > 0:
         raise ValueError("M must be positive")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    distinct = dict.fromkeys(bank)
-    a1 = {f: check_a1(f, M) for f in distinct}
-    emp = math.inf
-    bottom_slope = -math.inf
-    for f in distinct:
-        best, ratio, z = _ratio_min_single(f, M, alpha, grid)
-        emp = min(emp, best)
-        if beta is None and best > 0.0:  # else the slope is unused, and ln 0 may warn
-            # least-squares log-log slope of the ratio over the grid's bottom
-            # decade, in closed form: np.polyfit would load LAPACK's SVD solver
-            nlo = max(2, grid.points // 12)
-            x, y = np.log(z[:nlo]), np.log(ratio[:nlo])
-            x -= x.mean()
-            bottom_slope = max(bottom_slope, float(x @ (y - y.mean()) / (x @ x)))
+    a1 = {f: check_a1(f, M) for f in dict.fromkeys(bank)}
+    bound = _ratio_bound(bank, M, alpha, grid)
     if beta is None:
-        beta, a2_pass, source = emp, emp > 0.0 and bottom_slope <= 0.05, "empirical"
+        beta, a2_pass, source = bound, bound > 0.0, "grid-bound"
     else:
-        a2_pass, source = emp >= beta - 1e-9, "explicit"
+        a2_pass, source = bound >= beta - 1e-9, "explicit"
     return CriteriaReport(
         a1=tuple(a1[f] for f in bank),
         a2_pass=bool(a2_pass),
         alpha=alpha,
         beta=float(beta),
-        empirical_ratio_min=float(emp),
+        ratio_bound=bound,
         bound_M=float(M),
         grid_size=grid.points,
         beta_source=source,
@@ -336,10 +364,19 @@ def check_a2(
 
 def _closed_form_alpha(bank) -> float | None:
     """Largest per-agent closed-form alpha, 2c/(1+c) for power-linear and 4c/(2+c) for
-    log-power, each at its family's largest c; None when the bank has a linear agent."""
+    log-power, each at its family's largest c; None when the bank has a linear agent.
+
+    The ratio bound's tail needs 2c - (1+c) alpha <= 0, that is alpha >=
+    2c/(1+c), so power-linear's float is rounded up by two ulps: q = 2c/fl(1+c)
+    is within q u/(1+c) < ulp(alpha) of 2c/(1+c) (u = 2^-53) and alpha = fl(q)
+    within ulp(alpha)/2 of q.  Log-power's 4c/(2+c) exceeds 2c/(1+c) by the
+    factor 1 + c/(2+c), more than its two roundings lose once c >= 2^-50;
+    below 2^-52, fl(2+c) = 2 and 2c is exact.  The tests check the binades between.
+    """
     if Linear in bank.kinds:
         return None
-    forms = {PowerLinear: lambda c: 2.0 * c / (1.0 + c), LogPower: lambda c: 4.0 * c / (2.0 + c)}
+    forms = {PowerLinear: lambda c: math.nextafter(math.nextafter(2.0 * c / (1.0 + c), 2.0), 2.0),
+             LogPower: lambda c: 4.0 * c / (2.0 + c)}
     return max(forms[kind](max(f.c for f in bank if type(f) is kind)) for kind in bank.kinds)
 
 
@@ -374,11 +411,11 @@ def claim1_constants(bank: ProtocolBank, M: float) -> tuple:
 
 
 def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) -> tuple:
-    """(alpha, beta_closed, beta_empirical) for a log-power bank over (0, M].
+    """(alpha, beta_closed, beta_bound) for a log-power bank over (0, M].
 
     The closed form rests on a sandwich bound that can fail for small c, so
-    the empirical grid minimum is returned alongside; downstream consumers
-    must prefer the empirical value when it is the smaller of the two.
+    the proven grid bound is returned alongside; downstream consumers must
+    prefer the bound when it is the smaller of the two.
     beta_closed is None when the closed form is not a positive float.
     """
     if bank.uniform_kind is not LogPower:
@@ -396,9 +433,9 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
             beta2 = min(beta2, f.a**2 * M**exp2 / (2.0 * (2.0 * f.a / (2.0 + f.c)) ** alpha))
     except OverflowError:
         beta1 = beta2 = math.inf
-    return alpha, _usable(min(beta1, beta2)), _empirical_beta(bank, M, alpha, grid)
+    return alpha, _usable(min(beta1, beta2)), _ratio_bound(bank, M, alpha, grid)
 
 
-def _empirical_beta(bank, M, alpha, grid) -> float:
-    """Smallest refined ratio minimum over the bank, one minimisation per distinct spec."""
-    return min(_ratio_min_single(f, M, alpha, grid)[0] for f in dict.fromkeys(bank))
+def _ratio_bound(bank, M, alpha, grid) -> float:
+    """Smallest ratio lower bound over the bank, one bound per distinct spec."""
+    return min(_ratio_min_single(f, M, alpha, grid) for f in dict.fromkeys(bank))

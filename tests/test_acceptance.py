@@ -159,7 +159,7 @@ def test_07_certificate_soundness():
         report, traj = certify(g, bank, x0, cfg)
         cert = report.certificates[0]
         assert cert.c1_source == "a-posteriori-trajectory"
-        assert cert.beta_source == "empirical"
+        assert cert.beta_source == "grid-bound"
         v = lyapunov_trace(g, left_null_vector(g), bank, traj)
         # at/below the extinction threshold the frozen state is consensus up
         # to rounding residue in L, so V counts as exactly zero there
@@ -184,21 +184,21 @@ def test_08_criteria_checker(capsys):
     for c in [0.2, 0.4, 0.6]:
         bank = ProtocolBank([LogPower(1.0, c)])
         rep = check_a2(bank, 6.0, 4 * c / (2 + c))
-        assert rep.empirical_ratio_min > 0
-    # the empirical minimum is the beta that certification actually uses
+        assert rep.ratio_bound > 0
+    # the proven ratio bound is the beta that certification uses
     g = fig1_graph()
     bank4 = ProtocolBank([LogPower(1.0, 0.5)] * 4)
     report, _ = certify(g, bank4, np.array(FIG1_X0), SimulationConfig(eps_consensus=1e-4))
     cert = report.certificates[0]
-    assert cert.beta_source == "empirical"
+    assert cert.beta_source == "grid-bound"
     M = infinity_norms(laplacian(g), np.array(FIG1_X0))
     rep = check_a2(bank4, M, cert.alpha)
-    assert cert.beta == pytest.approx(rep.empirical_ratio_min, rel=1e-12)
+    assert cert.beta == pytest.approx(rep.ratio_bound, rel=1e-12)
     rc = main(["check-protocol", "--spec", "logpower{a=1,c=0.5}", "--bound", "6"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "warning: monotonicity fails" in out
-    verdict(8, "closed-form and empirical ratio constants verified; monotonicity caveat surfaced")
+    verdict(8, "closed-form constants and the ratio bound verified; monotonicity caveat surfaced")
 
 
 def test_09_integrator_verification():

@@ -461,6 +461,10 @@ class TestCheckProtocolCommand:
         ("logpower{a=1,c=0.5}", ["--bound", "1e300"], 1, "--bound 1e+300 is too large"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e150"], 0, None),
         ("linear{k=1}", ["--bound", "1e150"], 1, None),
+        # a linear ratio tends to 0 (here like z^0.2), so no beta > 0 holds down to z = 0
+        ("linear{k=1}", ["--bound", "6", "--alpha", "0.9", "--beta", "1e-3"], 1, None),
+        # alpha below 2c/(1+c) = 6/7: the power-linear ratio tends to 0 like z^0.03
+        ("powerlinear{a=1,b=1,c=0.75}", ["--bound", "6", "--alpha", "0.84"], 1, None),
         # F(M) is finite, but np.where's discarded ln-branch overflows there
         ("logpower{a=12528.6,c=0.4968}", ["--bound", "2.03e202"], 0, None),
         # continuous couplings with a large gain or a small c: every A1 line passes
@@ -737,9 +741,9 @@ print(json.dumps(steps))
         assert offenders == []
 
     def test_no_module_calls_svd(self):
-        # omega comes from GTH elimination and the ratio's bottom slope from a
-        # closed form; an SVD (or the SVD least squares behind lstsq and
-        # polyfit) would load LAPACK code and workspace that no result needs
+        # omega comes from GTH elimination and no command fits a curve; an SVD
+        # (or the SVD least squares behind lstsq and polyfit) would load
+        # LAPACK code and workspace that no result needs
         svd = {"svd", "lstsq", "polyfit"}
         offenders = [f"{path.name}:{node.lineno}"
                      for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
@@ -793,7 +797,7 @@ print(json.dumps(steps))
     # importing these loads no numeric module; each command imports its own
     COLD_START_FILES = ("__init__.py", "config.py", "cli.py", "errors.py")
     NUMERIC_MODULES = ("numpy", "ftconsensus.graph", "ftconsensus.protocols", "ftconsensus.dynamics",
-                       "ftconsensus.analysis", "ftconsensus._minimize")
+                       "ftconsensus.analysis")
 
     @staticmethod
     def _import_time_imports(path):

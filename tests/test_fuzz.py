@@ -47,7 +47,8 @@ def run(argv):
 @FUZZ
 # a separate "-1e+16" (exponent form) reads as an option to argparse: a usage error, exit 1
 @example(spec="linear{k=1.0}", bound=6.0, alpha=None, beta=-1e16)
-# the ratio underflows to 0 at the bottom of the grid: ln 0 in the unused slope warned
+# the ratio underflows to 0 at the bottom of the grid (found when a log-log slope of the
+# ratio judged A2, which took ln 0)
 @example(spec="linear{k=3.0243206146338013e-242}", bound=3.1172788346219667e+163,
          alpha=0.1639141061644983, beta=7.550655460825254e-189)
 # f^2 at the bottom of the grid overflows a Python float ** (log-power's inner branch

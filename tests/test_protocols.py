@@ -1,6 +1,7 @@
 import math
 import typing
 from dataclasses import fields
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -306,7 +307,7 @@ class TestCheckA2:
             rep = check_a2(bank, M=6.0, alpha=0.5, beta=beta)
             assert not rep.a2_pass
         rep = check_a2(bank, M=6.0, alpha=0.5, beta=None)
-        assert not rep.a2_pass  # vanishing infimum detected
+        assert not rep.a2_pass and rep.beta == 0.0  # the ratio tends to 0 as z -> 0
 
     def test_linear_ratio_vanishes_near_zero(self):
         # ratio = k^(2-alpha) 2^alpha z^(2-2alpha) -> 0 as z -> 0 for any
@@ -329,7 +330,7 @@ class TestCheckA2:
         alpha, beta = claim1_constants(bank, M=6.0)
         rep = check_a2(bank, M=6.0, alpha=alpha, beta=beta)
         assert rep.a2_pass
-        assert rep.empirical_ratio_min >= beta - 1e-9
+        assert rep.ratio_bound >= beta - 1e-9
         assert rep.bound_M == 6.0
 
     def test_boundary_point_included(self):
@@ -348,7 +349,7 @@ class TestCheckA2:
             M = float(rng.uniform(1.0, 10.0))
             alpha, beta = claim1_constants(bank, M)
             rep = check_a2(bank, M, alpha, beta)
-            assert rep.a2_pass, (bank.functions, M, alpha, beta, rep.empirical_ratio_min)
+            assert rep.a2_pass, (bank.functions, M, alpha, beta, rep.ratio_bound)
 
     def test_negative_guard_matches_positive_minimum(self):
         # the odd families repeat positive-grid values on the negative side,
@@ -358,7 +359,72 @@ class TestCheckA2:
                 for M in (1.0, 2.5, 40.0):
                     bank = ProtocolBank([LogPower(a, c)])
                     alpha, _, emp = claim2_constants(bank, M)
-                    assert check_a2(bank, M, alpha).empirical_ratio_min == emp, (a, c, M)
+                    assert check_a2(bank, M, alpha).ratio_bound == emp, (a, c, M)
+
+
+class TestRatioBound:
+    """``_ratio_min_single`` is a lower bound on f^2 / F^alpha over all of (0, M]."""
+
+    @staticmethod
+    def ratio(f, z, alpha):
+        return protocols._f(f, z) ** 2 / protocols._F(f, z) ** alpha
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(16)
+        # the paper's spec, whose ratio falls to 1.75^(6/7) = 1.6155 as z -> 0, and a
+        # large b/a, whose linear term still dominates at the bottom of the grid
+        yield PowerLinear(1.0, 1.0, 0.75), 6.0, True
+        yield PowerLinear(1.0, 1e6, 0.5), 6.0, True
+        # M 1e-12 > 1/e: the grid starts at 1/e, and so does the tail
+        yield PowerLinear(1.0, 1.0, 0.5), 1e13, True
+        yield LogPower(1.0, 0.5), 1e13, True
+        for _ in range(100):
+            M = 10.0 ** rng.uniform(-1.5, 2.0)
+            closed = bool(rng.integers(2))  # else a random alpha
+            yield Linear(10.0 ** rng.uniform(-1, 1)), M, False
+            b = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-2, 2)
+            yield PowerLinear(10.0 ** rng.uniform(-1, 1), b, rng.uniform(0.05, 0.95)), M, closed
+            yield LogPower(10.0 ** rng.uniform(-1, 1), rng.uniform(0.02, 0.66)), M, closed
+
+    def test_bound_holds_on_every_draw(self):
+        rng = np.random.default_rng(17)
+        for f, M, closed in self.draws():
+            bank = ProtocolBank([f])
+            alpha = protocols._closed_form_alpha(bank) if closed else rng.uniform(0.05, 0.95)
+            beta = protocols._ratio_min_single(f, M, alpha, GridSpec())
+            case = (f, M, alpha, beta)
+            dense = GridSpec(points=100_000).positive_grid(M)
+            assert beta <= self.ratio(f, dense, alpha).min(), case
+            z0 = GridSpec().positive_grid(M)[0]
+            assert beta <= self.ratio(f, z0 * 10.0 ** -rng.uniform(0, 30, 200), alpha).min(), case
+            # the z -> 0 limit: 0 for linear and for a positive tail exponent; for
+            # power-linear at 2c = (1+c) alpha, which the closed form meets to 2 ulps,
+            # a^(2-alpha) (1+c)^alpha
+            if type(f) is Linear or 2 * Fraction(f.c) > (1 + Fraction(f.c)) * Fraction(alpha):
+                assert beta == 0.0, case
+            elif type(f) is PowerLinear and closed:
+                assert beta <= f.a ** (2 - alpha) * (1 + f.c) ** alpha, case
+            # the paper's closed forms never exceed the bound
+            if type(f) is PowerLinear and closed:
+                assert (claim1_constants(bank, M)[1] or 0.0) <= beta, case
+            elif type(f) is LogPower and closed:
+                assert (claim2_constants(bank, M)[1] or 0.0) <= beta, case
+
+    def test_closed_form_alpha_meets_the_tail_exponent(self):
+        # 2c - (1+c) alpha <= 0 over the reals; fl(2c/(1+c)) alone misses it
+        for c in (0.75, 0.5):
+            assert 2 * Fraction(c) > (1 + Fraction(c)) * Fraction(2 * c / (1 + c))
+        rng = np.random.default_rng(16)
+        u = 2.0**-53
+        cases = [(PowerLinear, c) for c in (0.75, 0.5, *rng.uniform(0, 1, 2000))]
+        # log-power is not rounded: check the binades its docstring leaves to the test
+        cases += [(LogPower, c) for c in (*rng.uniform(0, 2 / 3, 1000), *(u * rng.uniform(2, 8, 2000)),
+                                          *(u * rng.uniform(0, 2, 100)))]
+        for kind, c in cases:
+            f = kind(1.0, 1.0, float(c)) if kind is PowerLinear else kind(1.0, float(c))
+            alpha = Fraction(protocols._closed_form_alpha(ProtocolBank([f])))
+            assert 2 * Fraction(f.c) <= (1 + Fraction(f.c)) * alpha, (f, alpha)
 
 
 class TestClaim1Constants:
@@ -378,7 +444,7 @@ class TestClaim1Constants:
         c = 0.5
         alpha, _ = claim1_constants(bank, M=3.0)
         assert 2 * c - 2 * c * (1 + c) / (1 + c) == 0.0
-        assert alpha == 2 * c / (1 + c)
+        assert alpha == math.nextafter(math.nextafter(2 * c / (1 + c), 1), 1)  # two ulps up
 
     def test_m_equal_one_simplification(self):
         bank = ProtocolBank([PowerLinear(1.5, 0.7, 0.6), PowerLinear(0.9, 1.2, 0.3)])
