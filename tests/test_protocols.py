@@ -365,6 +365,9 @@ class TestCheckA2:
 class TestRatioBound:
     """``_ratio_min_single`` is a lower bound on f^2 / F^alpha over all of (0, M]."""
 
+    FAMILIES = pytest.mark.parametrize("kind", [Linear, PowerLinear, LogPower], ids=lambda k: k.__name__)
+    CLOSED_FORM_FAMILIES = pytest.mark.parametrize("kind", [PowerLinear, LogPower], ids=lambda k: k.__name__)
+
     @staticmethod
     def ratio(f, z, alpha):
         return protocols._f(f, z) ** 2 / protocols._F(f, z) ** alpha
@@ -387,41 +390,72 @@ class TestRatioBound:
             yield PowerLinear(10.0 ** rng.uniform(-1, 1), b, rng.uniform(0.05, 0.95)), M, closed
             yield LogPower(10.0 ** rng.uniform(-1, 1), rng.uniform(0.02, 0.66)), M, closed
 
-    def test_bound_holds_on_every_draw(self):
+    @classmethod
+    def cases(cls, kind):
+        """Every draw of ``kind`` as (f, M, alpha, closed, beta); the draws and their
+        alphas are the same whichever family a test asks for."""
         rng = np.random.default_rng(17)
-        for f, M, closed in self.draws():
+        for f, M, closed in cls.draws():
             bank = ProtocolBank([f])
             alpha = protocols._closed_form_alpha(bank) if closed else rng.uniform(0.05, 0.95)
-            beta = protocols._ratio_min_single(f, M, alpha, GridSpec())
-            case = (f, M, alpha, beta)
-            dense = GridSpec(points=100_000).positive_grid(M)
-            assert beta <= self.ratio(f, dense, alpha).min(), case
-            z0 = GridSpec().positive_grid(M)[0]
-            assert beta <= self.ratio(f, z0 * 10.0 ** -rng.uniform(0, 30, 200), alpha).min(), case
-            # the z -> 0 limit: 0 for linear and for a positive tail exponent; for
-            # power-linear at 2c = (1+c) alpha, which the closed form meets to 2 ulps,
-            # a^(2-alpha) (1+c)^alpha
-            if type(f) is Linear or 2 * Fraction(f.c) > (1 + Fraction(f.c)) * Fraction(alpha):
-                assert beta == 0.0, case
-            elif type(f) is PowerLinear and closed:
-                assert beta <= f.a ** (2 - alpha) * (1 + f.c) ** alpha, case
-            # the paper's closed forms never exceed the bound
-            if type(f) is PowerLinear and closed:
-                assert (claim1_constants(bank, M)[1] or 0.0) <= beta, case
-            elif type(f) is LogPower and closed:
-                assert (claim2_constants(bank, M)[1] or 0.0) <= beta, case
+            if type(f) is kind:
+                yield f, M, alpha, closed, protocols._ratio_min_single(f, M, alpha, GridSpec())
 
-    def test_closed_form_alpha_meets_the_tail_exponent(self):
-        # 2c - (1+c) alpha <= 0 over the reals; fl(2c/(1+c)) alone misses it
+    @FAMILIES
+    def test_below_the_ratio_on_a_denser_grid(self, kind):
+        for f, M, alpha, _, beta in self.cases(kind):
+            dense = GridSpec(points=10 * GridSpec().points).positive_grid(M)
+            assert beta <= self.ratio(f, dense, alpha).min(), (f, M, alpha, beta)
+
+    @FAMILIES
+    def test_below_the_ratio_under_the_grid(self, kind):
+        rng = np.random.default_rng(18)
+        for f, M, alpha, _, beta in self.cases(kind):
+            z0 = GridSpec().positive_grid(M)[0]
+            z = z0 * 10.0 ** -rng.uniform(0, 30, 200)
+            assert beta <= self.ratio(f, z, alpha).min(), (f, M, alpha, beta)
+
+    @FAMILIES
+    def test_below_the_limit_at_zero(self, kind):
+        # the z -> 0 limit: 0 for linear and for a positive tail exponent; for
+        # power-linear at 2c = (1+c) alpha, which the closed form meets to 2 ulps,
+        # a^(2-alpha) (1+c)^alpha
+        for f, M, alpha, closed, beta in self.cases(kind):
+            case = (f, M, alpha, beta)
+            if kind is Linear or 2 * Fraction(f.c) > (1 + Fraction(f.c)) * Fraction(alpha):
+                assert beta == 0.0, case
+            elif kind is PowerLinear and closed:
+                assert beta <= f.a ** (2 - alpha) * (1 + f.c) ** alpha, case
+
+    @CLOSED_FORM_FAMILIES
+    def test_closed_form_beta_does_not_exceed_it(self, kind):
+        constants = claim1_constants if kind is PowerLinear else claim2_constants
+        for f, M, alpha, closed, beta in self.cases(kind):
+            if closed:
+                assert (constants(ProtocolBank([f]), M)[1] or 0.0) <= beta, (f, M, alpha, beta)
+
+    def test_paper_spec_bounds_are_below_the_infima(self):
+        # the infima are the z -> 0 limits a^(2-alpha) (1+c)^alpha: 1.75^(6/7) and 1.5^(2/3)
+        for f, inf in ((PowerLinear(1.0, 1.0, 0.75), 1.6155422767), (PowerLinear(1.0, 1e6, 0.5), 1.3104)):
+            alpha = protocols._closed_form_alpha(ProtocolBank([f]))
+            assert 0.0 < protocols._ratio_min_single(f, 6.0, alpha, GridSpec()) <= inf, f
+
+    def test_fl_closed_form_alpha_misses_the_tail_exponent(self):
+        # 2c - (1+c) alpha > 0 over the reals at alpha = fl(2c/(1+c)) for these c
         for c in (0.75, 0.5):
             assert 2 * Fraction(c) > (1 + Fraction(c)) * Fraction(2 * c / (1 + c))
+
+    @CLOSED_FORM_FAMILIES
+    def test_closed_form_alpha_meets_the_tail_exponent(self, kind):
+        # 2c - (1+c) alpha <= 0 over the reals
         rng = np.random.default_rng(16)
         u = 2.0**-53
-        cases = [(PowerLinear, c) for c in (0.75, 0.5, *rng.uniform(0, 1, 2000))]
-        # log-power is not rounded: check the binades its docstring leaves to the test
-        cases += [(LogPower, c) for c in (*rng.uniform(0, 2 / 3, 1000), *(u * rng.uniform(2, 8, 2000)),
-                                          *(u * rng.uniform(0, 2, 100)))]
-        for kind, c in cases:
+        if kind is PowerLinear:
+            cs = (0.75, 0.5, *rng.uniform(0, 1, 2000))
+        else:
+            # log-power is not rounded: check the binades its docstring leaves to the test
+            cs = (*rng.uniform(0, 2 / 3, 1000), *(u * rng.uniform(2, 8, 2000)), *(u * rng.uniform(0, 2, 100)))
+        for c in cs:
             f = kind(1.0, 1.0, float(c)) if kind is PowerLinear else kind(1.0, float(c))
             alpha = Fraction(protocols._closed_form_alpha(ProtocolBank([f])))
             assert 2 * Fraction(f.c) <= (1 + Fraction(f.c)) * alpha, (f, alpha)
