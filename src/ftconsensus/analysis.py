@@ -51,14 +51,9 @@ from .dynamics import (
     lyapunov_value,
 )
 from .protocols import (
-    GridSpec,
-    LogPower,
-    PowerLinear,
     ProtocolBank,
-    _closed_form_alpha,
+    _closed_form_constants,
     _ratio_bound,
-    claim1_constants,
-    claim2_constants,
 )
 
 __all__ = [
@@ -261,30 +256,18 @@ def settling_bound_rooted(
                         omega, v0, lambda1=lam1)
 
 
-def constants_for_bank(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) -> tuple:
+def constants_for_bank(bank: ProtocolBank, M: float) -> tuple:
     """(alpha, beta_bound, beta_closed, source_note) for certification.
 
-    alpha is the largest per-agent closed-form alpha; a uniform power-linear
-    or log-power bank also gets its closed-form beta.  The beta used
-    downstream is always the proven lower bound on the ratio over (0, M]
-    (``protocols._ratio_min_single``), which holds along every trajectory
-    whose arguments stay within M.
+    alpha, beta_closed and the note come from ``protocols._closed_form_constants``.
+    The beta used downstream is always the proven lower bound on the ratio
+    over (0, M] (``protocols._ratio_min_single``), which holds along every
+    trajectory whose arguments stay within M.
     """
     if M <= 0:
         return 0.5, math.inf, None, "degenerate (already at consensus)"
-    kind = bank.uniform_kind
-    if kind is LogPower:
-        alpha, beta_closed, emp = claim2_constants(bank, M, grid)
-        return alpha, emp, beta_closed, "alpha closed-form (log-power family)"
-    if kind is PowerLinear:
-        alpha, beta_closed = claim1_constants(bank, M)
-        note = "alpha closed-form (power-linear family)"
-    else:
-        alpha, beta_closed = _closed_form_alpha(bank), None
-        note = "alpha closed-form (largest per-agent value of a mixed bank)"
-        if alpha is None:
-            alpha, note = 0.5, "no closed form for this bank; alpha defaulted"
-    return alpha, _ratio_bound(bank, M, alpha, grid), beta_closed, note
+    alpha, beta_closed, note = _closed_form_constants(bank, M)
+    return alpha, _ratio_bound(bank, M, alpha), beta_closed, note
 
 
 def _first_settled_index(traj, vertices, eps):

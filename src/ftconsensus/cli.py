@@ -24,8 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import (ExperimentConfig, LogPower, PowerLinear, SimulationConfig, load_config,
-                     parse_protocol_spec)
+from .config import ExperimentConfig, SimulationConfig, load_config, parse_protocol_spec
 from .errors import FtConsensusError
 
 EXIT_OK = 0
@@ -144,31 +143,29 @@ def cmd_certify(args) -> int:
 
 
 def _criteria(f, M: float, alpha, beta) -> tuple:
-    """(check_a2 report, closed-form beta or None) for one protocol over (0, M]."""
-    from .protocols import (GridSpec, ProtocolBank, antiderivative, check_a2, claim1_constants,
-                            claim2_constants, evaluate)
+    """(check_a2 report, closed-form beta or None) for one protocol over (0, M].
+
+    The closed-form beta is shown, and used when no beta is given, only where
+    it does not exceed the proven ratio bound."""
+    from .protocols import (_NORMAL, _RATIO_GRID, ProtocolBank, _closed_form_constants,
+                            antiderivative, check_a2, evaluate)
 
     fM, FM = evaluate(f, M), antiderivative(f, M)
     if not (math.isfinite(fM * fM) and math.isfinite(FM)):
         raise FtConsensusError(f"--bound {M:g} is too large: f(M)^2 or F(M) overflows a float")
-    z = GridSpec().bottom(M)
-    if not min(evaluate(f, z) ** 2, antiderivative(f, z)) >= 2.2250738585072014e-308:
+    z = _RATIO_GRID.bottom(M)
+    if not min(evaluate(f, z) ** 2, antiderivative(f, z)) >= _NORMAL:
         raise FtConsensusError(f"--bound {M:g} is too small: f^2 or F underflows at the "
                                f"bottom of the ratio grid, z = {z:g}")
     bank = ProtocolBank([f])
     closed = None
     if alpha is None:
-        if isinstance(f, PowerLinear):
-            alpha, closed = claim1_constants(bank, M)
-        elif isinstance(f, LogPower):
-            alpha, closed, bound = claim2_constants(bank, M)
-            if closed is not None and bound < closed:
-                closed = None  # closed form unsound here; fall back to the grid bound
-        else:
-            alpha = 0.5
-    report = check_a2(bank, M, alpha, closed if beta is None else beta)
-    if beta is None and closed is not None:
-        report = dataclasses.replace(report, beta_source="closed-form")
+        alpha, closed, _ = _closed_form_constants(bank, M)
+    report = check_a2(bank, M, alpha, beta)
+    if closed is None or closed > report.ratio_bound:
+        return report, None
+    if beta is None:
+        report = dataclasses.replace(report, beta=closed, beta_source="closed-form")
     return report, closed
 
 

@@ -18,7 +18,8 @@ class WrongProtocolKind(FtConsensusError):
 
 
 class ProtocolDomainError(FtConsensusError):
-    """Antiderivative is nonpositive at a nonzero point (underflow at a tiny bound)."""
+    """The argument bound M is out of range for a protocol: f^2 or F leaves the normal
+    float range on the ratio grid, or f(M)^2 or F(M) overflows a float."""
 
 
 class NonFiniteState(FtConsensusError):
@@ -30,7 +31,8 @@ class RecordBudgetExceeded(FtConsensusError):
 
 
 class InvalidConstants(FtConsensusError):
-    """Certificate constants out of range (alpha not in (0,1) or beta <= 0)."""
+    """Certificate constants out of range: alpha not in (0, 1), beta <= 0 or C1 <= 0,
+    or a t* that overflows a float."""
 
 
 class DegenerateInput(FtConsensusError):

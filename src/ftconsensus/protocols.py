@@ -21,7 +21,8 @@ finite-time consensus.  A2, f(z)^2 / F(z)^alpha >= beta, holds by
 construction: ``_ratio_min_single`` returns a proven lower bound on the
 ratio (grid cells bracketed, a per-family tail below the grid), once per
 distinct protocol; certificates use it.  Closed-form (alpha, beta) exist
-for uniform power-linear and log-power banks.
+for uniform power-linear and log-power banks; ``_closed_form_constants``
+picks a bank's alpha and closed-form beta for every command.
 """
 
 from __future__ import annotations
@@ -208,6 +209,9 @@ class GridSpec:
         return z[np.concatenate([[True], z[1:] != z[:-1]])]  # first of each run of equal values
 
 
+_RATIO_GRID = GridSpec()  # the one grid the ratio bound is taken on
+
+
 @dataclass(frozen=True)
 class A1Report:
     """Qualitative shape checks for a single protocol function."""
@@ -232,7 +236,6 @@ class CriteriaReport:
     beta: float
     ratio_bound: float  # proven lower bound on the ratio over (0, M]
     bound_M: float
-    grid_size: int
     beta_source: str = "explicit"  # explicit | closed-form | grid-bound
 
 
@@ -281,7 +284,7 @@ def _tail_bound(f, z0, alpha) -> float:
     return math.exp(min(x, 709.0))
 
 
-def _ratio_min_single(f, M, alpha, grid):
+def _ratio_min_single(f, M, alpha):
     """A proven lower bound on f(z)^2 / F(z)^alpha over 0 < z <= M (even in z).
 
     It is (1 - _MARGIN) times the least of two terms.  Cells of the grid
@@ -313,7 +316,7 @@ def _ratio_min_single(f, M, alpha, grid):
         fM, FM = _f(f, np.float64(M)), _F(f, np.float64(M))
         if not (math.isfinite(fM * fM) and math.isfinite(FM)):
             raise ProtocolDomainError(scale.format("large") + ": f(M)^2 or F(M) overflows a float")
-        z = grid.positive_grid(M)
+        z = _RATIO_GRID.positive_grid(M)
         fv, Fv = _f(f, z), _F(f, z)
         f2 = np.minimum(fv[:-1], fv[1:]) ** 2
         if not (Fv.min() >= _NORMAL and f2.min() >= _NORMAL):
@@ -329,7 +332,6 @@ def check_a2(
     M: float,
     alpha: float,
     beta: float | None = None,
-    grid: GridSpec = GridSpec(),
 ) -> CriteriaReport:
     """Verify the ratio bound f(z)^2 / F(z)^alpha >= beta on (0, M]; f is odd and F
     even, bit for bit, so the ratio on [-M, 0) repeats it.
@@ -345,7 +347,7 @@ def check_a2(
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     a1 = {f: check_a1(f, M) for f in dict.fromkeys(bank)}
-    bound = _ratio_bound(bank, M, alpha, grid)
+    bound = _ratio_bound(bank, M, alpha)
     if beta is None:
         beta, a2_pass, source = bound, bound > 0.0, "grid-bound"
     else:
@@ -357,7 +359,6 @@ def check_a2(
         beta=float(beta),
         ratio_bound=bound,
         bound_M=float(M),
-        grid_size=grid.points,
         beta_source=source,
     )
 
@@ -410,13 +411,12 @@ def claim1_constants(bank: ProtocolBank, M: float) -> tuple:
     return alpha, _usable(beta)
 
 
-def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) -> tuple:
-    """(alpha, beta_closed, beta_bound) for a log-power bank over (0, M].
+def claim2_constants(bank: ProtocolBank, M: float) -> tuple:
+    """Closed-form (alpha, beta) for a log-power bank over (0, M].
 
-    The closed form rests on a sandwich bound that can fail for small c, so
-    the proven grid bound is returned alongside; downstream consumers must
-    prefer the bound when it is the smaller of the two.
-    beta_closed is None when the closed form is not a positive float.
+    The closed-form beta rests on a sandwich bound that can fail for small c:
+    it holds only where it does not exceed the proven ratio bound of
+    ``check_a2``.  beta is None when the closed form is not a positive float.
     """
     if bank.uniform_kind is not LogPower:
         raise WrongProtocolKind("closed-form constants require an all log-power bank")
@@ -433,9 +433,26 @@ def claim2_constants(bank: ProtocolBank, M: float, grid: GridSpec = GridSpec()) 
             beta2 = min(beta2, f.a**2 * M**exp2 / (2.0 * (2.0 * f.a / (2.0 + f.c)) ** alpha))
     except OverflowError:
         beta1 = beta2 = math.inf
-    return alpha, _usable(min(beta1, beta2)), _ratio_bound(bank, M, alpha, grid)
+    return alpha, _usable(min(beta1, beta2))
 
 
-def _ratio_bound(bank, M, alpha, grid) -> float:
+def _closed_form_constants(bank: ProtocolBank, M: float) -> tuple:
+    """(alpha, closed-form beta or None, note) for a bank over (0, M].
+
+    Claim 1 for a uniform power-linear bank, Claim 2 for a uniform log-power
+    bank; any other bank gets no beta and the largest per-agent closed-form
+    alpha, or 0.5 when it has a linear agent.
+    """
+    claims = {PowerLinear: (claim1_constants, "power-linear"), LogPower: (claim2_constants, "log-power")}
+    if bank.uniform_kind in claims:
+        constants, family = claims[bank.uniform_kind]
+        return (*constants(bank, M), f"alpha closed-form ({family} family)")
+    alpha = _closed_form_alpha(bank)
+    if alpha is None:
+        return 0.5, None, "no closed form for this bank; alpha defaulted"
+    return alpha, None, "alpha closed-form (largest per-agent value of a mixed bank)"
+
+
+def _ratio_bound(bank, M, alpha) -> float:
     """Smallest ratio lower bound over the bank, one bound per distinct spec."""
-    return min(_ratio_min_single(f, M, alpha, grid) for f in dict.fromkeys(bank))
+    return min(_ratio_min_single(f, M, alpha) for f in dict.fromkeys(bank))

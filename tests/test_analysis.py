@@ -28,6 +28,7 @@ from ftconsensus import (
 )
 from ftconsensus import analysis, protocols
 from ftconsensus.analysis import constants_for_bank
+from ftconsensus.cli import main
 from ftconsensus.errors import (
     DegenerateInput,
     InvalidConstants,
@@ -483,7 +484,7 @@ class TestConstantsForBank:
         bank = ProtocolBank(specs)
         original = protocols._ratio_min_single
         alpha = constants_for_bank(bank, 6.0)[0]
-        per_agent = min(original(f, 6.0, alpha, protocols.GridSpec()) for f in bank)
+        per_agent = min(original(f, 6.0, alpha) for f in bank)
         calls = []
 
         def counting(*args):
@@ -507,6 +508,20 @@ class TestConstantsForBank:
         report = check_a2(bank, 6.0, alpha)
         assert len(calls) == 2 * distinct and len(shape_checks) == distinct
         assert report.a1 == tuple(a1_reports[f] for f in bank)
+
+    @pytest.mark.parametrize("spec", ["logpower{a=1,c=0.5}", "powerlinear{a=1,b=1,c=0.75}", "linear{k=1}"])
+    def test_check_protocol_minimises_the_ratio_once(self, spec, monkeypatch, capsys):
+        original = protocols._ratio_min_single
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(protocols, "_ratio_min_single", counting)
+        assert main(["check-protocol", "--spec", spec, "--bound", "6"]) in (0, 1)
+        assert "ratio lower bound" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_mixed_bank_falls_back(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), Linear(k=1.0)])

@@ -497,6 +497,27 @@ class TestCheckProtocolCommand:
         assert captured.err.count("error:") <= 1
         assert "closed-form" not in captured.out
 
+    @pytest.mark.parametrize("spec,bound,line", [
+        # the exit-0 cases of test_numeric_flags_exit_with_one_line without --beta
+        ("powerlinear{a=1,b=1,c=0.5}", "1e150", "beta (used, grid-bound) = 1.50719768477e-184"),
+        ("logpower{a=12528.6,c=0.4968}", "2.03e202", None),
+        ("powerlinear{a=1e3,b=1,c=0.5}", "6", None),
+        ("powerlinear{a=1,b=1e6,c=0.5}", "6", None),
+        ("logpower{a=1e3,c=0.5}", "6", None),
+        ("logpower{a=1,c=0.01}", "6", None),
+        # the closed form, 5.8e-33, exceeds the proven bound at this M
+        ("powerlinear{a=1,b=1,c=0.75}", "1e150", "beta (used, grid-bound) = 3.43091564424e-237"),
+    ])
+    def test_used_beta_does_not_exceed_the_ratio_bound(self, spec, bound, line, capsys):
+        assert main(["check-protocol", "--spec", spec, "--bound", bound]) == 0
+        out = capsys.readouterr().out.splitlines()
+        values = dict(row.split(" = ") for row in out if " = " in row)
+        used = next(v for k, v in values.items() if k.startswith("beta (used"))
+        ratio = next(v for k, v in values.items() if k.startswith("ratio lower bound"))
+        assert float(used) <= float(ratio), out
+        if line is not None:
+            assert line in out
+
     @pytest.mark.parametrize("flags,line", [
         ([], "beta (used, closed-form) = 0.483295511233"),
         (["--beta", "0.1"], "beta (used, explicit) = 0.1"),
@@ -768,6 +789,16 @@ print(json.dumps(steps))
                 elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
                     offenders += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                                   if a.name in sorts]
+        assert offenders == []
+
+    def test_no_function_takes_a_grid(self):
+        # the ratio bound is taken on one module grid, protocols._RATIO_GRID; a grid
+        # parameter would be a second path to it that no command uses
+        offenders = [f"{path.name}:{node.lineno} {node.name}"
+                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                     and "grid" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
         assert offenders == []
 
     def test_no_module_expands_the_frozen_tail(self):

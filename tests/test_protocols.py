@@ -26,6 +26,7 @@ from ftconsensus import (
     parse_protocol_spec,
 )
 from ftconsensus import config, protocols
+from ftconsensus.analysis import constants_for_bank
 from ftconsensus.errors import WrongProtocolKind
 
 from conftest import random_claim1_bank
@@ -358,7 +359,7 @@ class TestCheckA2:
             for c in (0.25, 0.4, 0.5):
                 for M in (1.0, 2.5, 40.0):
                     bank = ProtocolBank([LogPower(a, c)])
-                    alpha, _, emp = claim2_constants(bank, M)
+                    alpha, emp, _, _ = constants_for_bank(bank, M)
                     assert check_a2(bank, M, alpha).ratio_bound == emp, (a, c, M)
 
 
@@ -399,7 +400,7 @@ class TestRatioBound:
             bank = ProtocolBank([f])
             alpha = protocols._closed_form_alpha(bank) if closed else rng.uniform(0.05, 0.95)
             if type(f) is kind:
-                yield f, M, alpha, closed, protocols._ratio_min_single(f, M, alpha, GridSpec())
+                yield f, M, alpha, closed, protocols._ratio_min_single(f, M, alpha)
 
     @FAMILIES
     def test_below_the_ratio_on_a_denser_grid(self, kind):
@@ -438,7 +439,7 @@ class TestRatioBound:
         # the infima are the z -> 0 limits a^(2-alpha) (1+c)^alpha: 1.75^(6/7) and 1.5^(2/3)
         for f, inf in ((PowerLinear(1.0, 1.0, 0.75), 1.6155422767), (PowerLinear(1.0, 1e6, 0.5), 1.3104)):
             alpha = protocols._closed_form_alpha(ProtocolBank([f]))
-            assert 0.0 < protocols._ratio_min_single(f, 6.0, alpha, GridSpec()) <= inf, f
+            assert 0.0 < protocols._ratio_min_single(f, 6.0, alpha) <= inf, f
 
     def test_fl_closed_form_alpha_misses_the_tail_exponent(self):
         # 2c - (1+c) alpha > 0 over the reals at alpha = fl(2c/(1+c)) for these c
@@ -502,20 +503,20 @@ class TestClaim1Constants:
 class TestClaim2Constants:
     def test_uniform_fixture(self):
         bank = ProtocolBank([LogPower(1.0, 0.5)] * 4)
-        alpha, beta, emp = claim2_constants(bank, M=6.0)
+        alpha, beta = claim2_constants(bank, M=6.0)
         assert alpha == pytest.approx(0.8, rel=1e-15)
         # independent re-derivation of the two printed expressions
         c = 0.5
         b1 = 6.0 ** (2 * c - 4 * c * (1 + c) / (2 + c)) / (2 * (1 / (1 + c)) ** alpha)
         b2 = 6.0 ** (2 * c - 2 * c * (2 + c) / (2 + c)) / (2 * (2 / (2 + c)) ** alpha)
         assert beta == pytest.approx(min(b1, b2), rel=1e-14)
-        assert emp > 0
+        assert check_a2(bank, 6.0, alpha).ratio_bound > 0
 
     def test_uniform_c_exponent(self):
         c = 0.4
         assert 2 * c - 4 * c * (1 + c) / (2 + c) == pytest.approx(2 * c - 4 * c * (1 + c) / (2 + c))
         bank = ProtocolBank([LogPower(1.0, c)])
-        alpha, _, _ = claim2_constants(bank, M=2.0)
+        alpha, _ = claim2_constants(bank, M=2.0)
         assert alpha == 4 * c / (2 + c)
 
     def test_empirical_minimum_positive(self):
@@ -526,12 +527,13 @@ class TestClaim2Constants:
                 for _ in range(int(rng.integers(1, 4)))
             ])
             M = float(rng.uniform(1.0, 8.0))
-            _, _, emp = claim2_constants(bank, M)
-            assert emp > 0
+            alpha, _ = claim2_constants(bank, M)
+            assert check_a2(bank, M, alpha).ratio_bound > 0
 
     def test_overflowing_closed_form_is_unavailable(self):
-        _, beta, emp = claim2_constants(ProtocolBank([LogPower(1e200, 0.5)]), M=1e-100)
-        assert beta is None and 0.0 < emp < math.inf
+        bank = ProtocolBank([LogPower(1e200, 0.5)])
+        alpha, beta = claim2_constants(bank, M=1e-100)
+        assert beta is None and 0.0 < check_a2(bank, 1e-100, alpha).ratio_bound < math.inf
 
     def test_wrong_kind(self):
         with pytest.raises(WrongProtocolKind):
