@@ -15,17 +15,17 @@ The certificate machinery follows the Lyapunov argument stage by stage:
   empirical hybrid: each stage bound is rigorous given its observed start.
 
 C1 is the infimum of the Rayleigh quotient of the mirror Laplacian over
-the feedback directions, so two estimators ship: the a priori infimum over
+the feedback directions, so two values ship: the a priori infimum over
 every mixed-sign direction, computed exactly from the principal submatrices
-of B (a rigorous lower bound under A1), and the a posteriori minimum of the
-Rayleigh quotient over the recorded states of an actual run (every
-``record_stride``-th step, not the whole path), the one used to certify it.
+of B (``estimate_c1``, a rigorous lower bound under A1), and the a
+posteriori minimum over the feedback of every RK4 step of an actual run,
+taken by ``integrate`` from each step's own k1, the one used to certify it.
+The path between the states of a step is not observed.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -107,11 +107,9 @@ def c2_constant(omega: np.ndarray, alpha: float) -> float:
     return float(1.0 / np.max(omega) ** alpha)
 
 
-def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy=None) -> tuple:
-    """Estimate the Rayleigh-quotient lower constant for a mirror Laplacian.
-
-    Either mode first proves that S = (B + B^T)/2 (B itself when exactly
-    symmetric) is positive semidefinite within tolerance, that is
+def _check_psd(B):
+    """S = (B + B^T)/2 (B itself when exactly symmetric), proven positive
+    semidefinite within tolerance, that is
     lambda_min(S) >= -1e-10 max(1, |lambda_max(S)|), and raises
     ``DegenerateInput`` where it is not.  The proof needs no eigensolve when
     S is diagonally dominant.  By Gershgorin every eigenvalue lies in a disc
@@ -127,8 +125,23 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy=None) -> tuple:
     Laplacian has zero row sums (L 1 = 0 and omega^T L = 0), nonpositive
     off-diagonal and nonnegative diagonal entries, so its g is 0 up to
     rounding and it never reaches the eigensolve.
+    """
+    n = B.shape[0]
+    S = B if np.array_equal(B, B.T) else (B + B.T) / 2.0
+    d, rows = np.diagonal(S), np.abs(S).sum(axis=1)
+    bound = np.min(d + np.abs(d) - rows) - (n + 2) * np.finfo(float).eps * rows.max()
+    if not bound >= -1e-10 * max(1.0, d.max()):
+        lam = np.linalg.eigvalsh(S)
+        if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
+            raise DegenerateInput("matrix is not positive semidefinite within tolerance")
+    return S
 
-    a_priori: the exact infimum of u^T B u over unit vectors u with entries
+
+def estimate_c1(B: np.ndarray, mode: str = "a_priori") -> tuple:
+    """The a priori Rayleigh-quotient lower constant of a mirror Laplacian B,
+    after ``_check_psd`` has proven B positive semidefinite.
+
+    The value is the exact infimum of u^T B u over unit vectors u with entries
     of both signs, min_i lambda_min(B_-i), where B_-i is B with row and
     column i deleted and the kernel of B is span{1} (a strongly connected
     graph).  The infimum is a minimum over the closure of that set, where
@@ -140,47 +153,13 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori", fy=None) -> tuple:
     lambda_min(B_-i) <= lambda_2.  Under A1 f is sign-preserving, and
     omega^T y = 0 with omega > 0 makes every nonzero y, hence f(y),
     mixed-sign: the value is a rigorous lower bound on C1.  A single agent
-    has no mixed-sign direction; its one direction gives B[0, 0].
+    has no mixed-sign direction; its one direction gives B[0, 0].  The a
+    posteriori C1 of a run is ``Trajectory.root_c1`` (see ``integrate``).
 
-    a_posteriori: minimum of f(y)^T B f(y) / f(y)^T f(y) over the supplied
-    feedback vectors (zero vectors excluded).  ``fy`` is one (records, n)
-    array, or an iterator of such row blocks, taken one at a time, so the
-    caller need not hold every vector at once.  ``certify`` passes the
-    recorded states, every ``record_stride``-th step, so this is not the
-    path minimum.  ``ValueError`` if some u^T B u or |u|^2 overflows.
-
-    Returns (value, provenance).
+    Returns (value, provenance); ``mode`` must be "a_priori".
     """
     B = np.asarray(B, dtype=float)
-    n = B.shape[0]
-    S = B if np.array_equal(B, B.T) else (B + B.T) / 2.0
-    d, rows = np.diagonal(S), np.abs(S).sum(axis=1)
-    bound = np.min(d + np.abs(d) - rows) - (n + 2) * np.finfo(float).eps * rows.max()
-    if not bound >= -1e-10 * max(1.0, d.max()):
-        lam = np.linalg.eigvalsh(S)
-        if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
-            raise DegenerateInput("matrix is not positive semidefinite within tolerance")
-
-    if mode == "a_posteriori":
-        if fy is None:
-            raise ValueError("a_posteriori mode requires the feedback vectors fy")
-        low = math.inf
-        for block in fy if isinstance(fy, Iterator) else (fy,):
-            block = np.asarray(block, dtype=float)
-            norms2 = np.einsum("ij,ij->i", block, block)
-            mask = norms2 > 0.0
-            if not np.all(mask):
-                block, norms2 = block[mask], norms2[mask]
-            if len(block):
-                with np.errstate(invalid="ignore"):
-                    q = np.einsum("ij,jk,ik->i", block, B, block) / norms2
-                    if not np.isfinite(q * norms2).all():
-                        raise ValueError("a Rayleigh quotient overflows")
-                low = min(low, float(np.min(q)))
-        if low == math.inf:
-            raise ValueError("all feedback vectors are zero; nothing to estimate")
-        return low, "a-posteriori-trajectory"
-
+    S, n = _check_psd(B), B.shape[0]
     if mode != "a_priori":
         raise ValueError(f"unknown mode {mode!r}")
     low = B[0, 0] if n == 1 else min(
@@ -278,34 +257,10 @@ def _first_settled_index(traj, vertices, eps):
     return _settled_index(np.ptp(traj.states[:, vertices], axis=1), eps)
 
 
-# elements per block when the root stage evaluates its feedback: 64 KiB of
-# float64, so the kernel's block-sized temporaries stay under the 128 KiB at
-# which glibc's malloc maps fresh pages for an allocation
-_FEEDBACK_CHUNK = 8192
-
-
-def _feedback_blocks(L, bank, states, verts):
-    """f(-L x) over the recorded states x of the agents ``verts``, block by block.
-
-    Every block is written in place into one buffer of about
-    ``_FEEDBACK_CHUNK`` elements and is valid until the next one is drawn,
-    so no records-sized array is held.  A record at exact consensus has
-    y = 0; its computed y is rounding noise, so its row is zeroed."""
-    rows = max(1, _FEEDBACK_CHUNK // len(verts))
-    # y^T is stored, so a block has the memory layout of the whole product (L x^T)^T;
-    # the einsum in estimate_c1 sums a C-ordered block in another order
-    buf = np.empty((len(verts), min(rows, len(states))))
-    for a in range(0, len(states), rows):
-        x = states[a:a + rows, verts]
-        y = np.matmul(L, x.T, out=buf[:, :len(x)]).T
-        y[...] = bank.eval(np.negative(y, out=y))
-        y[x.max(axis=1) == x.min(axis=1)] = 0.0
-        yield y
-
-
-def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
+def _root_stage(g, bank, verts, x0, omega, traj, alpha, beta) -> tuple:
     """(certificate, consensus value) of the root SCC ``verts``, an autonomous
-    strongly connected stage started at x0."""
+    strongly connected stage started at x0, with weights ``omega``; ``traj``
+    observed the root (``integrate``'s ``root``) unless it is one agent."""
     if len(verts) == 1:
         # no in-arcs anywhere: the state is constant, settled from t=0
         cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0, "grid-bound",
@@ -313,20 +268,16 @@ def _root_stage(g, bank, verts, x0, states, alpha, beta) -> tuple:
         return cert, float(x0[verts[0]])
     g_root = g.component(0)
     bank_sub = ProtocolBank([bank[v] for v in verts])
-    omega = left_null_vector(g_root)
     B = mirror_laplacian(g_root, omega)
     v0 = 0.0 if np.all(x0[verts] == x0[verts[0]]) else lyapunov_value(g_root, omega, bank_sub, x0[verts])
-    if v0 == 0.0:
-        c1, c1_src = estimate_c1(B, mode="a_priori")
+    if v0 != 0.0 and math.isfinite(traj.root_c1):
+        _check_psd(B)
+        c1, c1_src = traj.root_c1, "a-posteriori-trajectory"
     else:
-        fy = _feedback_blocks(laplacian(g_root), bank_sub, states, verts)
-        try:
-            c1, c1_src = estimate_c1(B, mode="a_posteriori", fy=fy)
-        except ValueError:
-            c1, c1_src = estimate_c1(B, mode="a_priori")
+        c1, c1_src = estimate_c1(B)
     _check_constants(alpha, beta, c1)
     cert = _certificate(0, alpha, beta, "grid-bound", c1, c1_src, omega, v0)
-    return cert, float(np.mean(states[-1, verts]))
+    return cert, float(np.mean(traj.states[-1, verts]))
 
 
 def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> ConvergenceCertificate:
@@ -363,7 +314,13 @@ def certify(
     """
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
-    traj = integrate(sim_cfg, g, bank, x0)
+    root, omega, observed = np.array(cond.components[0]), None, None
+    if cond.spanning_tree and root.size > 1:
+        # the run observes the root's every-step C1 (see integrate)
+        g_root = g.component(0)
+        omega = left_null_vector(g_root)
+        observed = (root, omega, laplacian(g_root))
+    traj = integrate(sim_cfg, g, bank, x0, observed)
     eps = sim_cfg.eps_consensus
     n_comp = len(cond.components)
     report = CertificationReport(
@@ -394,7 +351,7 @@ def certify(
         verts = list(comp)
         if k == 0:
             report.certificates[0], report.consensus_value = _root_stage(
-                g, bank, verts, x0, traj.states, alpha, beta)
+                g, bank, verts, x0, omega, traj, alpha, beta)
             report.stage_starts[0] = 0.0
             settled = verts
         else:

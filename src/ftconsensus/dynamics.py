@@ -46,6 +46,7 @@ class Trajectory:
     settled_at: float | None = None
     steps: int | None = None  # RK4 steps taken
     freeze_step: int | None = None  # None: the freeze rule never fired
+    root_c1: float | None = None  # the root observer's minimum (see integrate)
 
     @property
     def n(self) -> int:
@@ -102,6 +103,7 @@ def integrate(
     g: WeightedDigraph,
     bank: ProtocolBank,
     x0: np.ndarray,
+    root: tuple | None = None,
 ) -> Trajectory:
     """Fixed-step RK4 on [0, t_max] with optional freeze at consensus.
 
@@ -115,6 +117,15 @@ def integrate(
     allocated up front; rows past the freeze record are never written.  A
     run whose records x n exceeds ``MAX_RECORD_VALUES`` raises
     ``RecordBudgetExceeded`` first.
+
+    ``root = (vertices, omega, L_root)`` of an SCC with no in-arcs observes
+    every state x of the run: the root rows u of the step's k1 are exactly
+    f(y_root), so u^T B u = (omega u) . (L_root u) for the mirror Laplacian
+    B, one matrix-vector product and two dots.  ``Trajectory.root_c1`` is the
+    least u^T B u / u^T u over the k1 of every step and the field at the last
+    state when the run did not freeze, skipping states whose root agents are
+    equal and zero u; inf if none is left, -inf if some quotient is not
+    finite.  Between the states of a step the path is not observed.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (g.n,):
@@ -133,6 +144,20 @@ def integrate(
         y = L @ v
         return bank.eval(np.negative(y, out=y))
 
+    low = math.inf
+    if root:
+        verts, omega, L_root = root
+
+        def observe(x, k1):
+            nonlocal low
+            v = x[verts]
+            if (v != v[0]).any():  # else y_root is rounding noise, not feedback
+                u = k1[verts]
+                den = np.dot(u, u)
+                if den:
+                    q = np.dot(omega * u, np.dot(L_root, u)) / den
+                    low = min(low, q) if math.isfinite(q * den) else -math.inf
+
     plan = np.arange(0, n_steps + cfg.record_stride, cfg.record_stride)  # the recorded steps
     plan[-1] = n_steps
     states = np.empty((plan.size + 1, g.n))
@@ -142,6 +167,8 @@ def integrate(
         for k in range(n_steps + 1):  # step 0: x0
             if k:
                 k1 = field(x)
+                if root:
+                    observe(x, k1)
                 k2 = field(x + half * k1)
                 k3 = field(x + half * k2)
                 k4 = field(x + dt * k3)
@@ -157,6 +184,8 @@ def integrate(
                 r += 1
                 if frozen:
                     break
+        if root and not frozen:
+            observe(x, field(x))
 
     if plan[r - 1] != k:
         plan = np.insert(plan, r - 1, k)
@@ -165,7 +194,8 @@ def integrate(
     np.subtract(states.max(axis=1), states.min(axis=1), out=dis[:r])
     dis[r:] = dis[r - 1]
     traj = Trajectory(times=plan * dt, states=states, disagreement=dis,
-                      steps=k, freeze_step=k if frozen else None)
+                      steps=k, freeze_step=k if frozen else None,
+                      root_c1=float(low) if root else None)
     traj.settled_at = settling_time(traj, eps)
     return traj
 

@@ -86,12 +86,14 @@ def full_states(traj) -> np.ndarray:
     return traj.states[np.minimum(np.arange(traj.times.size), len(traj.states) - 1)]
 
 
-def rk4_reference(cfg, g, bank, x0) -> tuple:
+def rk4_reference(cfg, g, bank, x0, observe=None) -> tuple:
     """(recorded steps, held state rows) of a plain RK4 loop with the freeze rule.
 
     The field evaluates each family on its agents with a fancy-index gather
     and scatter, and every step writes the textbook expressions, so the
-    result does not share the integrator's loop or the bank's gather."""
+    result does not share the integrator's loop or the bank's gather.
+    ``observe(x, fx)`` sees every state x with its field fx: each step's k1,
+    and the last state unless the run froze."""
     from ftconsensus.protocols import _KERNELS, _params
 
     L = graph.laplacian(g)
@@ -113,6 +115,8 @@ def rk4_reference(cfg, g, bank, x0) -> tuple:
         if k > 0:
             with np.errstate(over="ignore", invalid="ignore"):
                 k1 = field(x)
+                if observe:
+                    observe(x, k1)
                 k2 = field(x + 0.5 * dt * k1)
                 k3 = field(x + 0.5 * dt * k2)
                 k4 = field(x + dt * k3)
@@ -125,7 +129,44 @@ def rk4_reference(cfg, g, bank, x0) -> tuple:
             rows.append(x.copy())
         if frozen:
             break
+    if observe and not frozen:
+        observe(x, field(x))
     return steps, np.array(rows)
+
+
+def rayleigh_min(B, fy) -> float:
+    """Least u^T B u / u^T u over the nonzero rows u of ``fy``."""
+    fy = fy[(fy != 0.0).any(axis=1)]
+    return float(np.min(np.einsum("ij,jk,ik->i", fy, B, fy) / np.einsum("ij,ij->i", fy, fy)))
+
+
+def root_mirror(g, verts) -> np.ndarray:
+    """Mirror Laplacian of the strongly connected subgraph on ``verts``."""
+    sub = g.subgraph(verts)
+    return graph.mirror_laplacian(sub, graph.left_null_vector(sub))
+
+
+def every_step_c1(cfg, g, bank, x0, verts) -> float:
+    """Root C1 over every state of ``rk4_reference``: the least Rayleigh quotient
+    of the root's mirror Laplacian over the root rows of the field, skipping
+    states whose root agents are equal."""
+    rows = []
+
+    def observe(x, fx):
+        if np.ptp(x[verts]) > 0.0:
+            rows.append(fx[verts])
+
+    rk4_reference(cfg, g, bank, x0, observe)
+    return rayleigh_min(root_mirror(g, verts), np.array(rows))
+
+
+def recorded_c1(g, bank, traj, verts) -> float:
+    """Root C1 over the recorded states only: f(-L_root x) at every held row
+    whose root agents are not all equal."""
+    sub = g.subgraph(verts)
+    L, sub_bank = graph.laplacian(sub), ProtocolBank([bank[v] for v in verts])
+    fy = np.array([sub_bank.eval(-(L @ x[verts])) for x in traj.states if np.ptp(x[verts]) > 0.0])
+    return rayleigh_min(root_mirror(g, verts), fy)
 
 
 def traced_peak(fn) -> int:

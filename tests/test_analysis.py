@@ -1,4 +1,8 @@
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,12 +43,17 @@ from ftconsensus.errors import (
 from conftest import (
     count_graph_searches,
     directed_cycle,
+    every_step_c1,
     fig1_graph,
     full_states,
     random_claim1_bank,
     random_strongly_connected,
+    rayleigh_min,
+    recorded_c1,
     traced_peak,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestC2Constant:
@@ -111,8 +120,8 @@ class TestEstimateC1:
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
     def test_a_priori_is_a_lower_bound(self, n, seed):
         # Cauchy interlacing brackets the infimum by lambda_1 and lambda_2, no
-        # mixed-sign unit vector goes below it, and neither does the feedback
-        # of a trajectory on the same graph
+        # mixed-sign unit vector goes below it, and the every-step C1 of a
+        # trajectory on the same graph lies between it and lambda_max
         rng = np.random.default_rng(seed)
         g = random_strongly_connected(rng, n)
         B = mirror_laplacian(g, left_null_vector(g))
@@ -125,11 +134,9 @@ class TestEstimateC1:
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
         assert val <= np.einsum("ij,jk,ik->i", xi, B, xi).min() + tol
         bank = random_claim1_bank(rng, n)
-        traj = integrate(SimulationConfig(t_max=1.0), g, bank, rng.uniform(-2.0, 2.0, n))
-        # at (near) consensus -L x is matvec rounding, not a feedback direction
-        states = full_states(traj)[traj.disagreement > 1e-6]
-        fy = bank.eval((-(laplacian(g) @ states.T)).T)
-        assert val <= estimate_c1(B, mode="a_posteriori", fy=fy)[0] + tol
+        traj = integrate(SimulationConfig(t_max=1.0), g, bank, rng.uniform(-2.0, 2.0, n),
+                         root=(np.arange(n), left_null_vector(g), laplacian(g)))
+        assert val - tol <= traj.root_c1 <= lam[-1] + tol
 
     def test_certify_consensus_start_uses_the_infimum(self):
         # V(0) = 0 leaves no feedback to measure, so the root stage takes the
@@ -146,39 +153,29 @@ class TestEstimateC1:
             if g.n == 3:
                 assert root.c1 == pytest.approx(1.0 / 6.0, rel=1e-12)
 
-    def test_a_posteriori_rayleigh_range(self):
+    def test_unobserved_run_falls_back_to_the_infimum(self):
+        # states whose root agents are equal are skipped: a run frozen at step 0
+        # observes nothing, so V(0) > 0 gets the a-priori value
         g = directed_cycle(3)
-        omega = left_null_vector(g)
-        B = mirror_laplacian(g, omega)
-        rng = np.random.default_rng(3)
-        fy = rng.standard_normal((50, 3))
-        val, prov = estimate_c1(B, mode="a_posteriori", fy=fy)
-        assert prov == "a-posteriori-trajectory"
-        lam = np.linalg.eigvalsh(B)
-        assert -1e-12 <= val <= lam[-1] + 1e-12
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
+        x0 = np.array([0.5, 0.5, 0.5 + 1e-12])
+        root = (np.arange(3), left_null_vector(g), laplacian(g))
+        cfg = SimulationConfig(t_max=0.1, eps_consensus=1e-9)
+        assert integrate(cfg, g, bank, x0, root=root).root_c1 == math.inf
+        report, _ = certify(g, bank, x0, cfg)
+        cert = report.certificates[0]
+        assert cert.v0 > 0.0 and cert.c1_source == "mixed-sign-infimum"
+        assert cert.c1 == estimate_c1(mirror_laplacian(g, left_null_vector(g)))[0]
+        # at exact consensus -L x is exactly 0 on the unit cycle and nothing moves
+        still = integrate(SimulationConfig(t_max=0.1, freeze_on_consensus=False), g, bank,
+                          np.full(3, 0.5), root=root)
+        assert still.root_c1 == math.inf and integrate(cfg, g, bank, x0).root_c1 is None
 
-    def test_a_posteriori_excludes_zero_rows(self):
-        B = np.eye(2)
-        fy = np.array([[0.0, 0.0], [1.0, 0.0]])
-        val, _ = estimate_c1(B, mode="a_posteriori", fy=fy)
-        assert val == pytest.approx(1.0)
-
-    def test_a_posteriori_takes_row_blocks(self):
-        g = random_strongly_connected(np.random.default_rng(5), 6)
-        B = mirror_laplacian(g, left_null_vector(g))
-        fy = np.random.default_rng(6).standard_normal((40, 6))
-        fy[[3, 17, 39]] = 0.0
-        whole, source = estimate_c1(B, mode="a_posteriori", fy=fy)
-        blocks = estimate_c1(B, mode="a_posteriori", fy=iter(np.split(fy, [7, 8, 30])))
-        # the same quotients, each summed in an order the block's layout may change
-        assert blocks == (pytest.approx(whole, rel=1e-13), source)
-        with pytest.raises(ValueError, match="all feedback vectors are zero"):
-            estimate_c1(B, mode="a_posteriori", fy=iter([np.zeros((2, 6)), np.zeros((1, 6))]))
-
-    @pytest.mark.parametrize("mode", ["a_priori", "a_posteriori"])
-    def test_psd_check_accepts_what_the_eigensolve_accepts(self, mode, monkeypatch):
+    @pytest.mark.parametrize("check", ["estimate_c1", "_check_psd"])
+    def test_psd_check_accepts_what_the_eigensolve_accepts(self, check, monkeypatch):
         # Gershgorin decides a diagonally dominant matrix; anything else goes
-        # to the eigensolve and its test, so the accepted set is unchanged
+        # to the eigensolve and its test, so the accepted set is unchanged.
+        # _check_psd is the proof the root stage runs beside an observed C1
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -189,8 +186,7 @@ class TestEstimateC1:
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
 
         def run(B):
-            fy = np.random.default_rng(7).standard_normal((5, len(B)))
-            return estimate_c1(B, mode=mode, fy=fy if mode == "a_posteriori" else None)
+            return getattr(analysis, check)(B)
 
         with pytest.raises(DegenerateInput):
             run(np.array([[1.0, 2.0], [2.0, 1.0]]))  # symmetric, eigenvalues -1 and 3
@@ -216,23 +212,21 @@ class TestEstimateC1:
         root = report.certificates[0]
         assert root.v0 > 0.0 and root.c1_source == "a-posteriori-trajectory" and root.c1 > 0.0
 
-    def test_root_stage_memory_does_not_grow_with_the_horizon(self):
-        # no records x n array: the feedback is evaluated in reused blocks
+    def test_certify_memory_grows_only_by_the_records(self):
+        # C1 is observed inside the run, so a longer horizon adds the records
+        # array (and a time, a step and a disagreement per record), nothing more
         g = random_strongly_connected(np.random.default_rng(200), 200)
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * g.n)
         x0 = np.random.default_rng(202).uniform(-2.0, 2.0, g.n)
-        verts = list(range(g.n))
-        peaks, stages = [], []
-        for t_max in (1.0, 10.0):
+        peaks, runs = [], []
+        certify(g, bank, x0, SimulationConfig(t_max=0.1))  # first-call caches
+        for t_max in (0.5, 5.0):
             cfg = SimulationConfig(t_max=t_max, freeze_on_consensus=False)
-            states = integrate(cfg, g, bank, x0).states
-            analysis._root_stage(g, bank, verts, x0, states, 0.8, 0.5)  # first-call caches
-            peaks.append(traced_peak(lambda: stages.append(
-                analysis._root_stage(g, bank, verts, x0, states, 0.8, 0.5))))
-            assert len(states) >= analysis._FEEDBACK_CHUNK // g.n  # at least one full block
-        # a records x n copy would add 900 records x 200 x 8 B = 1406 KiB
-        assert peaks[1] <= peaks[0] + 16 * 2**10
-        assert stages[0][0].c1_source == stages[1][0].c1_source == "a-posteriori-trajectory"
+            peaks.append(traced_peak(lambda: runs.append(certify(g, bank, x0, cfg))))
+        grown = (runs[1][1].times.size - runs[0][1].times.size) * 8 * (g.n + 3)
+        # a records x n copy would add another 450 records x 200 x 8 B = 703 KiB
+        assert peaks[1] - peaks[0] <= grown + 16 * 2**10
+        assert [r[0].certificates[0].c1_source for r in runs] == ["a-posteriori-trajectory"] * 2
 
 
 class TestStronglyConnectedBound:
@@ -264,7 +258,7 @@ class TestStronglyConnectedBound:
         traj = integrate(SimulationConfig(t_max=10.0), g, self.BANK3, x0)
         v = lyapunov_trace(g, omega, self.BANK3, traj)
         fy = self.BANK3.eval((-(laplacian(g) @ traj.states.T)).T)
-        c1, _ = estimate_c1(mirror_laplacian(g, omega), mode="a_posteriori", fy=fy)
+        c1 = rayleigh_min(mirror_laplacian(g, omega), fy)
         cert = settling_bound_strongly_connected(
             g, omega, self.BANK3, x0, alpha, rep.ratio_bound, c1)
         ext = traj.times[np.flatnonzero(v <= 1e-12)[0]]
@@ -299,7 +293,7 @@ class TestStronglyConnectedBound:
             v0 = lyapunov_value(g, om, bank, x0)
             c2 = c2_constant(om, alpha)
             B = (np.diag(om) @ laplacian(g) + laplacian(g).T @ np.diag(om)) / 2.0
-            c1, _ = estimate_c1(B, mode="a_posteriori", fy=fy)
+            c1 = rayleigh_min(B, fy)
             return v0 ** (1 - alpha) / (c1 * c2 * beta * (1 - alpha))
 
         assert t_star(2.0 * omega) == pytest.approx(t_star(omega), rel=1e-9)
@@ -402,10 +396,8 @@ class TestCertify:
         assert report.consensus_value == pytest.approx(x0[0])
         assert abs(traj.states[-1].mean() - x0[0]) <= 1e-9
 
-    def test_mixed_kind_root_with_follower(self, fig1, monkeypatch):
-        # the root 3-cycle mixes both finite-time families; the 2002 records
-        # span five blocks of 500 rows when the root stage evaluates its feedback
-        monkeypatch.setattr(analysis, "_FEEDBACK_CHUNK", 1500)
+    def test_mixed_kind_root_with_follower(self, fig1):
+        # the root 3-cycle mixes both finite-time families
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), LogPower(1.0, 0.5),
                              PowerLinear(1.5, 0.5, 0.6), LogPower(0.8, 0.4)])
         x0 = np.array([2.0, -1.0, 3.0, -2.0])
@@ -419,12 +411,9 @@ class TestCertify:
         assert report.settled_at <= report.overall_bound < 1e4
         assert root.c1_source == "a-posteriori-trajectory"
         assert follower.lambda1 == pytest.approx(1.0)
-        # C1 is the Rayleigh-quotient minimum over the feedback of every record
-        root_graph = fig1.subgraph([0, 1, 2])
-        L, root_bank = laplacian(root_graph), ProtocolBank(bank[:3])
-        fy = np.array([root_bank.eval(-(L @ x[:3])) for x in traj.states])
-        B = mirror_laplacian(root_graph, left_null_vector(root_graph))
-        assert root.c1 == pytest.approx(estimate_c1(B, mode="a_posteriori", fy=fy)[0], rel=1e-12)
+        # C1 is the Rayleigh-quotient minimum over the feedback of every step
+        # (TestEveryStepC1 compares it with a reference loop)
+        assert root.c1 <= recorded_c1(fig1, bank, traj, [0, 1, 2]) * (1 + 1e-12)
         assert report.overall_bound == pytest.approx(root.t_star + follower.t_star)
         assert report.extinction_times[0] <= root.t_star
         assert report.extinction_times[1] - report.stage_starts[1] <= follower.t_star
@@ -465,6 +454,65 @@ class TestCertify:
             ext_idx = np.flatnonzero(v <= 1e-12)
             assert ext_idx.size > 0
             assert traj.times[ext_idx[0]] <= cert.t_star
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEveryStepC1:
+    """The root C1 is the least Rayleigh quotient over the feedback of every RK4 step."""
+
+    MIXED = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), LogPower(1.0, 0.5),
+                          PowerLinear(1.5, 0.5, 0.6), LogPower(0.8, 0.4)])
+
+    @staticmethod
+    def _cases():
+        paper = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
+        x0 = np.array([2.0, -1.0, 3.0, -2.0])
+        g200 = random_strongly_connected(np.random.default_rng(200), 200)
+        return {
+            "fig1": (fig1_graph(), paper, x0, SimulationConfig()),
+            # the quotient still falls at t_max: the field at the last state sets C1
+            "fig1-cut": (fig1_graph(), paper, x0, SimulationConfig(t_max=1.0, freeze_on_consensus=False)),
+            "mixed-kind": (fig1_graph(), TestEveryStepC1.MIXED, x0, SimulationConfig(eps_consensus=1e-4)),
+            "n200": (g200, ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 200),
+                     np.random.default_rng(202).uniform(-2.0, 2.0, 200),
+                     SimulationConfig(t_max=1.0, freeze_on_consensus=False)),
+        }
+
+    @pytest.mark.parametrize("case", ["fig1", "fig1-cut", "mixed-kind", "n200"])
+    def test_equals_a_reference_loop(self, case):
+        g, bank, x0, cfg = self._cases()[case]
+        report, traj = certify(g, bank, x0, cfg)
+        root = report.certificates[0]
+        verts = list(report.components[0])
+        assert root.c1_source == "a-posteriori-trajectory"
+        assert root.c1 == pytest.approx(every_step_c1(cfg, g, bank, x0, verts), rel=1e-12)
+        assert root.c1 <= recorded_c1(g, bank, traj, verts) * (1 + 1e-12)
+
+    def test_not_above_the_recorded_states_on_the_acceptance_fixtures(self):
+        from test_acceptance import _twenty_fixtures
+
+        for g, bank, x0, cfg in _twenty_fixtures():
+            report, traj = certify(g, bank, x0, cfg)
+            assert report.certificates[0].c1 <= recorded_c1(g, bank, traj, list(range(g.n))) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("workload", ["fig1_paper", "scc_200", "dag_mixed"])
+    def test_not_above_the_recorded_states_on_the_workloads(self, workload):
+        from ftconsensus.config import parse_config
+
+        make = getattr(_load_workloads(), workload)
+        for seed in (1, 2, 3):
+            doc = next(iter(make(seed).configs.values()))  # fig1-paper: the freeze config
+            cfg = parse_config(json.dumps(doc))
+            g, bank = cfg.graph(), cfg.bank()
+            report, traj = certify(g, bank, cfg.x0_array(), cfg.sim)
+            verts = list(report.components[0])
+            assert report.certificates[0].c1 <= recorded_c1(g, bank, traj, verts) * (1 + 1e-12)
 
 
 class TestConstantsForBank:

@@ -773,6 +773,16 @@ print(json.dumps(steps))
                      or (isinstance(node, ast.alias) and node.name.split(".")[-1] in svd)]
         assert offenders == []
 
+    def test_no_module_calls_einsum(self):
+        # the root C1 is observed inside the RK4 loop with matrix-vector products
+        # and dots; an einsum runs without BLAS and pages in its own code
+        offenders = [f"{path.name}:{node.lineno}"
+                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if (isinstance(node, ast.Attribute) and "einsum" in node.attr)
+                     or (isinstance(node, ast.alias) and "einsum" in node.name)]
+        assert offenders == []
+
     def test_no_module_sorts(self):
         # every order the package needs is known by construction: geomspace
         # ascends and the mixed bank scatters back by index; numpy's sort and

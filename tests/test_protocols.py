@@ -182,6 +182,17 @@ class TestKernels:
             assert callable(f) and callable(F) and f is not F
             assert names == tuple(field.name for field in fields(family))
 
+    def test_power_linear_f_is_the_signed_product(self):
+        # sign(z) a |z|^c + b z bit for bit, both zeros included: copysign(a |z|^c, z)
+        # + b z agrees everywhere else but maps -0.0 to -0.0, where this gives +0.0,
+        # and y = -(L x) is -0.0 wherever L x is exactly 0
+        grid = GridSpec().positive_grid(6.0)
+        z = np.concatenate([grid, -grid, [0.0, -0.0]])
+        for a, b, c in [(1.0, 1.0, 0.75), (1.5, 0.5, 0.6), (2.0, 0.0, 0.1),
+                        (np.full(z.size, 0.8), np.full(z.size, 1.2), np.full(z.size, 0.5))]:
+            expected = np.sign(z) * a * np.power(np.abs(z), c) + b * z
+            assert np.array_equal(_bits(protocols._power_linear_f(z, a, b, c)), _bits(expected))
+
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(functions=st.lists(FUNCTIONS, min_size=1, max_size=6),
