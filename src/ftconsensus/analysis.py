@@ -52,6 +52,7 @@ from .dynamics import (
 )
 from .protocols import (
     ProtocolBank,
+    _closed_beta_exceeds,
     _closed_form_constants,
     _ratio_bound,
 )
@@ -343,7 +344,7 @@ def certify(
     M = infinity_norms(laplacian(g), x0)
     alpha, beta, beta_closed, note = constants_for_bank(bank, M)
     report.notes.append(note)
-    if beta_closed is not None and beta < beta_closed - 1e-9:
+    if _closed_beta_exceeds(beta_closed, beta):
         report.notes.append(
             "closed-form beta exceeds the ratio lower bound; the bound is used")
 

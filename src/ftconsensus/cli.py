@@ -145,26 +145,18 @@ def cmd_certify(args) -> int:
 def _criteria(f, M: float, alpha, beta) -> tuple:
     """(check_a2 report, closed-form beta or None) for one protocol over (0, M].
 
-    The closed-form beta is shown, and used when no beta is given, only where
-    it does not exceed the proven ratio bound."""
-    from .protocols import (_NORMAL, _RATIO_GRID, ProtocolBank, _closed_form_constants,
-                            antiderivative, check_a2, evaluate)
+    The closed-form beta is shown, and used when no beta is given, unless it
+    exceeds the proven ratio bound."""
+    from .protocols import ProtocolBank, _closed_beta_exceeds, _closed_form_constants, check_a2
 
-    fM, FM = evaluate(f, M), antiderivative(f, M)
-    if not (math.isfinite(fM * fM) and math.isfinite(FM)):
-        raise FtConsensusError(f"--bound {M:g} is too large: f(M)^2 or F(M) overflows a float")
-    z = _RATIO_GRID.bottom(M)
-    if not min(evaluate(f, z) ** 2, antiderivative(f, z)) >= _NORMAL:
-        raise FtConsensusError(f"--bound {M:g} is too small: f^2 or F underflows at the "
-                               f"bottom of the ratio grid, z = {z:g}")
     bank = ProtocolBank([f])
     closed = None
     if alpha is None:
         alpha, closed, _ = _closed_form_constants(bank, M)
     report = check_a2(bank, M, alpha, beta)
-    if closed is None or closed > report.ratio_bound:
-        return report, None
-    if beta is None:
+    if _closed_beta_exceeds(closed, report.ratio_bound):
+        closed = None
+    if closed is not None and beta is None:
         report = dataclasses.replace(report, beta=closed, beta_source="closed-form")
     return report, closed
 
@@ -179,11 +171,7 @@ def cmd_check_protocol(args) -> int:
         raise FtConsensusError("--bound must be positive")
     if args.beta is not None and not args.beta > 0:
         raise FtConsensusError("--beta must be positive (A2 needs beta > 0)")
-    import numpy as np
-
-    # a branch that np.where discards may overflow, and so may f^2 at the grid bottom
-    with np.errstate(over="ignore", invalid="ignore"):
-        report, closed = _criteria(f, M, args.alpha, args.beta)
+    report, closed = _criteria(f, M, args.alpha, args.beta)
 
     a1 = report.a1[0]
     print(f"protocol: {args.spec}")

@@ -9,8 +9,7 @@ Schema (all fields required unless noted)::
       "sim": {                                       // optional, defaults below
         "dt": 1e-3, "t_max": 20.0, "eps_consensus": 1e-9,
         "record_stride": 10, "freeze_on_consensus": true
-      },
-      "certify": false                               // optional
+      }
     }
 
 Edges are written information-flow style ``[from, to, weight]`` with
@@ -178,7 +177,6 @@ class ExperimentConfig:
     protocol_specs: tuple  # one spec string per agent
     x0: tuple
     sim: SimulationConfig = SimulationConfig()
-    certify: bool = False
 
     def graph(self) -> WeightedDigraph:
         import numpy as np
@@ -214,7 +212,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
-    unknown = set(doc) - {"graph", "protocols", "x0", "sim", "certify"}
+    unknown = set(doc) - {"graph", "protocols", "x0", "sim"}
     _require(not unknown, f"unknown top-level fields: {sorted(unknown)}")
     for key in ("graph", "protocols", "x0"):
         _require(key in doc, f"missing required field {key!r}")
@@ -271,12 +269,9 @@ def parse_config(text: str) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigValidationError(f"invalid sim settings: {exc}") from exc
 
-    cert = doc.get("certify", False)
-    _require(isinstance(cert, bool), "certify must be a boolean")
-
     return ExperimentConfig(
         n=n, edges=tuple(edges), protocol_specs=specs,
-        x0=tuple(float(v) for v in x0), sim=sim, certify=cert)
+        x0=tuple(float(v) for v in x0), sim=sim)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -285,7 +280,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         "protocols": list(cfg.protocol_specs),
         "x0": list(cfg.x0),
         "sim": asdict(cfg.sim),
-        "certify": cfg.certify,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 

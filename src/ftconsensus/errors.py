@@ -13,13 +13,11 @@ class NotSymmetric(FtConsensusError):
     """Matrix is not symmetric within tolerance."""
 
 
-class WrongProtocolKind(FtConsensusError):
-    """Closed-form constants requested for the wrong protocol family."""
-
-
 class ProtocolDomainError(FtConsensusError):
-    """The argument bound M is out of range for a protocol: f^2 or F leaves the normal
-    float range on the ratio grid, or f(M)^2 or F(M) overflows a float."""
+    """The argument bound M (``check-protocol``'s ``--bound``, or ``certify``'s
+    ||L||_inf ||x0||_inf) is out of range for a protocol: too large where f(M)^2 or
+    F(M) overflows a float, too small where f^2 or F leaves the normal float range
+    on the ratio grid."""
 
 
 class NonFiniteState(FtConsensusError):

@@ -19,10 +19,14 @@ proof, for finite real parameters, which the family records enforce, so
 non-fatal: log-power is not monotone beyond e^(-1/c), yet still drives
 finite-time consensus.  A2, f(z)^2 / F(z)^alpha >= beta, holds by
 construction: ``_ratio_min_single`` returns a proven lower bound on the
-ratio (grid cells bracketed, a per-family tail below the grid), once per
-distinct protocol; certificates use it.  Closed-form (alpha, beta) exist
-for uniform power-linear and log-power banks; ``_closed_form_constants``
-picks a bank's alpha and closed-form beta for every command.
+ratio (cells of the one grid ``_ratio_grid`` bracketed, a per-family tail
+below it), once per distinct protocol; certificates use it.  Its
+``ProtocolDomainError`` is the one check that M is neither too large nor too
+small for f and F.  Closed-form (alpha, beta) exist for uniform power-linear
+and log-power banks (the paper's Claims 1 and 2), one row each of
+``_CLOSED_FORMS``; ``_closed_form_constants`` picks a bank's alpha and
+closed-form beta for every command, and ``_closed_beta_exceeds`` is the one
+rule that leaves out a closed-form beta above the proven bound.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .config import (Linear, LogPower, PowerLinear, ProtocolFunction,  # re-exported
                      format_protocol_spec, parse_protocol_spec)
-from .errors import ProtocolDomainError, WrongProtocolKind
+from .errors import ProtocolDomainError
 
 __all__ = [
     "Linear",
@@ -43,15 +47,12 @@ __all__ = [
     "LogPower",
     "ProtocolFunction",
     "ProtocolBank",
-    "GridSpec",
     "A1Report",
     "CriteriaReport",
     "evaluate",
     "antiderivative",
     "check_a1",
     "check_a2",
-    "claim1_constants",
-    "claim2_constants",
     "parse_protocol_spec",
     "format_protocol_spec",
 ]
@@ -189,27 +190,19 @@ class ProtocolBank:
 # criteria checks
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling plan for the (0, M] argument range."""
-
-    points: int = 10_000
-    span_decades: float = 12.0  # grid reaches down to M * 10^-span_decades
-
-    def bottom(self, M: float) -> float:
-        """Smallest point of the log-spaced grid, M * 10^-span_decades."""
-        return M * 10.0**-self.span_decades
-
-    def positive_grid(self, M: float) -> np.ndarray:
-        z = np.geomspace(self.bottom(M), M, self.points)
-        # geomspace ascends, so M goes last and 1/e before the first point not below it:
-        # the sorted union, without paging in numpy's sort code
-        k = np.count_nonzero(z < _BREAK)
-        z = np.concatenate([z[:k], [_BREAK] if M >= _BREAK else [], z[k:], [M]])
-        return z[np.concatenate([[True], z[1:] != z[:-1]])]  # first of each run of equal values
+_GRID_POINTS = 10_000  # log-spaced points of the ratio grid
+_GRID_DECADES = 12.0  # the grid reaches down to M * 10^-_GRID_DECADES
 
 
-_RATIO_GRID = GridSpec()  # the one grid the ratio bound is taken on
+def _ratio_grid(M: float) -> np.ndarray:
+    """The grid of (0, M] the ratio bound is taken on: log-spaced points from
+    M 10^-_GRID_DECADES to M, with M and 1/e, ascending and without repeats."""
+    z = np.geomspace(M * 10.0**-_GRID_DECADES, M, _GRID_POINTS)
+    # geomspace ascends, so M goes last and 1/e before the first point not below it:
+    # the sorted union, without paging in numpy's sort code
+    k = np.count_nonzero(z < _BREAK)
+    z = np.concatenate([z[:k], [_BREAK] if M >= _BREAK else [], z[k:], [M]])
+    return z[np.concatenate([[True], z[1:] != z[:-1]])]  # first of each run of equal values
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,6 @@ class CriteriaReport:
     alpha: float
     beta: float
     ratio_bound: float  # proven lower bound on the ratio over (0, M]
-    bound_M: float
     beta_source: str = "explicit"  # explicit | closed-form | grid-bound
 
 
@@ -292,8 +284,8 @@ def _ratio_min_single(f, M, alpha):
     monotone or rises then falls (log-power's only interior local minimum,
     1/e, is a grid point), so on [z_k, z_k+1] the ratio is at least
     min(f(z_k), f(z_k+1))^2 / F(z_k+1)^alpha.  The tail (0, z_0]:
-    ``_tail_bound``, as z_0 <= 1/e (``GridSpec.positive_grid`` puts 1/e
-    first when M 10^-span_decades exceeds it).
+    ``_tail_bound``, as z_0 <= 1/e (``_ratio_grid`` puts 1/e first when
+    M 10^-_GRID_DECADES exceeds it).
 
     Rounding.  The inputs (grid points, parameters, alpha) are exact floats.
     A kernel value takes a few correctly rounded operations (<= u = 2^-53
@@ -310,13 +302,14 @@ def _ratio_min_single(f, M, alpha):
     is checked; a cell whose f^2 overflows has a ratio above f(M)^2 /
     F(M)^alpha, which the last cell bounds; a bound below that range is 0.
     """
-    scale = f"argument bound M = {M:g} too {{}} (certify takes M = ||L||_inf ||x0||_inf, the x0 scale)"
+    scale = (f"argument bound M = {M:g} too {{}} (M is check-protocol's --bound, or certify's "
+             "||L||_inf ||x0||_inf, the x0 scale)")
     # a branch that np.where discards may overflow, and so may f^2 where F is small
     with np.errstate(over="ignore", invalid="ignore"):
         fM, FM = _f(f, np.float64(M)), _F(f, np.float64(M))
         if not (math.isfinite(fM * fM) and math.isfinite(FM)):
             raise ProtocolDomainError(scale.format("large") + ": f(M)^2 or F(M) overflows a float")
-        z = _RATIO_GRID.positive_grid(M)
+        z = _ratio_grid(M)
         fv, Fv = _f(f, z), _F(f, z)
         f2 = np.minimum(fv[:-1], fv[1:]) ** 2
         if not (Fv.min() >= _NORMAL and f2.min() >= _NORMAL):
@@ -358,99 +351,75 @@ def check_a2(
         alpha=alpha,
         beta=float(beta),
         ratio_bound=bound,
-        bound_M=float(M),
         beta_source=source,
     )
 
 
-def _closed_form_alpha(bank) -> float | None:
-    """Largest per-agent closed-form alpha, 2c/(1+c) for power-linear and 4c/(2+c) for
-    log-power, each at its family's largest c; None when the bank has a linear agent.
+def _claim1_beta(f, c, alpha, M):
+    """Claim 1's closed-form beta term of power-linear agent f in a bank whose largest c is c."""
+    e1 = 2.0 * f.c - 2.0 * c * (1.0 + f.c) / (1.0 + c)
+    e2 = 2.0 * f.c - 4.0 * c / (1.0 + c)
+    return f.a**2 * min(M**e1, M**e2) / (2.0 * max((f.a / (1.0 + f.c)) ** alpha, (f.b / 2.0) ** alpha))
 
-    The ratio bound's tail needs 2c - (1+c) alpha <= 0, that is alpha >=
-    2c/(1+c), so power-linear's float is rounded up by two ulps: q = 2c/fl(1+c)
-    is within q u/(1+c) < ulp(alpha) of 2c/(1+c) (u = 2^-53) and alpha = fl(q)
-    within ulp(alpha)/2 of q.  Log-power's 4c/(2+c) exceeds 2c/(1+c) by the
-    factor 1 + c/(2+c), more than its two roundings lose once c >= 2^-50;
-    below 2^-52, fl(2+c) = 2 and 2c is exact.  The tests check the binades between.
-    """
+
+def _claim2_beta(f, c, alpha, M):
+    """Claim 2's closed-form beta term of log-power agent f in a bank whose largest c is c;
+    its sandwich bound can fail for small c."""
+    exp1 = 2.0 * f.c - 4.0 * c * (1.0 + f.c) / (2.0 + c)
+    exp2 = 2.0 * f.c - 2.0 * c * (2.0 + f.c) / (2.0 + c)
+    return min(f.a**2 * M**exp1 / (2.0 * (f.a / (1.0 + f.c)) ** alpha),
+               f.a**2 * M**exp2 / (2.0 * (2.0 * f.a / (2.0 + f.c)) ** alpha))
+
+
+# family -> (closed-form alpha at the family's largest c, closed-form beta term of one
+# agent, label).  The ratio bound's tail needs 2c - (1+c) alpha <= 0, that is alpha >=
+# 2c/(1+c), so power-linear's float is rounded up by two ulps: q = 2c/fl(1+c) is within
+# q u/(1+c) < ulp(alpha) of 2c/(1+c) (u = 2^-53) and alpha = fl(q) within ulp(alpha)/2
+# of q.  Log-power's 4c/(2+c) exceeds 2c/(1+c) by the factor 1 + c/(2+c), more than its
+# two roundings lose once c >= 2^-50; below 2^-52, fl(2+c) = 2 and 2c is exact.  The
+# tests check the binades between.
+_CLOSED_FORMS = {
+    PowerLinear: (lambda c: math.nextafter(math.nextafter(2.0 * c / (1.0 + c), 2.0), 2.0),
+                  _claim1_beta, "power-linear"),
+    LogPower: (lambda c: 4.0 * c / (2.0 + c), _claim2_beta, "log-power"),
+}
+
+
+def _closed_form_alpha(bank) -> float | None:
+    """Largest per-agent closed-form alpha, each family's at its largest c; None when
+    the bank has a linear agent."""
     if Linear in bank.kinds:
         return None
-    forms = {PowerLinear: lambda c: math.nextafter(math.nextafter(2.0 * c / (1.0 + c), 2.0), 2.0),
-             LogPower: lambda c: 4.0 * c / (2.0 + c)}
-    return max(forms[kind](max(f.c for f in bank if type(f) is kind)) for kind in bank.kinds)
-
-
-def _usable(beta):
-    """A closed-form beta if it is a positive float, else None (unavailable)."""
-    return beta if 0.0 < beta < math.inf else None
-
-
-def claim1_constants(bank: ProtocolBank, M: float) -> tuple:
-    """Closed-form (alpha, beta) for a power-linear bank over (0, M].
-
-    beta is None when the closed form is not a positive float: a large
-    parameter or a small M can overflow its intermediate powers.
-    """
-    if bank.uniform_kind is not PowerLinear:
-        raise WrongProtocolKind("closed-form constants require an all power-linear bank")
-    if not M > 0:
-        raise ValueError("M must be positive")
-    c = max(f.c for f in bank)
-    alpha = _closed_form_alpha(bank)
-    beta = math.inf
-    try:
-        for f in bank:
-            e1 = 2.0 * f.c - 2.0 * c * (1.0 + f.c) / (1.0 + c)
-            e2 = 2.0 * f.c - 4.0 * c / (1.0 + c)
-            num = f.a**2 * min(M**e1, M**e2)
-            den = 2.0 * max((f.a / (1.0 + f.c)) ** alpha, (f.b / 2.0) ** alpha)
-            beta = min(beta, num / den)
-    except OverflowError:  # float ** raises where numpy would return inf
-        beta = math.inf
-    return alpha, _usable(beta)
-
-
-def claim2_constants(bank: ProtocolBank, M: float) -> tuple:
-    """Closed-form (alpha, beta) for a log-power bank over (0, M].
-
-    The closed-form beta rests on a sandwich bound that can fail for small c:
-    it holds only where it does not exceed the proven ratio bound of
-    ``check_a2``.  beta is None when the closed form is not a positive float.
-    """
-    if bank.uniform_kind is not LogPower:
-        raise WrongProtocolKind("closed-form constants require an all log-power bank")
-    if not M > 0:
-        raise ValueError("M must be positive")
-    c = max(f.c for f in bank)
-    alpha = _closed_form_alpha(bank)
-    beta1 = beta2 = math.inf
-    try:
-        for f in bank:
-            exp1 = 2.0 * f.c - 4.0 * c * (1.0 + f.c) / (2.0 + c)
-            exp2 = 2.0 * f.c - 2.0 * c * (2.0 + f.c) / (2.0 + c)
-            beta1 = min(beta1, f.a**2 * M**exp1 / (2.0 * (f.a / (1.0 + f.c)) ** alpha))
-            beta2 = min(beta2, f.a**2 * M**exp2 / (2.0 * (2.0 * f.a / (2.0 + f.c)) ** alpha))
-    except OverflowError:
-        beta1 = beta2 = math.inf
-    return alpha, _usable(min(beta1, beta2))
+    return max(_CLOSED_FORMS[kind][0](max(f.c for f in bank if type(f) is kind)) for kind in bank.kinds)
 
 
 def _closed_form_constants(bank: ProtocolBank, M: float) -> tuple:
     """(alpha, closed-form beta or None, note) for a bank over (0, M].
 
     Claim 1 for a uniform power-linear bank, Claim 2 for a uniform log-power
-    bank; any other bank gets no beta and the largest per-agent closed-form
-    alpha, or 0.5 when it has a linear agent.
+    bank: beta is the least agent term, or None where it is not a positive
+    float (a large parameter or a small M can overflow its powers).  Any
+    other bank gets no beta and the largest per-agent closed-form alpha, or
+    0.5 when it has a linear agent.
     """
-    claims = {PowerLinear: (claim1_constants, "power-linear"), LogPower: (claim2_constants, "log-power")}
-    if bank.uniform_kind in claims:
-        constants, family = claims[bank.uniform_kind]
-        return (*constants(bank, M), f"alpha closed-form ({family} family)")
     alpha = _closed_form_alpha(bank)
     if alpha is None:
         return 0.5, None, "no closed form for this bank; alpha defaulted"
-    return alpha, None, "alpha closed-form (largest per-agent value of a mixed bank)"
+    if bank.uniform_kind is None:
+        return alpha, None, "alpha closed-form (largest per-agent value of a mixed bank)"
+    _, term, family = _CLOSED_FORMS[bank.uniform_kind]
+    c = max(f.c for f in bank)
+    try:
+        beta = min(term(f, c, alpha, M) for f in bank)
+    except OverflowError:  # float ** raises where numpy would return inf
+        beta = math.inf
+    return alpha, beta if 0.0 < beta < math.inf else None, f"alpha closed-form ({family} family)"
+
+
+def _closed_beta_exceeds(closed, bound) -> bool:
+    """Whether a closed-form beta exists and exceeds the proven ratio lower bound:
+    the one test by which every command leaves it out, neither shown nor used."""
+    return closed is not None and closed > bound
 
 
 def _ratio_bound(bank, M, alpha) -> float:

@@ -19,7 +19,6 @@ from ftconsensus import (
     c2_constant,
     certify,
     check_a2,
-    claim1_constants,
     estimate_c1,
     integrate,
     laplacian,
@@ -253,7 +252,7 @@ class TestStronglyConnectedBound:
         omega = left_null_vector(g)
         x0 = np.array([1.0, 0.0, 0.0])
         M = np.abs(laplacian(g)).sum(axis=1).max() * np.abs(x0).max()
-        alpha, beta = claim1_constants(self.BANK3, M)
+        alpha, beta = protocols._closed_form_constants(self.BANK3, M)[:2]
         rep = check_a2(self.BANK3, M, alpha)
         traj = integrate(SimulationConfig(t_max=10.0), g, self.BANK3, x0)
         v = lyapunov_trace(g, omega, self.BANK3, traj)
@@ -519,7 +518,7 @@ class TestConstantsForBank:
     def test_powerlinear_alpha_matches_closed_form(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 2)
         alpha, emp, closed, _ = constants_for_bank(bank, 6.0)
-        a2, b2 = claim1_constants(bank, 6.0)
+        a2, b2 = protocols._closed_form_constants(bank, 6.0)[:2]
         assert alpha == a2 and closed == b2
         assert emp >= closed - 1e-9
 

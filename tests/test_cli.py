@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ftconsensus import cli
+from ftconsensus import cli, protocols
 from ftconsensus.cli import main
 from ftconsensus.config import (
     ExperimentConfig,
@@ -45,7 +45,6 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(make_doc()))
         assert cfg.n == 3
         assert cfg.sim == SimulationConfig()
-        assert not cfg.certify
         assert cfg.protocol_specs == ("powerlinear{a=1,b=1,c=0.75}",) * 3
 
     def test_parse_error_reports_location(self):
@@ -68,6 +67,7 @@ class TestParseConfig:
         (lambda d: d.update(sim={"t_max": "20"}), "t_max"),
         (lambda d: d.update(sim={"eps_consensus": None}), "eps_consensus"),
         (lambda d: d.update(bogus=1), "unknown"),
+        (lambda d: d.update(certify=False), r"unknown top-level fields: \['certify'\]"),
         # numbers that overflow a float or are not finite (json writes inf as Infinity)
         (lambda d: d.update(x0=[10**400, 0.0, -1.0]), "x0 entries must be finite"),
         (lambda d: d.update(x0=[math.nan, 0.0, -1.0]), "x0 entries must be finite"),
@@ -121,7 +121,6 @@ class TestParseConfig:
                 x0=tuple(round(float(v), 6) for v in rng.uniform(-3, 3, n)),
                 sim=SimulationConfig(dt=1e-3, t_max=float(rng.integers(1, 20)),
                                      record_stride=int(rng.integers(1, 20))),
-                certify=bool(rng.integers(0, 2)),
             )
             assert parse_config(serialize_config(cfg)) == cfg
 
@@ -379,6 +378,25 @@ class TestCertifyCommand:
             assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("spec,scale,noted", [
+        # bound 1.29e-51, closed form 1.12e-17: both below the 1e-9 an absolute slack forgave
+        ("powerlinear{a=1,b=1,c=0.5}", 1e50, True),
+        # bound 1.16e-4, closed form 6.96e-4
+        ("powerlinear{a=1,b=1,c=0.75}", 1e14, True),
+        # bound 1.61, closed form 0.55
+        ("powerlinear{a=1,b=1,c=0.75}", 1.0, False),
+    ])
+    def test_closed_form_above_the_bound_is_noted(self, spec, scale, noted, tmp_path):
+        # a unit 3-cycle, so M = ||L||_inf ||x0||_inf = 2 scale; the note is what
+        # check-protocol's rule gives at that M (test_used_beta_does_not_exceed_the_ratio_bound)
+        doc = make_doc(protocols=spec, x0=[scale, 0.0, -scale], sim={"t_max": 1.0})
+        (tmp_path / "big.cfg").write_text(json.dumps(doc))
+        assert main(["certify", str(tmp_path / "big.cfg"), "--out", str(tmp_path / "o")]) == 0
+        notes = json.loads((tmp_path / "o" / "certificate.json").read_text())["notes"]
+        note = "closed-form beta exceeds the ratio lower bound; the bound is used"
+        assert (note in notes) == noted, notes
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify"])
 def test_strongly_connected_graph_is_searched_once(command, tmp_path, monkeypatch):
     n = 30
@@ -457,8 +475,8 @@ class TestCheckProtocolCommand:
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--beta", "inf"], 1, "--beta must be finite"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--alpha", "nan"], 1, "--alpha must be finite"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "inf"], 1, "--bound must be finite"),
-        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e160"], 1, "--bound 1e+160 is too large"),
-        ("logpower{a=1,c=0.5}", ["--bound", "1e300"], 1, "--bound 1e+300 is too large"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e160"], 1, "argument bound M = 1e+160 too large"),
+        ("logpower{a=1,c=0.5}", ["--bound", "1e300"], 1, "argument bound M = 1e+300 too large"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e150"], 0, None),
         ("linear{k=1}", ["--bound", "1e150"], 1, None),
         # a linear ratio tends to 0 (here like z^0.2), so no beta > 0 holds down to z = 0
@@ -473,9 +491,9 @@ class TestCheckProtocolCommand:
         ("logpower{a=1e3,c=0.5}", ["--bound", "6"], 0, None),
         ("logpower{a=1,c=0.01}", ["--bound", "6"], 0, None),
         # F underflows to 0 at the bottom of the grid, M * 1e-12
-        ("linear{k=1}", ["--bound", "1e-300"], 1, "--bound 1e-300 is too small"),
-        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e-300"], 1, "--bound 1e-300 is too small"),
-        ("logpower{a=1,c=0.5}", ["--bound", "1e-300"], 1, "--bound 1e-300 is too small"),
+        ("linear{k=1}", ["--bound", "1e-300"], 1, "argument bound M = 1e-300 too small"),
+        ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e-300"], 1, "argument bound M = 1e-300 too small"),
+        ("logpower{a=1,c=0.5}", ["--bound", "1e-300"], 1, "argument bound M = 1e-300 too small"),
     ])
     def test_numeric_flags_exit_with_one_line(self, spec, flags, code, fragment, capsys):
         rc = main(["check-protocol", "--spec", spec, *flags])
@@ -484,7 +502,23 @@ class TestCheckProtocolCommand:
         assert err.count("\n") <= 1
         if fragment is not None:
             assert fragment in err
+        if "argument bound" in (fragment or ""):  # the one scale error names where M comes from
+            assert "check-protocol's --bound" in err and "the x0 scale" in err
 
+    def test_one_scale_check_at_M(self, monkeypatch, capsys):
+        # f and F are taken once at the scalar M (the overflow check) and once on
+        # the ratio grid, whose every cell the underflow check reads; no call at
+        # the grid bottom alone
+        calls = {"_f": [], "_F": []}
+        for name, seen in calls.items():
+            def counting(f, z, original=getattr(protocols, name), seen=seen):
+                seen.append(np.asarray(z))
+                return original(f, z)
+            monkeypatch.setattr(protocols, name, counting)
+        assert main(["check-protocol", "--spec", "logpower{a=1,c=0.5}", "--bound", "6"]) == 0
+        for name, seen in calls.items():
+            assert [float(z) for z in seen if z.ndim == 0] == [6.0], name
+            assert [z.size for z in seen if z.ndim] == [protocols._ratio_grid(6.0).size], name
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", ["powerlinear{a=1e200,b=1,c=0.5}", "logpower{a=1e200,c=0.5}"])
@@ -507,6 +541,9 @@ class TestCheckProtocolCommand:
         ("logpower{a=1,c=0.01}", "6", None),
         # the closed form, 5.8e-33, exceeds the proven bound at this M
         ("powerlinear{a=1,b=1,c=0.75}", "1e150", "beta (used, grid-bound) = 3.43091564424e-237"),
+        # certify's M for a unit 3-cycle at x0 = 1e50 (1, 0, -1): the closed form, 1.1e-17,
+        # exceeds the bound, and certify notes it (TestCertifyCommand)
+        ("powerlinear{a=1,b=1,c=0.5}", "2e50", "beta (used, grid-bound) = 1.28863589392e-51"),
     ])
     def test_used_beta_does_not_exceed_the_ratio_bound(self, spec, bound, line, capsys):
         assert main(["check-protocol", "--spec", spec, "--bound", bound]) == 0
@@ -654,9 +691,8 @@ print(json.dumps(steps))
     OLD_EXPORTS = {
         "graph": "Condensation WeightedDigraph condensation has_spanning_tree infinity_norms laplacian "
                  "left_null_vector mirror_laplacian smallest_eigenvalue_symmetric",
-        "protocols": "A1Report CriteriaReport GridSpec Linear LogPower PowerLinear ProtocolBank antiderivative "
-                     "check_a1 check_a2 claim1_constants claim2_constants evaluate format_protocol_spec "
-                     "parse_protocol_spec",
+        "protocols": "A1Report CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative "
+                     "check_a1 check_a2 evaluate format_protocol_spec parse_protocol_spec",
         "dynamics": "SimulationConfig Trajectory disagreement integrate lyapunov_trace lyapunov_value "
                     "settling_time",
         "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
@@ -801,8 +837,21 @@ print(json.dumps(steps))
                                   if a.name in sorts]
         assert offenders == []
 
+    def test_only_protocols_names_the_grid_or_the_normal_floor(self):
+        # the ratio grid and the float range its bound needs are protocols' own:
+        # a second module reading them would be a second scale check or grid
+        private = {"_NORMAL", "_GRID_POINTS", "_GRID_DECADES", "_ratio_grid"}
+        offenders = [f"{path.name}:{node.lineno}"
+                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
+                     if path.name != "protocols.py"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if (isinstance(node, ast.Name) and node.id in private)
+                     or (isinstance(node, ast.Attribute) and node.attr in private)
+                     or (isinstance(node, ast.alias) and node.name in private)]
+        assert offenders == []
+
     def test_no_function_takes_a_grid(self):
-        # the ratio bound is taken on one module grid, protocols._RATIO_GRID; a grid
+        # the ratio bound is taken on one module grid, protocols._ratio_grid; a grid
         # parameter would be a second path to it that no command uses
         offenders = [f"{path.name}:{node.lineno} {node.name}"
                      for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ftconsensus import (
-    GridSpec,
     Linear,
     LogPower,
     PowerLinear,
@@ -19,19 +18,21 @@ from ftconsensus import (
     antiderivative,
     check_a1,
     check_a2,
-    claim1_constants,
-    claim2_constants,
     evaluate,
     format_protocol_spec,
     parse_protocol_spec,
 )
 from ftconsensus import config, protocols
 from ftconsensus.analysis import constants_for_bank
-from ftconsensus.errors import WrongProtocolKind
 
 from conftest import random_claim1_bank
 
 ALL_KINDS = [Linear(k=1.3), PowerLinear(a=1.0, b=1.0, c=0.75), LogPower(a=1.0, c=0.5)]
+
+
+def closed_form(bank, M):
+    """(alpha, closed-form beta or None) of ``_closed_form_constants``."""
+    return protocols._closed_form_constants(bank, M)[:2]
 
 
 class TestParameterRanges:
@@ -92,7 +93,7 @@ class TestEvaluate:
         # -z is the ratio at z, so (0, M] covers [-M, M]
         f_kernel, F_kernel, _ = protocols._KERNELS[type(f)]
         params = protocols._params([f])
-        z = GridSpec().positive_grid(M)
+        z = protocols._ratio_grid(M)
         assert np.array_equal(f_kernel(-z, *params), -f_kernel(z, *params))
         assert np.array_equal(F_kernel(-z, *params), F_kernel(z, *params))
 
@@ -186,7 +187,7 @@ class TestKernels:
         # sign(z) a |z|^c + b z bit for bit, both zeros included: copysign(a |z|^c, z)
         # + b z agrees everywhere else but maps -0.0 to -0.0, where this gives +0.0,
         # and y = -(L x) is -0.0 wherever L x is exactly 0
-        grid = GridSpec().positive_grid(6.0)
+        grid = protocols._ratio_grid(6.0)
         z = np.concatenate([grid, -grid, [0.0, -0.0]])
         for a, b, c in [(1.0, 1.0, 0.75), (1.5, 0.5, 0.6), (2.0, 0.0, 0.1),
                         (np.full(z.size, 0.8), np.full(z.size, 1.2), np.full(z.size, 0.5))]:
@@ -293,22 +294,20 @@ class TestCheckA1:
 
 class TestPositiveGrid:
     @staticmethod
-    def _sorted_union(grid, M):
-        # the construction positive_grid replaced: sort the grid, M and 1/e, drop repeats
-        z = np.geomspace(grid.bottom(M), M, grid.points)
+    def _sorted_union(M):
+        # the construction _ratio_grid replaced: sort the grid, M and 1/e, drop repeats
+        z = np.geomspace(M * 10.0**-protocols._GRID_DECADES, M, protocols._GRID_POINTS)
         z = np.sort(np.concatenate([z, [M, protocols._BREAK] if M >= protocols._BREAK else [M]]))
         return z[np.concatenate([[True], z[1:] != z[:-1]])]
 
-    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(points=1), GridSpec(points=2),
-                                      GridSpec(points=7, span_decades=0.5)])
-    def test_bit_identical_to_the_sorted_union(self, grid):
+    def test_bit_identical_to_the_sorted_union(self):
         rng = np.random.default_rng(15)
         b = protocols._BREAK
         bounds = [*10.0 ** rng.uniform(-300.0, 300.0, 3000), b, np.nextafter(b, 0.0),
                   np.nextafter(b, 1.0), 1.0, 6.0, 1e-310, 1e-311, 1.7e308]
         for M in map(float, bounds):
-            z = grid.positive_grid(M)
-            assert z.tobytes() == self._sorted_union(grid, M).tobytes(), M
+            z = protocols._ratio_grid(M)
+            assert z.tobytes() == self._sorted_union(M).tobytes(), M
             assert np.all(z[1:] > z[:-1]) and z[-1] == M
 
 
@@ -339,16 +338,15 @@ class TestCheckA2:
 
     def test_claim1_fixture_passes(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
-        alpha, beta = claim1_constants(bank, M=6.0)
+        alpha, beta = closed_form(bank, M=6.0)
         rep = check_a2(bank, M=6.0, alpha=alpha, beta=beta)
         assert rep.a2_pass
         assert rep.ratio_bound >= beta - 1e-9
-        assert rep.bound_M == 6.0
 
     def test_boundary_point_included(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)])
-        alpha, beta = claim1_constants(bank, M=6.0)
-        grid = GridSpec().positive_grid(6.0)
+        alpha, beta = closed_form(bank, M=6.0)
+        grid = protocols._ratio_grid(6.0)
         assert grid[-1] == 6.0
         f = bank[0]
         ratio_at_M = evaluate(f, 6.0) ** 2 / antiderivative(f, 6.0) ** alpha
@@ -359,7 +357,7 @@ class TestCheckA2:
         for _ in range(20):
             bank = random_claim1_bank(rng, int(rng.integers(1, 6)))
             M = float(rng.uniform(1.0, 10.0))
-            alpha, beta = claim1_constants(bank, M)
+            alpha, beta = closed_form(bank, M)
             rep = check_a2(bank, M, alpha, beta)
             assert rep.a2_pass, (bank.functions, M, alpha, beta, rep.ratio_bound)
 
@@ -416,14 +414,16 @@ class TestRatioBound:
     @FAMILIES
     def test_below_the_ratio_on_a_denser_grid(self, kind):
         for f, M, alpha, _, beta in self.cases(kind):
-            dense = GridSpec(points=10 * GridSpec().points).positive_grid(M)
+            # ten times the points of the ratio grid over the same span, with M and 1/e
+            dense = np.geomspace(M * 10.0**-protocols._GRID_DECADES, M, 10 * protocols._GRID_POINTS)
+            dense = np.concatenate([dense, [M, protocols._BREAK] if M >= protocols._BREAK else [M]])
             assert beta <= self.ratio(f, dense, alpha).min(), (f, M, alpha, beta)
 
     @FAMILIES
     def test_below_the_ratio_under_the_grid(self, kind):
         rng = np.random.default_rng(18)
         for f, M, alpha, _, beta in self.cases(kind):
-            z0 = GridSpec().positive_grid(M)[0]
+            z0 = protocols._ratio_grid(M)[0]
             z = z0 * 10.0 ** -rng.uniform(0, 30, 200)
             assert beta <= self.ratio(f, z, alpha).min(), (f, M, alpha, beta)
 
@@ -441,10 +441,9 @@ class TestRatioBound:
 
     @CLOSED_FORM_FAMILIES
     def test_closed_form_beta_does_not_exceed_it(self, kind):
-        constants = claim1_constants if kind is PowerLinear else claim2_constants
         for f, M, alpha, closed, beta in self.cases(kind):
             if closed:
-                assert (constants(ProtocolBank([f]), M)[1] or 0.0) <= beta, (f, M, alpha, beta)
+                assert (closed_form(ProtocolBank([f]), M)[1] or 0.0) <= beta, (f, M, alpha, beta)
 
     def test_paper_spec_bounds_are_below_the_infima(self):
         # the infima are the z -> 0 limits a^(2-alpha) (1+c)^alpha: 1.75^(6/7) and 1.5^(2/3)
@@ -473,10 +472,30 @@ class TestRatioBound:
             assert 2 * Fraction(f.c) <= (1 + Fraction(f.c)) * alpha, (f, alpha)
 
 
+# (bank, M, alpha, closed-form beta) as float.hex, read before the per-family
+# closed-form functions became one table; the mixed-c banks' beta is set by
+# the agent whose c is not the largest
+CLOSED_FORM_PINS = [
+    ([PowerLinear(1.0, 1.0, 0.75)], 6.0, "0x1.b6db6db6db6ddp-1", "0x1.19b74f4cd4d68p-1"),
+    ([PowerLinear(1.0, 1.0, 0.75)], 1e150, "0x1.b6db6db6db6ddp-1", "0x1.e2f59fcdc0d79p-108"),
+    ([PowerLinear(1.0, 1.0, 0.75), PowerLinear(0.5, 1.0, 0.4)], 6.0,
+     "0x1.b6db6db6db6ddp-1", "0x1.687929cfc307fp-5"),
+    ([LogPower(1.0, 0.5)], 6.0, "0x1.999999999999ap-1", "0x1.eee504bc32425p-2"),
+    ([LogPower(1.0, 0.5)], 1e150, "0x1.999999999999ap-1", "0x1.c0dc97a036756p-101"),
+    ([LogPower(1.0, 0.5), LogPower(0.5, 0.3)], 6.0, "0x1.999999999999ap-1", "0x1.f3e032b1954a1p-4"),
+]
+
+
+@pytest.mark.parametrize("functions,M,alpha,beta", CLOSED_FORM_PINS)
+def test_closed_form_constants_are_pinned(functions, M, alpha, beta):
+    for bank in (ProtocolBank(functions), ProtocolBank(functions[::-1])):
+        assert [float(v).hex() for v in closed_form(bank, M)] == [alpha, beta]
+
+
 class TestClaim1Constants:
     def test_uniform_fixture(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
-        alpha, beta = claim1_constants(bank, M=6.0)
+        alpha, beta = closed_form(bank, M=6.0)
         assert alpha == pytest.approx(6.0 / 7.0, rel=1e-15)
         # independent re-evaluation of the printed formula
         c = 0.75
@@ -488,14 +507,14 @@ class TestClaim1Constants:
     def test_uniform_c_first_exponent_is_zero(self):
         bank = ProtocolBank([PowerLinear(2.0, 1.0, 0.5), PowerLinear(1.0, 0.5, 0.5)])
         c = 0.5
-        alpha, _ = claim1_constants(bank, M=3.0)
+        alpha, _ = closed_form(bank, M=3.0)
         assert 2 * c - 2 * c * (1 + c) / (1 + c) == 0.0
         assert alpha == math.nextafter(math.nextafter(2 * c / (1 + c), 1), 1)  # two ulps up
 
     def test_m_equal_one_simplification(self):
         bank = ProtocolBank([PowerLinear(1.5, 0.7, 0.6), PowerLinear(0.9, 1.2, 0.3)])
         c = 0.6
-        alpha, beta = claim1_constants(bank, M=1.0)
+        alpha, beta = closed_form(bank, M=1.0)
         expected = min(
             f.a**2 / (2 * max((f.a / (1 + f.c)) ** (2 * c / (1 + c)), (f.b / 2) ** (2 * c / (1 + c))))
             for f in bank
@@ -504,17 +523,13 @@ class TestClaim1Constants:
 
     def test_overflowing_closed_form_is_unavailable(self):
         # a^2 overflows a float, so the closed form has no float value
-        assert claim1_constants(ProtocolBank([PowerLinear(1e200, 1.0, 0.5)]), M=1e-100)[1] is None
-
-    def test_wrong_kind(self):
-        with pytest.raises(WrongProtocolKind):
-            claim1_constants(ProtocolBank([Linear(k=1.0)]), M=6.0)
+        assert closed_form(ProtocolBank([PowerLinear(1e200, 1.0, 0.5)]), M=1e-100)[1] is None
 
 
 class TestClaim2Constants:
     def test_uniform_fixture(self):
         bank = ProtocolBank([LogPower(1.0, 0.5)] * 4)
-        alpha, beta = claim2_constants(bank, M=6.0)
+        alpha, beta = closed_form(bank, M=6.0)
         assert alpha == pytest.approx(0.8, rel=1e-15)
         # independent re-derivation of the two printed expressions
         c = 0.5
@@ -527,7 +542,7 @@ class TestClaim2Constants:
         c = 0.4
         assert 2 * c - 4 * c * (1 + c) / (2 + c) == pytest.approx(2 * c - 4 * c * (1 + c) / (2 + c))
         bank = ProtocolBank([LogPower(1.0, c)])
-        alpha, _ = claim2_constants(bank, M=2.0)
+        alpha, _ = closed_form(bank, M=2.0)
         assert alpha == 4 * c / (2 + c)
 
     def test_empirical_minimum_positive(self):
@@ -538,17 +553,13 @@ class TestClaim2Constants:
                 for _ in range(int(rng.integers(1, 4)))
             ])
             M = float(rng.uniform(1.0, 8.0))
-            alpha, _ = claim2_constants(bank, M)
+            alpha, _ = closed_form(bank, M)
             assert check_a2(bank, M, alpha).ratio_bound > 0
 
     def test_overflowing_closed_form_is_unavailable(self):
         bank = ProtocolBank([LogPower(1e200, 0.5)])
-        alpha, beta = claim2_constants(bank, M=1e-100)
+        alpha, beta = closed_form(bank, M=1e-100)
         assert beta is None and 0.0 < check_a2(bank, 1e-100, alpha).ratio_bound < math.inf
-
-    def test_wrong_kind(self):
-        with pytest.raises(WrongProtocolKind):
-            claim2_constants(ProtocolBank([PowerLinear(1.0, 1.0, 0.5)]), M=6.0)
 
 
 class TestSpecGrammar:
