@@ -377,7 +377,6 @@ class TestCertifyCommand:
             assert "the x0 scale" in err and "antiderivative" not in err
             assert not (tmp_path / "o").exists()
 
-
     @pytest.mark.parametrize("spec,scale,noted", [
         # bound 1.29e-51, closed form 1.12e-17: both below the 1e-9 an absolute slack forgave
         ("powerlinear{a=1,b=1,c=0.5}", 1e50, True),
