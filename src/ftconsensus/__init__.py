@@ -11,11 +11,10 @@ _EXPORTS = {
              "left_null_vector mirror_laplacian smallest_eigenvalue_symmetric".split(),
     "protocols": "A1Report CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative "
                  "check_a1 check_a2 evaluate format_protocol_spec parse_protocol_spec".split(),
-    "dynamics": "SimulationConfig Trajectory disagreement integrate lyapunov_trace lyapunov_value "
-                "settling_time".split(),
+    "dynamics": "SimulationConfig Trajectory integrate lyapunov_trace lyapunov_value settling_time".split(),
     "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
-                "settling_bound_rooted settling_bound_strongly_connected".split(),
-    "config": "ExperimentConfig load_config parse_config serialize_config".split(),
+                "settling_bound_rooted".split(),
+    "config": "ExperimentConfig load_config parse_config".split(),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

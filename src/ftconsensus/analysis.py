@@ -62,7 +62,6 @@ __all__ = [
     "CertificationReport",
     "c2_constant",
     "estimate_c1",
-    "settling_bound_strongly_connected",
     "settling_bound_rooted",
     "certify",
 ]
@@ -166,24 +165,6 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori") -> tuple:
     low = B[0, 0] if n == 1 else min(
         np.linalg.eigvalsh(np.delete(np.delete(S, i, 0), i, 1))[0] for i in range(n))
     return float(low), "mixed-sign-infimum"
-
-
-def settling_bound_strongly_connected(
-    g: WeightedDigraph,
-    omega: np.ndarray,
-    bank: ProtocolBank,
-    x0: np.ndarray,
-    alpha: float,
-    beta: float,
-    c1: float,
-    component_id: int = 0,
-    beta_source: str = "grid-bound",
-    c1_source: str = "a-posteriori-trajectory",
-) -> ConvergenceCertificate:
-    """Comparison-principle bound for a strongly connected topology."""
-    _check_constants(alpha, beta, c1)
-    v0 = lyapunov_value(g, omega, bank, x0)
-    return _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v0)
 
 
 def _check_constants(alpha, beta=1.0, c1=1.0):

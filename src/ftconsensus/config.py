@@ -29,14 +29,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 from .errors import ConfigParseError, ConfigValidationError
 
-__all__ = ["ExperimentConfig", "parse_config", "serialize_config", "load_config", "SimulationConfig",
-           "Linear", "PowerLinear", "LogPower", "ProtocolFunction", "parse_protocol_spec",
-           "format_protocol_spec"]
+__all__ = ["ExperimentConfig", "parse_config", "load_config", "SimulationConfig", "Linear",
+           "PowerLinear", "LogPower", "ProtocolFunction", "parse_protocol_spec", "format_protocol_spec"]
 
 
 def _number(value) -> bool:
@@ -272,16 +271,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         n=n, edges=tuple(edges), protocol_specs=specs,
         x0=tuple(float(v) for v in x0), sim=sim)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    doc = {
-        "graph": {"n": cfg.n, "edges": [[s, d, w] for (s, d, w) in cfg.edges]},
-        "protocols": list(cfg.protocol_specs),
-        "x0": list(cfg.x0),
-        "sim": asdict(cfg.sim),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def load_config(path) -> ExperimentConfig:

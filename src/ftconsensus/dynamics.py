@@ -27,7 +27,6 @@ __all__ = [
     "SimulationConfig",
     "Trajectory",
     "integrate",
-    "disagreement",
     "lyapunov_value",
     "lyapunov_trace",
     "settling_time",
@@ -54,11 +53,6 @@ class Trajectory:
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-def disagreement(x: np.ndarray) -> float:
-    """max_i x_i - min_i x_i."""
-    return float(np.ptp(x))
 
 
 def _settled_index(dis, eps):

@@ -9,10 +9,6 @@ class NotStronglyConnected(FtConsensusError):
     """Operation requires a strongly connected digraph."""
 
 
-class NotSymmetric(FtConsensusError):
-    """Matrix is not symmetric within tolerance."""
-
-
 class ProtocolDomainError(FtConsensusError):
     """The argument bound M (``check-protocol``'s ``--bound``, or ``certify``'s
     ||L||_inf ||x0||_inf) is out of range for a protocol: too large where f(M)^2 or

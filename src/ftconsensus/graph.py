@@ -16,7 +16,7 @@ checked functions are the only path and cost a graph one SCC search.
 The left null vector omega comes from Grassmann-Taksar-Heyman elimination on
 one n x n copy of the weights, with no subtraction and no dense SVD, and the
 mirror Laplacian from one n x n product; the one dense eigen-solver here is
-``smallest_eigenvalue_symmetric``.
+``smallest_eigenvalue_symmetric``, for matrices built exactly symmetric.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStronglyConnected, NotSymmetric
+from .errors import NotStronglyConnected
 
 __all__ = [
     "WeightedDigraph",
@@ -64,10 +64,6 @@ class WeightedDigraph:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Indices j whose state agent i receives (weights[i, j] > 0)."""
-        return np.flatnonzero(self.weights[i] > 0)
 
     def subgraph(self, vertices) -> "WeightedDigraph":
         idx = np.asarray(sorted(vertices), dtype=int)
@@ -274,13 +270,9 @@ def mirror_laplacian(g: WeightedDigraph, omega: np.ndarray) -> np.ndarray:
     return B
 
 
-def smallest_eigenvalue_symmetric(m: np.ndarray, sym_tol: float = 1e-12) -> float:
-    """Smallest eigenvalue of a symmetric matrix (dense solve)."""
-    m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > sym_tol * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    return float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
+def smallest_eigenvalue_symmetric(m: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix (dense solve of its lower triangle)."""
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 def infinity_norms(L: np.ndarray, x0: np.ndarray) -> float:

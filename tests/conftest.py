@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -79,6 +81,17 @@ def count_graph_searches(monkeypatch) -> list:
 
     monkeypatch.setattr(graph, "_tarjan_sccs", counting)
     return calls
+
+
+def serialize_config(cfg) -> str:
+    """The JSON document of an ``ExperimentConfig``, for round trips through ``parse_config``."""
+    doc = {
+        "graph": {"n": cfg.n, "edges": [[s, d, w] for (s, d, w) in cfg.edges]},
+        "protocols": list(cfg.protocol_specs),
+        "x0": list(cfg.x0),
+        "sim": asdict(cfg.sim),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def full_states(traj) -> np.ndarray:

@@ -27,7 +27,6 @@ from ftconsensus import (
     lyapunov_value,
     mirror_laplacian,
     settling_bound_rooted,
-    settling_bound_strongly_connected,
 )
 from ftconsensus import analysis, protocols
 from ftconsensus.analysis import constants_for_bank
@@ -35,7 +34,6 @@ from ftconsensus.cli import main
 from ftconsensus.errors import (
     DegenerateInput,
     InvalidConstants,
-    NotStronglyConnected,
     ZeroCoupling,
 )
 
@@ -231,11 +229,16 @@ class TestEstimateC1:
 class TestStronglyConnectedBound:
     BANK3 = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
 
+    @staticmethod
+    def bound(g, omega, bank, x0, alpha, beta, c1):
+        """The root stage's certificate of a strongly connected graph started at x0."""
+        v0 = lyapunov_value(g, omega, bank, x0)
+        return analysis._certificate(0, alpha, beta, "grid-bound", c1, "a-posteriori-trajectory", omega, v0)
+
     def test_consensus_start_gives_zero(self):
         g = directed_cycle(3)
         omega = left_null_vector(g)
-        cert = settling_bound_strongly_connected(
-            g, omega, self.BANK3, np.full(3, 2.0), alpha=6 / 7, beta=0.5, c1=1.0)
+        cert = self.bound(g, omega, self.BANK3, np.full(3, 2.0), alpha=6 / 7, beta=0.5, c1=1.0)
         assert cert.v0 == pytest.approx(0.0, abs=1e-25)
         assert cert.t_star == 0.0
 
@@ -243,8 +246,8 @@ class TestStronglyConnectedBound:
         g = directed_cycle(3)
         omega = left_null_vector(g)
         x0 = np.array([1.0, 0.0, 0.0])
-        c1 = settling_bound_strongly_connected(g, omega, self.BANK3, x0, 6 / 7, 0.5, 1.0)
-        c4 = settling_bound_strongly_connected(g, omega, self.BANK3, x0, 6 / 7, 2.0, 1.0)
+        c1 = self.bound(g, omega, self.BANK3, x0, 6 / 7, 0.5, 1.0)
+        c4 = self.bound(g, omega, self.BANK3, x0, 6 / 7, 2.0, 1.0)
         assert c4.t_star == pytest.approx(c1.t_star / 4.0, rel=1e-12)
 
     def test_bound_dominates_observed_extinction(self):
@@ -258,25 +261,9 @@ class TestStronglyConnectedBound:
         v = lyapunov_trace(g, omega, self.BANK3, traj)
         fy = self.BANK3.eval((-(laplacian(g) @ traj.states.T)).T)
         c1 = rayleigh_min(mirror_laplacian(g, omega), fy)
-        cert = settling_bound_strongly_connected(
-            g, omega, self.BANK3, x0, alpha, rep.ratio_bound, c1)
+        cert = self.bound(g, omega, self.BANK3, x0, alpha, rep.ratio_bound, c1)
         ext = traj.times[np.flatnonzero(v <= 1e-12)[0]]
         assert ext <= cert.t_star
-
-    def test_invalid_constants(self):
-        g = directed_cycle(3)
-        omega = left_null_vector(g)
-        with pytest.raises(InvalidConstants):
-            settling_bound_strongly_connected(g, omega, self.BANK3, np.zeros(3), 1.5, 0.5, 1.0)
-        with pytest.raises(InvalidConstants):
-            settling_bound_strongly_connected(g, omega, self.BANK3, np.zeros(3), 0.5, -1.0, 1.0)
-
-    def test_requires_strong_connectivity(self):
-        with pytest.raises(NotStronglyConnected):
-            settling_bound_strongly_connected(
-                fig1_graph(), np.full(4, 0.25),
-                ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4),
-                np.zeros(4), 0.5, 0.5, 1.0)
 
     def test_omega_scale_coherence(self):
         # rescaling omega rescales V0, C1 and C2 consistently; t* is invariant
@@ -320,6 +307,13 @@ class TestRootedBound:
             settling_bound_rooted(
                 directed_cycle(2), np.zeros(2),
                 ProtocolBank([Linear(k=1.0)] * 2), np.ones(2), 0.5, 0.5)
+
+    def test_invalid_constants(self):
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 2)
+        with pytest.raises(InvalidConstants):
+            settling_bound_rooted(directed_cycle(2), np.ones(2), bank, np.zeros(2), 1.5, 0.5)
+        with pytest.raises(InvalidConstants):
+            settling_bound_rooted(directed_cycle(2), np.ones(2), bank, np.zeros(2), 0.5, -1.0)
 
     def test_positive_definite_random_rooted(self):
         rng = np.random.default_rng(23)

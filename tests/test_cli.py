@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,16 +16,11 @@ import pytest
 
 from ftconsensus import cli, protocols
 from ftconsensus.cli import main
-from ftconsensus.config import (
-    ExperimentConfig,
-    load_config,
-    parse_config,
-    serialize_config,
-)
+from ftconsensus.config import ExperimentConfig, load_config, parse_config
 from ftconsensus.dynamics import SimulationConfig, Trajectory
 from ftconsensus.errors import ConfigParseError, ConfigValidationError
 
-from conftest import count_graph_searches, random_strongly_connected, traced_peak
+from conftest import count_graph_searches, random_strongly_connected, serialize_config, traced_peak
 
 REPO = Path(__file__).resolve().parent.parent
 FIG1_CFG = REPO / "configs" / "fig1.cfg"
@@ -480,6 +476,8 @@ class TestCheckProtocolCommand:
         ("linear{k=1}", ["--bound", "1e150"], 1, None),
         # a linear ratio tends to 0 (here like z^0.2), so no beta > 0 holds down to z = 0
         ("linear{k=1}", ["--bound", "6", "--alpha", "0.9", "--beta", "1e-3"], 1, None),
+        # the bound is 0, below any explicit beta however small
+        ("linear{k=1}", ["--bound", "6", "--beta", "1e-10"], 1, None),
         # alpha below 2c/(1+c) = 6/7: the power-linear ratio tends to 0 like z^0.03
         ("powerlinear{a=1,b=1,c=0.75}", ["--bound", "6", "--alpha", "0.84"], 1, None),
         # F(M) is finite, but np.where's discarded ln-branch overflows there
@@ -692,11 +690,10 @@ print(json.dumps(steps))
                  "left_null_vector mirror_laplacian smallest_eigenvalue_symmetric",
         "protocols": "A1Report CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative "
                      "check_a1 check_a2 evaluate format_protocol_spec parse_protocol_spec",
-        "dynamics": "SimulationConfig Trajectory disagreement integrate lyapunov_trace lyapunov_value "
-                    "settling_time",
+        "dynamics": "SimulationConfig Trajectory integrate lyapunov_trace lyapunov_value settling_time",
         "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
-                    "settling_bound_rooted settling_bound_strongly_connected",
-        "config": "ExperimentConfig load_config parse_config serialize_config",
+                    "settling_bound_rooted",
+        "config": "ExperimentConfig load_config parse_config",
     }
 
     @staticmethod
@@ -753,6 +750,51 @@ print(json.dumps(steps))
             module = importlib.import_module(f"ftconsensus.{module_name}")
             for name in names.split():
                 assert getattr(module, name) is getattr(config, name), name
+
+    @staticmethod
+    def _unreached_exports(sources, exports, readme):
+        """Exported names that no command reaches and README does not name in backticks.
+
+        ``sources`` maps module name to source text.  The ``cmd_*`` functions
+        are reached; so is every top-level function, class (all its methods
+        with it) or assignment whose name a reached one's body uses."""
+        defs = {}
+        for source in sources.values():
+            for node in ast.parse(source).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    defs.setdefault(name, []).append(node)
+        reached, todo = set(), [name for name in defs if name.startswith("cmd_")]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += [n.id for node in defs[name] for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and n.id in defs]
+        return [name for names in exports.values() for name in names
+                if name not in reached and not re.search(rf"`{name}\b", readme)]
+
+    def test_every_export_is_reached_from_a_command_or_named_in_readme(self):
+        import ftconsensus
+
+        sources = {p.stem: p.read_text() for p in (REPO / "src" / "ftconsensus").glob("*.py")}
+        readme = (REPO / "README.md").read_text()
+        assert self._unreached_exports(sources, ftconsensus._EXPORTS, readme) == []
+
+    def test_an_uncalled_export_is_caught(self):
+        import ftconsensus
+
+        sources = {p.stem: p.read_text() for p in (REPO / "src" / "ftconsensus").glob("*.py")}
+        sources["graph"] += "\n\ndef planted_export(g):\n    return g.n\n"
+        exports = dict(ftconsensus._EXPORTS, graph=[*ftconsensus._EXPORTS["graph"], "planted_export"])
+        readme = (REPO / "README.md").read_text()
+        assert self._unreached_exports(sources, exports, readme) == ["planted_export"]
+        assert self._unreached_exports(sources, exports, readme + "\n`planted_export`\n") == []
 
     def test_unknown_attribute_raises(self):
         import ftconsensus

@@ -12,7 +12,6 @@ from ftconsensus import (
     SimulationConfig,
     Trajectory,
     WeightedDigraph,
-    disagreement,
     integrate,
     laplacian,
     left_null_vector,
@@ -57,14 +56,21 @@ class TestRhs:
 
 
 class TestDisagreement:
+    @staticmethod
+    def recorded(x0):
+        """The disagreement a one-step run records for its start x0."""
+        bank = ProtocolBank([Linear(k=1.0)] * len(x0))
+        traj = integrate(SimulationConfig(t_max=1e-3), directed_cycle(len(x0)), bank, np.array(x0))
+        return traj.disagreement[0]
+
     def test_fixture(self):
-        assert disagreement(np.array([2.0, -1.0, 3.0, -2.0])) == 5.0
+        assert self.recorded([2.0, -1.0, 3.0, -2.0]) == 5.0
 
     def test_constant(self):
-        assert disagreement(np.full(5, 1.7)) == 0.0
+        assert self.recorded([1.7] * 5) == 0.0
 
     def test_pair(self):
-        assert disagreement(np.array([0.0, 1.0])) == 1.0
+        assert self.recorded([0.0, 1.0]) == 1.0
 
 
 class TestIntegrate:
