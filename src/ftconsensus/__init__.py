@@ -7,10 +7,10 @@ Names load on first use (PEP 562), so importing the package, ``cli`` or
 from importlib import import_module
 
 _EXPORTS = {
-    "graph": "Condensation WeightedDigraph condensation has_spanning_tree infinity_norms laplacian "
-             "left_null_vector mirror_laplacian smallest_eigenvalue_symmetric".split(),
-    "protocols": "A1Report CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative "
-                 "check_a1 check_a2 evaluate format_protocol_spec parse_protocol_spec".split(),
+    "graph": "Condensation WeightedDigraph condensation has_spanning_tree laplacian left_null_vector "
+             "mirror_laplacian".split(),
+    "protocols": "CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative check_a1 "
+                 "check_a2 evaluate format_protocol_spec parse_protocol_spec".split(),
     "dynamics": "SimulationConfig Trajectory integrate lyapunov_trace lyapunov_value settling_time".split(),
     "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
                 "settling_bound_rooted".split(),

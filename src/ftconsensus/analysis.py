@@ -15,12 +15,12 @@ The certificate machinery follows the Lyapunov argument stage by stage:
   empirical hybrid: each stage bound is rigorous given its observed start.
 
 C1 is the infimum of the Rayleigh quotient of the mirror Laplacian over
-the feedback directions, so two values ship: the a priori infimum over
-every mixed-sign direction, computed exactly from the principal submatrices
-of B (``estimate_c1``, a rigorous lower bound under A1), and the a
-posteriori minimum over the feedback of every RK4 step of an actual run,
-taken by ``integrate`` from each step's own k1, the one used to certify it.
-The path between the states of a step is not observed.
+the feedback directions; both its values are computed here: the a priori
+infimum over every mixed-sign direction, exactly from the principal
+submatrices of B (``estimate_c1``, a rigorous lower bound under A1), and
+the a posteriori minimum over the k1 of every RK4 step of the run that is
+certified (``_root_observer``, ``integrate``'s observe hook).  The path
+between the states of a step is not observed.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ from .errors import (
 from .graph import (
     WeightedDigraph,
     condensation,
-    infinity_norms,
     laplacian,
     left_null_vector,
     mirror_laplacian,
-    smallest_eigenvalue_symmetric,
 )
 from .dynamics import (
     SimulationConfig,
-    _settled_index,
+    _first_settled_index,
     integrate,
     lyapunov_value,
 )
@@ -154,7 +152,7 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori") -> tuple:
     omega^T y = 0 with omega > 0 makes every nonzero y, hence f(y),
     mixed-sign: the value is a rigorous lower bound on C1.  A single agent
     has no mixed-sign direction; its one direction gives B[0, 0].  The a
-    posteriori C1 of a run is ``Trajectory.root_c1`` (see ``integrate``).
+    posteriori C1 of a run is ``_root_observer``'s.
 
     Returns (value, provenance); ``mode`` must be "a_priori".
     """
@@ -167,6 +165,26 @@ def estimate_c1(B: np.ndarray, mode: str = "a_priori") -> tuple:
     return float(low), "mixed-sign-infimum"
 
 
+def _root_observer(verts, omega, L_root) -> tuple:
+    """(observe, low) for the root SCC ``verts``, which has no in-arcs: the root
+    rows u of each observed k1 are f(y_root), so u^T B u = (omega u) . (L_root u).
+    ``low()`` is the least u^T B u / u^T u, skipping states whose root agents
+    are equal and zero u; inf if none is left, -inf if some is not finite."""
+    low = math.inf
+
+    def observe(x, k1):
+        nonlocal low
+        v = x[verts]
+        if (v != v[0]).any():  # else y_root is rounding noise, not feedback
+            u = k1[verts]
+            den = np.dot(u, u)
+            if den:
+                q = np.dot(omega * u, np.dot(L_root, u)) / den
+                low = min(low, q) if math.isfinite(q * den) else -math.inf
+
+    return observe, lambda: float(low)
+
+
 def _check_constants(alpha, beta=1.0, c1=1.0):
     if not 0 < alpha < 1:
         raise InvalidConstants("alpha must lie in (0, 1)")
@@ -176,7 +194,7 @@ def _check_constants(alpha, beta=1.0, c1=1.0):
         raise InvalidConstants("c1 must be positive")
 
 
-def _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v0,
+def _certificate(component_id, alpha, beta, c1, c1_source, omega, v0,
                  lambda1=None) -> ConvergenceCertificate:
     """Stage certificate with the comparison time t* = V0^(1-a) / (C1 C2 beta (1-a))."""
     c2 = c2_constant(omega, alpha)
@@ -184,7 +202,7 @@ def _certificate(component_id, alpha, beta, beta_source, c1, c1_source, omega, v
     t_star = 0.0 if v0 == 0.0 else v0 ** (1.0 - alpha) / (c1 * c2 * beta * (1.0 - alpha) or math.nan)
     if not t_star < math.inf:
         raise InvalidConstants("t* overflows a float")
-    return ConvergenceCertificate(component_id, alpha, beta, beta_source, c1, c1_source, c2, v0,
+    return ConvergenceCertificate(component_id, alpha, beta, "grid-bound", c1, c1_source, c2, v0,
                                   t_star, lambda1)
 
 
@@ -196,7 +214,6 @@ def settling_bound_rooted(
     alpha: float,
     beta: float,
     component_id: int = 0,
-    beta_source: str = "grid-bound",
 ) -> ConvergenceCertificate:
     """Bound for a follower stage coupled to an already-converged parent.
 
@@ -208,13 +225,13 @@ def settling_bound_rooted(
     _check_constants(alpha, beta)
     omega = left_null_vector(g_sub)
     B = mirror_laplacian(g_sub, omega) + np.diag(omega * b_vec)
-    lam1 = smallest_eigenvalue_symmetric(B)
+    lam1 = float(np.linalg.eigvalsh(B)[0])  # B is built exactly symmetric
     if not lam1 > 0:
         raise DegenerateInput("rooted-stage matrix not positive definite")
     y0 = -(laplacian(g_sub) @ z0 + b_vec * z0)
     v0 = float(np.dot(omega, bank_sub.antiderivatives(y0)))
-    return _certificate(component_id, alpha, beta, beta_source, lam1, "smallest-eigenvalue",
-                        omega, v0, lambda1=lam1)
+    return _certificate(component_id, alpha, beta, lam1, "smallest-eigenvalue", omega, v0,
+                        lambda1=lam1)
 
 
 def constants_for_bank(bank: ProtocolBank, M: float) -> tuple:
@@ -231,34 +248,24 @@ def constants_for_bank(bank: ProtocolBank, M: float) -> tuple:
     return alpha, _ratio_bound(bank, M, alpha), beta_closed, note
 
 
-def _first_settled_index(traj, vertices, eps):
-    """First record after which the agents ``vertices`` stay eps-agreed, read
-    from the held state rows, or from the disagreement when they are all."""
-    if len(vertices) == traj.n:
-        return _settled_index(traj.disagreement, eps)
-    return _settled_index(np.ptp(traj.states[:, vertices], axis=1), eps)
-
-
-def _root_stage(g, bank, verts, x0, omega, traj, alpha, beta) -> tuple:
-    """(certificate, consensus value) of the root SCC ``verts``, an autonomous
-    strongly connected stage started at x0, with weights ``omega``; ``traj``
-    observed the root (``integrate``'s ``root``) unless it is one agent."""
+def _root_stage(g_root, bank, verts, x0, omega, traj, root_c1, alpha, beta) -> tuple:
+    """(certificate, consensus value) of the root SCC ``verts`` started at x0: its
+    subgraph, weights and ``_root_observer``'s ``low`` (None for one agent)."""
     if len(verts) == 1:
         # no in-arcs anywhere: the state is constant, settled from t=0
-        cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0, "grid-bound",
+        cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0,
                             math.inf, "singleton-root", np.ones(1), 0.0)
         return cert, float(x0[verts[0]])
-    g_root = g.component(0)
     bank_sub = ProtocolBank([bank[v] for v in verts])
     B = mirror_laplacian(g_root, omega)
     v0 = 0.0 if np.all(x0[verts] == x0[verts[0]]) else lyapunov_value(g_root, omega, bank_sub, x0[verts])
-    if v0 != 0.0 and math.isfinite(traj.root_c1):
+    c1, c1_src = root_c1(), "a-posteriori-trajectory"
+    if v0 != 0.0 and math.isfinite(c1):
         _check_psd(B)
-        c1, c1_src = traj.root_c1, "a-posteriori-trajectory"
     else:
         c1, c1_src = estimate_c1(B)
     _check_constants(alpha, beta, c1)
-    cert = _certificate(0, alpha, beta, "grid-bound", c1, c1_src, omega, v0)
+    cert = _certificate(0, alpha, beta, c1, c1_src, omega, v0)
     return cert, float(np.mean(traj.states[-1, verts]))
 
 
@@ -268,9 +275,8 @@ def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> Conve
     others = [u for u in range(g.n) if u not in verts]
     b_vec = g.weights[np.ix_(verts, others)].sum(axis=1)
     z0 = x_start[verts] - float(np.mean(x_start[anc_verts]))
-    return settling_bound_rooted(
-        g.component(k), b_vec, ProtocolBank([bank[v] for v in verts]), z0, alpha, beta,
-        component_id=k, beta_source="grid-bound")
+    return settling_bound_rooted(g.component(k), b_vec, ProtocolBank([bank[v] for v in verts]),
+                                 z0, alpha, beta, component_id=k)
 
 
 def _compose(cond, certificates) -> float | None:
@@ -296,13 +302,14 @@ def certify(
     """
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
-    root, omega, observed = np.array(cond.components[0]), None, None
+    root = np.array(cond.components[0])
+    g_root = omega = observe = root_c1 = None
     if cond.spanning_tree and root.size > 1:
-        # the run observes the root's every-step C1 (see integrate)
+        # the run observes the root's every-step C1 (see _root_observer)
         g_root = g.component(0)
         omega = left_null_vector(g_root)
-        observed = (root, omega, laplacian(g_root))
-    traj = integrate(sim_cfg, g, bank, x0, observed)
+        observe, root_c1 = _root_observer(root, omega, laplacian(g_root))
+    traj = integrate(sim_cfg, g, bank, x0, observe)
     eps = sim_cfg.eps_consensus
     n_comp = len(cond.components)
     report = CertificationReport(
@@ -322,18 +329,22 @@ def certify(
         )
         return report, traj
 
-    M = infinity_norms(laplacian(g), x0)
+    M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
     alpha, beta, beta_closed, note = constants_for_bank(bank, M)
     report.notes.append(note)
     if _closed_beta_exceeds(beta_closed, beta):
         report.notes.append(
             "closed-form beta exceeds the ratio lower bound; the bound is used")
+    if not beta > 0:
+        report.notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
+                            "the finite-time hypothesis fails and no settling bound is produced")
+        return report, traj
 
     for k, comp in enumerate(cond.components):
         verts = list(comp)
         if k == 0:
             report.certificates[0], report.consensus_value = _root_stage(
-                g, bank, verts, x0, omega, traj, alpha, beta)
+                g_root, bank, verts, x0, omega, traj, root_c1, alpha, beta)
             report.stage_starts[0] = 0.0
             settled = verts
         else:

@@ -138,6 +138,8 @@ def cmd_certify(args) -> int:
     print(f"wrote {out / 'certificate.json'}")
     if not report.spanning_tree:
         print("no directed spanning tree: finite-time consensus hypothesis fails")
+    elif report.certificates[0] is None:
+        print("ratio bound (A2) is 0: finite-time consensus hypothesis fails")
     elif report.overall_bound is not None:
         print(f"overall settling bound (empirical-hybrid): {report.overall_bound:.6g}")
     return EXIT_OK
@@ -179,7 +181,7 @@ def cmd_check_protocol(args) -> int:
     print("A1 continuity:        pass")
     print("A1 zero only at zero: pass")
     print("A1 sign preservation: pass")
-    if not report.a1[0].monotone:
+    if not report.monotone:
         print("warning: monotonicity fails (non-fatal; the convergence "
               "argument uses sign preservation, not monotonicity)")
     print(f"alpha = {report.alpha:.12g}")

@@ -5,8 +5,10 @@ classical fixed-step RK4: the right-hand side is continuous but not
 Lipschitz at consensus, where adaptive step control chatters, so a
 deterministic fixed step plus an explicit freeze rule at the consensus
 threshold is both reproducible and honest about resolution.  The frozen
-tail is implicit (see ``Trajectory``).  ``SimulationConfig`` lives in the
-numpy-free ``config`` module and is re-exported here.
+tail is implicit (see ``Trajectory``; ``_first_settled_index`` reads it for
+``analysis``), and ``integrate``'s ``observe`` hook sees every state with its
+field.  ``SimulationConfig`` lives in the numpy-free ``config`` module and is
+re-exported here.
 ``lyapunov_value`` and ``lyapunov_trace`` take the graph and check it; the
 graph keeps its condensation and Laplacian, so the check costs no search.
 """
@@ -45,7 +47,6 @@ class Trajectory:
     settled_at: float | None = None
     steps: int | None = None  # RK4 steps taken
     freeze_step: int | None = None  # None: the freeze rule never fired
-    root_c1: float | None = None  # the root observer's minimum (see integrate)
 
     @property
     def n(self) -> int:
@@ -62,6 +63,14 @@ def _settled_index(dis, eps):
         return None
     bad = np.flatnonzero(~ok)
     return 0 if bad.size == 0 else int(bad[-1] + 1)
+
+
+def _first_settled_index(traj, vertices, eps):
+    """First record after which the agents ``vertices`` stay eps-agreed, read
+    from the held state rows, or from the disagreement when they are all."""
+    if len(vertices) == traj.n:
+        return _settled_index(traj.disagreement, eps)
+    return _settled_index(np.ptp(traj.states[:, vertices], axis=1), eps)
 
 
 def settling_time(traj: Trajectory, eps: float) -> float | None:
@@ -97,7 +106,7 @@ def integrate(
     g: WeightedDigraph,
     bank: ProtocolBank,
     x0: np.ndarray,
-    root: tuple | None = None,
+    observe=None,
 ) -> Trajectory:
     """Fixed-step RK4 on [0, t_max] with optional freeze at consensus.
 
@@ -112,14 +121,10 @@ def integrate(
     run whose records x n exceeds ``MAX_RECORD_VALUES`` raises
     ``RecordBudgetExceeded`` first.
 
-    ``root = (vertices, omega, L_root)`` of an SCC with no in-arcs observes
-    every state x of the run: the root rows u of the step's k1 are exactly
-    f(y_root), so u^T B u = (omega u) . (L_root u) for the mirror Laplacian
-    B, one matrix-vector product and two dots.  ``Trajectory.root_c1`` is the
-    least u^T B u / u^T u over the k1 of every step and the field at the last
-    state when the run did not freeze, skipping states whose root agents are
-    equal and zero u; inf if none is left, -inf if some quotient is not
-    finite.  Between the states of a step the path is not observed.
+    ``observe(x, fx)``, when given, is called with every state x of the run
+    except a frozen one, together with its field fx = f(-L x): each step's x
+    with its k1, and the last state when the run did not freeze.  Between
+    the states of a step the path is not observed.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (g.n,):
@@ -138,20 +143,6 @@ def integrate(
         y = L @ v
         return bank.eval(np.negative(y, out=y))
 
-    low = math.inf
-    if root:
-        verts, omega, L_root = root
-
-        def observe(x, k1):
-            nonlocal low
-            v = x[verts]
-            if (v != v[0]).any():  # else y_root is rounding noise, not feedback
-                u = k1[verts]
-                den = np.dot(u, u)
-                if den:
-                    q = np.dot(omega * u, np.dot(L_root, u)) / den
-                    low = min(low, q) if math.isfinite(q * den) else -math.inf
-
     plan = np.arange(0, n_steps + cfg.record_stride, cfg.record_stride)  # the recorded steps
     plan[-1] = n_steps
     states = np.empty((plan.size + 1, g.n))
@@ -161,7 +152,7 @@ def integrate(
         for k in range(n_steps + 1):  # step 0: x0
             if k:
                 k1 = field(x)
-                if root:
+                if observe:
                     observe(x, k1)
                 k2 = field(x + half * k1)
                 k3 = field(x + half * k2)
@@ -178,7 +169,7 @@ def integrate(
                 r += 1
                 if frozen:
                     break
-        if root and not frozen:
+        if observe and not frozen:
             observe(x, field(x))
 
     if plan[r - 1] != k:
@@ -188,8 +179,7 @@ def integrate(
     np.subtract(states.max(axis=1), states.min(axis=1), out=dis[:r])
     dis[r:] = dis[r - 1]
     traj = Trajectory(times=plan * dt, states=states, disagreement=dis,
-                      steps=k, freeze_step=k if frozen else None,
-                      root_c1=float(low) if root else None)
+                      steps=k, freeze_step=k if frozen else None)
     traj.settled_at = settling_time(traj, eps)
     return traj
 

@@ -15,8 +15,8 @@ checked functions are the only path and cost a graph one SCC search.
 
 The left null vector omega comes from Grassmann-Taksar-Heyman elimination on
 one n x n copy of the weights, with no subtraction and no dense SVD, and the
-mirror Laplacian from one n x n product; the one dense eigen-solver here is
-``smallest_eigenvalue_symmetric``, for matrices built exactly symmetric.
+mirror Laplacian from one n x n product.  No eigen-solver and no norm of a
+certificate lives here: ``analysis`` computes what it decides.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "has_spanning_tree",
     "left_null_vector",
     "mirror_laplacian",
-    "smallest_eigenvalue_symmetric",
-    "infinity_norms",
 ]
 
 
@@ -269,16 +267,3 @@ def mirror_laplacian(g: WeightedDigraph, omega: np.ndarray) -> np.ndarray:
     B /= 2.0
     return B
 
-
-def smallest_eigenvalue_symmetric(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (dense solve of its lower triangle)."""
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def infinity_norms(L: np.ndarray, x0: np.ndarray) -> float:
-    """||L||_inf * ||x0||_inf, the state-dependent argument bound."""
-    L = np.asarray(L, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if L.shape[0] != L.shape[1] or L.shape[0] != x0.shape[0]:
-        raise ValueError("dimension mismatch")
-    return float(np.abs(L).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning

@@ -49,7 +49,6 @@ __all__ = [
     "LogPower",
     "ProtocolFunction",
     "ProtocolBank",
-    "A1Report",
     "CriteriaReport",
     "evaluate",
     "antiderivative",
@@ -208,18 +207,10 @@ def _ratio_grid(M: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class A1Report:
-    """Shape checks for a single protocol function on [-M, M]; continuity, zero
-    only at zero and sign preservation hold for every family (``check_a1``)."""
-
-    monotone: bool  # informational; not required for the convergence argument
-
-
-@dataclass(frozen=True)
 class CriteriaReport:
     """Outcome of the numeric ratio-bound verification for a bank."""
 
-    a1: tuple  # per-agent A1Report
+    monotone: bool  # every agent's check_a1; informational, not needed for convergence
     a2_pass: bool
     alpha: float
     beta: float
@@ -227,8 +218,9 @@ class CriteriaReport:
     beta_source: str = "explicit"  # explicit | closed-form | grid-bound
 
 
-def check_a1(f: ProtocolFunction, M: float) -> A1Report:
-    """A1 on [-M, M] from the family's proof; the records admit only finite real parameters.
+def check_a1(f: ProtocolFunction, M: float) -> bool:
+    """Whether f is monotone on [-M, M], the one part of A1 that depends on M,
+    from the family's proof; the records admit only finite real parameters.
 
     Every family is odd and positive on z > 0 (log-power's inner branch as
     ln z < 0 there), so zero only at 0 and sign-preserving.  Every family is
@@ -242,7 +234,7 @@ def check_a1(f: ProtocolFunction, M: float) -> A1Report:
         raise ValueError("M must be positive")
     if type(f) not in _KERNELS:
         raise TypeError(f"not a protocol family: {type(f).__name__}")
-    return A1Report(type(f) is not LogPower or M <= math.exp(-1.0 / f.c))
+    return type(f) is not LogPower or M <= math.exp(-1.0 / f.c)
 
 
 def _tail_bound(f, z0, alpha) -> float:
@@ -335,14 +327,14 @@ def check_a2(
         raise ValueError("M must be positive")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    a1 = {f: check_a1(f, M) for f in dict.fromkeys(bank)}
+    monotone = all(check_a1(f, M) for f in dict.fromkeys(bank))
     bound = _ratio_bound(bank, M, alpha)
     if beta is None:
         beta, a2_pass, source = bound, bound > 0.0, "grid-bound"
     else:
         a2_pass, source = bound >= beta, "explicit"
     return CriteriaReport(
-        a1=tuple(a1[f] for f in bank),
+        monotone=monotone,
         a2_pass=bool(a2_pass),
         alpha=alpha,
         beta=float(beta),

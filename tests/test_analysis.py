@@ -42,7 +42,6 @@ from conftest import (
     directed_cycle,
     every_step_c1,
     fig1_graph,
-    full_states,
     random_claim1_bank,
     random_strongly_connected,
     rayleigh_min,
@@ -131,9 +130,9 @@ class TestEstimateC1:
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
         assert val <= np.einsum("ij,jk,ik->i", xi, B, xi).min() + tol
         bank = random_claim1_bank(rng, n)
-        traj = integrate(SimulationConfig(t_max=1.0), g, bank, rng.uniform(-2.0, 2.0, n),
-                         root=(np.arange(n), left_null_vector(g), laplacian(g)))
-        assert val - tol <= traj.root_c1 <= lam[-1] + tol
+        observe, low = analysis._root_observer(np.arange(n), left_null_vector(g), laplacian(g))
+        integrate(SimulationConfig(t_max=1.0), g, bank, rng.uniform(-2.0, 2.0, n), observe)
+        assert val - tol <= low() <= lam[-1] + tol
 
     def test_certify_consensus_start_uses_the_infimum(self):
         # V(0) = 0 leaves no feedback to measure, so the root stage takes the
@@ -158,15 +157,18 @@ class TestEstimateC1:
         x0 = np.array([0.5, 0.5, 0.5 + 1e-12])
         root = (np.arange(3), left_null_vector(g), laplacian(g))
         cfg = SimulationConfig(t_max=0.1, eps_consensus=1e-9)
-        assert integrate(cfg, g, bank, x0, root=root).root_c1 == math.inf
+        observe, low = analysis._root_observer(*root)
+        integrate(cfg, g, bank, x0, observe)
+        assert low() == math.inf
         report, _ = certify(g, bank, x0, cfg)
         cert = report.certificates[0]
         assert cert.v0 > 0.0 and cert.c1_source == "mixed-sign-infimum"
         assert cert.c1 == estimate_c1(mirror_laplacian(g, left_null_vector(g)))[0]
         # at exact consensus -L x is exactly 0 on the unit cycle and nothing moves
-        still = integrate(SimulationConfig(t_max=0.1, freeze_on_consensus=False), g, bank,
-                          np.full(3, 0.5), root=root)
-        assert still.root_c1 == math.inf and integrate(cfg, g, bank, x0).root_c1 is None
+        observe, low = analysis._root_observer(*root)
+        integrate(SimulationConfig(t_max=0.1, freeze_on_consensus=False), g, bank,
+                  np.full(3, 0.5), observe)
+        assert low() == math.inf
 
     @pytest.mark.parametrize("check", ["estimate_c1", "_check_psd"])
     def test_psd_check_accepts_what_the_eigensolve_accepts(self, check, monkeypatch):
@@ -233,7 +235,7 @@ class TestStronglyConnectedBound:
     def bound(g, omega, bank, x0, alpha, beta, c1):
         """The root stage's certificate of a strongly connected graph started at x0."""
         v0 = lyapunov_value(g, omega, bank, x0)
-        return analysis._certificate(0, alpha, beta, "grid-bound", c1, "a-posteriori-trajectory", omega, v0)
+        return analysis._certificate(0, alpha, beta, c1, "a-posteriori-trajectory", omega, v0)
 
     def test_consensus_start_gives_zero(self):
         g = directed_cycle(3)
@@ -340,26 +342,6 @@ class TestCertify:
         assert report.overall_bound == cert.t_star
         assert report.extinction_times[0] is not None
         assert report.extinction_times[0] <= cert.t_star
-
-    def test_first_settled_index_reads_held_rows(self, fig1):
-        # every vertex subset settles at the record the expanded states give;
-        # with every agent the run's disagreement answers and no row is read
-        import dataclasses
-        from itertools import combinations
-
-        from ftconsensus.dynamics import _settled_index
-
-        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
-        traj = integrate(SimulationConfig(t_max=8.0), fig1, bank, np.array([2.0, -1.0, 3.0, -2.0]))
-        assert len(traj.states) < traj.times.size  # a frozen tail
-        full = full_states(traj)
-        for size in (1, 2, 3, 4):
-            for verts in combinations(range(4), size):
-                sub = full[:, list(verts)]
-                expected = _settled_index(sub.max(axis=1) - sub.min(axis=1), 1e-9)
-                assert analysis._first_settled_index(traj, list(verts), 1e-9) == expected
-        rowless = dataclasses.replace(traj, states=np.full((1, 4), np.nan))
-        assert analysis._first_settled_index(rowless, [3, 0, 1, 2], 1e-9) == len(traj.states) - 1
 
     def test_fig1_two_stages(self, fig1, monkeypatch):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
@@ -537,7 +519,7 @@ class TestConstantsForBank:
         assert len(calls) == distinct
         assert emp == per_agent
 
-        a1_reports = {f: protocols.check_a1(f, 6.0) for f in bank}
+        monotone = {f: protocols.check_a1(f, 6.0) for f in bank}
         shape_checks = []
         original_a1 = protocols.check_a1
 
@@ -548,7 +530,7 @@ class TestConstantsForBank:
         monkeypatch.setattr(protocols, "check_a1", counting_a1)
         report = check_a2(bank, 6.0, alpha)
         assert len(calls) == 2 * distinct and len(shape_checks) == distinct
-        assert report.a1 == tuple(a1_reports[f] for f in bank)
+        assert report.monotone is all(monotone.values())
 
     @pytest.mark.parametrize("spec", ["logpower{a=1,c=0.5}", "powerlinear{a=1,b=1,c=0.75}", "linear{k=1}"])
     def test_check_protocol_minimises_the_ratio_once(self, spec, monkeypatch, capsys):

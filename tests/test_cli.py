@@ -357,7 +357,28 @@ class TestCertifyCommand:
         assert doc["spanning_tree"] is False
         assert doc["overall_bound"] is None
 
-    @pytest.mark.parametrize("scale, code", [(1e-300, 1), (1e-200, 1), (1e-150, 0)])
+    @pytest.mark.parametrize("fields", [
+        {"protocols": "linear{k=1}"},
+        {"protocols": ["linear{k=1}", "powerlinear{a=1,b=1,c=0.75}", "logpower{a=1,c=0.5}",
+                       "linear{k=2}"]},
+        {"graph": {"n": 3, "edges": [[1, 2, 1], [1, 3, 2]]}, "x0": [2.0, -1.0, 3.0],
+         "protocols": "linear{k=1}"},
+    ])
+    def test_linear_agent_gets_a_note_not_an_error(self, fields, tmp_path, capsys):
+        # a linear agent's f^2 / F^alpha tends to 0 at 0, so the proven ratio
+        # bound is 0: A2 fails as a hypothesis, like a missing spanning tree
+        doc = dict(json.loads(FIG1_CFG.read_text()), **fields)
+        (tmp_path / "lin.cfg").write_text(json.dumps(doc))
+        rc = main(["certify", str(tmp_path / "lin.cfg"), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert out.splitlines()[1:] == ["ratio bound (A2) is 0: finite-time consensus hypothesis fails"]
+        doc = json.loads((tmp_path / "o" / "certificate.json").read_text())
+        assert doc["spanning_tree"] is True and doc["overall_bound"] is None
+        assert doc["certificates"] == [None] * len(doc["components"])
+        assert doc["notes"][-1].startswith("ratio bound (A2) is 0")
+
+    @pytest.mark.parametrize("scale, code",[(1e-300, 1), (1e-200, 1), (1e-150, 0)])
     def test_tiny_x0_scale_is_named(self, scale, code, tmp_path, capsys):
         # below some scale f^2 or F underflows to 0 at the bottom of the ratio
         # grid, M * 1e-12; that is the state's fault, not the protocol's
@@ -686,10 +707,10 @@ print(json.dumps(steps))
 
     # the public names of the package, by source module
     OLD_EXPORTS = {
-        "graph": "Condensation WeightedDigraph condensation has_spanning_tree infinity_norms laplacian "
-                 "left_null_vector mirror_laplacian smallest_eigenvalue_symmetric",
-        "protocols": "A1Report CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative "
-                     "check_a1 check_a2 evaluate format_protocol_spec parse_protocol_spec",
+        "graph": "Condensation WeightedDigraph condensation has_spanning_tree laplacian left_null_vector "
+                 "mirror_laplacian",
+        "protocols": "CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative check_a1 "
+                     "check_a2 evaluate format_protocol_spec parse_protocol_spec",
         "dynamics": "SimulationConfig Trajectory integrate lyapunov_trace lyapunov_value settling_time",
         "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
                     "settling_bound_rooted",

@@ -271,6 +271,28 @@ class TestRk4Loop:
             assert traj.freeze_step is None and traj.steps == n_steps
             assert traj.times.size == len(steps) == records
 
+    @pytest.mark.parametrize("case", [_fig1_case, _mixed_case])
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_observe_sees_every_unfrozen_state_with_its_field(self, case, freeze):
+        # with every step recorded, the observed states are the held rows
+        # without a frozen last one, and each comes with f(-L x), bit for bit
+        g, bank, x0, cfg = case()
+        cfg = dataclasses.replace(cfg, record_stride=1, freeze_on_consensus=freeze)
+        seen = []
+
+        def observe(x, fx):
+            seen.append((x.copy(), fx.copy()))
+
+        traj = integrate(cfg, g, bank, x0, observe)
+        assert (traj.freeze_step is not None) is freeze  # each case freezes before t_max
+        rows = traj.states[:-1] if freeze else traj.states
+        assert np.array_equal(_bits([x for x, _ in seen]), _bits(rows))
+        L = laplacian(g)
+        assert all(np.array_equal(_bits(fx), _bits(bank.eval(-(L @ x)))) for x, fx in seen)
+        seen.clear()
+        integrate(cfg, g, bank, np.full(g.n, 1.5), observe)
+        assert len(seen) == (0 if freeze else len(traj.states))  # frozen at step 0: none
+
     def test_freeze_step_and_steps(self):
         g, bank, x0, cfg = _fig1_case()
         traj = integrate(cfg, g, bank, x0)
@@ -371,3 +393,19 @@ class TestSettlingTime:
     def test_never_settles(self):
         traj = self._traj([0.0, 1.0], [1.0, 0.5])
         assert settling_time(traj, 1e-9) is None
+
+    def test_first_settled_index_reads_held_rows(self, fig1):
+        # every vertex subset settles at the record the expanded states give;
+        # with every agent the run's disagreement answers and no row is read
+        from itertools import combinations
+
+        traj = integrate(SimulationConfig(t_max=8.0), fig1, PL_BANK4, FIG1_X0)
+        assert len(traj.states) < traj.times.size  # a frozen tail
+        full = full_states(traj)
+        for size in (1, 2, 3, 4):
+            for verts in combinations(range(4), size):
+                sub = full[:, list(verts)]
+                expected = dynamics._settled_index(sub.max(axis=1) - sub.min(axis=1), 1e-9)
+                assert dynamics._first_settled_index(traj, list(verts), 1e-9) == expected
+        rowless = dataclasses.replace(traj, states=np.full((1, 4), np.nan))
+        assert dynamics._first_settled_index(rowless, [3, 0, 1, 2], 1e-9) == len(traj.states) - 1

@@ -7,11 +7,9 @@ from ftconsensus import (
     WeightedDigraph,
     condensation,
     has_spanning_tree,
-    infinity_norms,
     laplacian,
     left_null_vector,
     mirror_laplacian,
-    smallest_eigenvalue_symmetric,
 )
 from ftconsensus.errors import NotStronglyConnected
 
@@ -280,31 +278,8 @@ class TestMirrorLaplacian:
         with pytest.raises(NotStronglyConnected):
             mirror_laplacian(fig1_graph(), np.full(4, 0.25))
 
-
-class TestSmallestEigenvalue:
-    def test_identity(self):
-        assert smallest_eigenvalue_symmetric(np.eye(3)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert smallest_eigenvalue_symmetric(np.diag([2.0, 5.0, -1.0])) == pytest.approx(-1.0)
-
-    def test_mirror_laplacian_kernel(self):
+    def test_smallest_eigenvalue_is_zero(self):
         rng = np.random.default_rng(19)
         g = random_strongly_connected(rng, 5)
         B = mirror_laplacian(g, left_null_vector(g))
-        assert abs(smallest_eigenvalue_symmetric(B)) <= 1e-9
-
-
-class TestInfinityNorms:
-    def test_fig1(self):
-        assert infinity_norms(laplacian(fig1_graph()), np.array([2.0, -1.0, 3.0, -2.0])) == 6.0
-
-    def test_zero_matrix(self):
-        assert infinity_norms(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0])) == 0.0
-
-    def test_two_by_two(self):
-        assert infinity_norms(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([1.0, 0.0])) == 2.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            infinity_norms(np.zeros((2, 2)), np.zeros(3))
+        assert abs(np.linalg.eigvalsh(B)[0]) <= 1e-9
