@@ -13,9 +13,10 @@ to 1 as the benchmark pins them:
 * ``simulate`` and ``certify`` on ``configs/fig1.cfg`` and on every config of
   the benchmark workloads at seeds 1-3, as that checkout's
   ``bench/workloads.py`` builds them (the module is imported, not changed);
-* ``certify`` on the variants of ``configs/fig1.cfg`` in ``CERTIFY``: banks
-  with a linear agent (a ratio bound of 0), a star with a one-agent root,
-  and x0 shifted by 1e6;
+* ``simulate`` and ``certify`` on the variants of ``configs/fig1.cfg`` in
+  ``VARIANTS``: banks with a linear agent (a ratio bound of 0), a star with a
+  one-agent root, x0 shifted by 1e6, x0 = 0 (frozen at step 0, M = 0) and a
+  one-agent graph;
 * ``demo-paper``;
 * ``check-protocol`` on each family, at ``--bound 1e150`` and with an
   explicit ``--beta`` (``CHECK_PROTOCOL``).
@@ -53,13 +54,15 @@ CHECK_PROTOCOL = (
 )
 STAR = {"graph": {"n": 3, "edges": [[1, 2, 1], [1, 3, 2]]}, "x0": [2.0, -1.0, 3.0]}
 # (name, top-level fields that replace those of configs/fig1.cfg)
-CERTIFY = (
+VARIANTS = (
     ("fig1-linear", {"protocols": "linear{k=1}"}),
     ("fig1-mixed-linear", {"protocols": ["linear{k=1}", "powerlinear{a=1,b=1,c=0.75}",
                                          "logpower{a=1,c=0.5}", "linear{k=2}"]}),
     ("star-linear", dict(STAR, protocols="linear{k=1}")),
     ("star-powerlinear", dict(STAR, protocols="powerlinear{a=1,b=1,c=0.75}")),
     ("fig1-offset-1e6", {"x0": [1e6 + v for v in (2.0, -1.0, 3.0, -2.0)]}),
+    ("fig1-x0-zero", {"x0": [0.0] * 4}),
+    ("one-agent", {"graph": {"n": 1, "edges": []}, "x0": [2.0]}),
 )
 MAIN = "import sys; from ftconsensus.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -107,8 +110,9 @@ def main(argv=None) -> int:
     cases = [(f"{command} {name}", [command, "config.json", "--out", "out"], text)
              for name, text in configs(root) for command in ("simulate", "certify")]
     fig1 = json.loads((root / "configs" / "fig1.cfg").read_text(encoding="utf-8"))
-    cases += [(f"certify {name}", ["certify", "config.json", "--out", "out"],
-               json.dumps(dict(fig1, **fields), indent=2)) for name, fields in CERTIFY]
+    cases += [(f"{command} {name}", [command, "config.json", "--out", "out"],
+               json.dumps(dict(fig1, **fields), indent=2))
+              for name, fields in VARIANTS for command in ("simulate", "certify")]
     cases.append(("demo-paper", ["demo-paper", "--out", "out"], None))
     cases += [("check-protocol " + " ".join(a), ["check-protocol", *a], None) for a in CHECK_PROTOCOL]
     for case, command, text in cases:

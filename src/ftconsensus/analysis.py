@@ -20,7 +20,8 @@ infimum over every mixed-sign direction, exactly from the principal
 submatrices of B (``estimate_c1``, a rigorous lower bound under A1), and
 the a posteriori minimum over the k1 of every RK4 step of the run that is
 certified (``_root_observer``, ``integrate``'s observe hook).  The path
-between the states of a step is not observed.
+between the states of a step is not observed.  ``certify`` returns the
+report alone and reads the run's rows only through ``dynamics``.
 """
 
 from __future__ import annotations
@@ -94,9 +95,12 @@ class CertificationReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The fields as plain data for JSON, the certificates as dicts too."""
+        """The fields as plain data for JSON, the certificates as dicts too; a
+        float that is not finite (beta when M = 0, c1 of a one-agent root) is None."""
         kind = "empirical-hybrid" if self.overall_bound is not None else None
-        return dict(asdict(self), overall_bound_kind=kind)
+        return dict(asdict(self, dict_factory=lambda items: {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in items}),
+            overall_bound_kind=kind)
 
 
 def c2_constant(omega: np.ndarray, alpha: float) -> float:
@@ -253,8 +257,7 @@ def _root_stage(g_root, bank, verts, x0, omega, traj, root_c1, alpha, beta) -> t
     subgraph, weights and ``_root_observer``'s ``low`` (None for one agent)."""
     if len(verts) == 1:
         # no in-arcs anywhere: the state is constant, settled from t=0
-        cert = _certificate(0, alpha, beta if math.isfinite(beta) else 0.0,
-                            math.inf, "singleton-root", np.ones(1), 0.0)
+        cert = _certificate(0, alpha, beta, math.inf, "singleton-root", np.ones(1), 0.0)
         return cert, float(x0[verts[0]])
     bank_sub = ProtocolBank([bank[v] for v in verts])
     B = mirror_laplacian(g_root, omega)
@@ -266,7 +269,7 @@ def _root_stage(g_root, bank, verts, x0, omega, traj, root_c1, alpha, beta) -> t
         c1, c1_src = estimate_c1(B)
     _check_constants(alpha, beta, c1)
     cert = _certificate(0, alpha, beta, c1, c1_src, omega, v0)
-    return cert, float(np.mean(traj.states[-1, verts]))
+    return cert, float(np.mean(traj.final_state()[verts]))
 
 
 def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> ConvergenceCertificate:
@@ -295,11 +298,8 @@ def certify(
     bank: ProtocolBank,
     x0: np.ndarray,
     sim_cfg: SimulationConfig,
-) -> tuple:
-    """Run the simulation and assemble the staged certification report.
-
-    Returns (report, trajectory).
-    """
+) -> CertificationReport:
+    """Run the simulation and assemble the staged certification report."""
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
     root = np.array(cond.components[0])
@@ -327,7 +327,7 @@ def certify(
             "topology has no directed spanning tree; the finite-time consensus "
             "hypothesis fails and no settling bound is produced"
         )
-        return report, traj
+        return report
 
     M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
     alpha, beta, beta_closed, note = constants_for_bank(bank, M)
@@ -338,7 +338,7 @@ def certify(
     if not beta > 0:
         report.notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
                             "the finite-time hypothesis fails and no settling bound is produced")
-        return report, traj
+        return report
 
     for k, comp in enumerate(cond.components):
         verts = list(comp)
@@ -363,4 +363,4 @@ def certify(
         report.extinction_times[k] = None if idx is None else float(traj.times[idx])
 
     report.overall_bound = _compose(cond, report.certificates)
-    return report, traj
+    return report

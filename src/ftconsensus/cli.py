@@ -94,7 +94,8 @@ def _write_trajectory_csv(path: Path, traj):
     import os
 
     columns = [traj.disagreement] + ([] if traj.lyapunov is None else [traj.lyapunov])
-    header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)] + ["disagreement", "V"][:len(columns)]
+    header = ["t"] + [f"x_{i + 1}" for i in range(traj.states.shape[1])]
+    header += ["disagreement", "V"][:len(columns)]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -131,7 +132,7 @@ def cmd_certify(args) -> int:
     out = Path(args.out)
     from .analysis import certify
 
-    report, traj = certify(cfg.graph(), cfg.bank(), cfg.x0_array(), cfg.sim)
+    report = certify(cfg.graph(), cfg.bank(), cfg.x0_array(), cfg.sim)
     text = _json(report.to_dict())
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "certificate.json", text)

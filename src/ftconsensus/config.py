@@ -260,8 +260,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "sim" in doc:
         sdoc = doc["sim"]
         _require(isinstance(sdoc, dict), "sim must be an object")
-        known = {"dt", "t_max", "eps_consensus", "record_stride", "freeze_on_consensus"}
-        unknown = set(sdoc) - known
+        unknown = set(sdoc) - {f.name for f in fields(SimulationConfig)}
         _require(not unknown, f"unknown sim fields: {sorted(unknown)}")
         try:
             sim = replace(sim, **sdoc)

@@ -4,11 +4,11 @@ Each agent integrates dx_i/dt = f_i(y_i) with y = -L x.  The integrator is
 classical fixed-step RK4: the right-hand side is continuous but not
 Lipschitz at consensus, where adaptive step control chatters, so a
 deterministic fixed step plus an explicit freeze rule at the consensus
-threshold is both reproducible and honest about resolution.  The frozen
-tail is implicit (see ``Trajectory``; ``_first_settled_index`` reads it for
-``analysis``), and ``integrate``'s ``observe`` hook sees every state with its
-field.  ``SimulationConfig`` lives in the numpy-free ``config`` module and is
-re-exported here.
+threshold is both reproducible and honest about resolution.  This module
+owns the record format (see ``Trajectory``; ``_first_settled_index`` reads
+it for ``analysis``), and ``integrate``'s ``observe`` hook sees every state
+with its field.  ``SimulationConfig`` lives in the numpy-free
+``config`` module and is re-exported here.
 ``lyapunov_value`` and ``lyapunov_trace`` take the graph and check it; the
 graph keeps its condensation and Laplacian, so the check costs no search.
 """
@@ -37,20 +37,16 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """One time, disagreement and V per record, and state rows up to the freeze
+    """One time per record; state rows, disagreement and V up to the freeze
     record: the solution is constant after it, so later records repeat its row."""
 
     times: np.ndarray
     states: np.ndarray  # shape (held records, n)
-    disagreement: np.ndarray
+    disagreement: np.ndarray  # one per held row, as is lyapunov
     lyapunov: np.ndarray | None = None
     settled_at: float | None = None
     steps: int | None = None  # RK4 steps taken
     freeze_step: int | None = None  # None: the freeze rule never fired
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
@@ -67,10 +63,11 @@ def _settled_index(dis, eps):
 
 def _first_settled_index(traj, vertices, eps):
     """First record after which the agents ``vertices`` stay eps-agreed, read
-    from the held state rows, or from the disagreement when they are all."""
-    if len(vertices) == traj.n:
-        return _settled_index(traj.disagreement, eps)
-    return _settled_index(np.ptp(traj.states[:, vertices], axis=1), eps)
+    from the held state rows through a column mask: no rows x vertices copy."""
+    cols = np.zeros(traj.states.shape[1], dtype=bool)
+    cols[vertices] = True
+    hi = traj.states.max(axis=1, initial=-np.inf, where=cols)
+    return _settled_index(hi - traj.states.min(axis=1, initial=np.inf, where=cols), eps)
 
 
 def settling_time(traj: Trajectory, eps: float) -> float | None:
@@ -86,10 +83,10 @@ def settling_time(traj: Trajectory, eps: float) -> float | None:
 MAX_RECORD_VALUES = 2**24
 
 
-def _record_plan(cfg: SimulationConfig, n: int) -> tuple:
-    """(RK4 steps, records) of a run: step 0, every ``record_stride`` multiple
-    below the last step and the last step are recorded.  Raises
-    ``RecordBudgetExceeded`` when records x n exceeds ``MAX_RECORD_VALUES``."""
+def _record_plan(cfg: SimulationConfig, n: int) -> np.ndarray:
+    """The recorded RK4 steps: step 0, every ``record_stride`` multiple below
+    the last step, and the last.  Raises ``RecordBudgetExceeded`` first when
+    records x n exceeds ``MAX_RECORD_VALUES``."""
     steps = cfg.t_max / cfg.dt
     n_steps = max(1, int(round(steps))) if math.isfinite(steps) else None
     records = (n_steps - 1) // cfg.record_stride + 2 if n_steps else math.inf
@@ -98,7 +95,9 @@ def _record_plan(cfg: SimulationConfig, n: int) -> tuple:
             f"t_max = {cfg.t_max:g} at dt = {cfg.dt:g} with record_stride = {cfg.record_stride} "
             f"would record {records} states of {n} agents, more than the {MAX_RECORD_VALUES} "
             "values a run may keep; lower t_max or raise record_stride")
-    return n_steps, records
+    plan = np.arange(0, n_steps + cfg.record_stride, cfg.record_stride)
+    plan[-1] = n_steps
+    return plan
 
 
 def integrate(
@@ -110,16 +109,15 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 on [0, t_max] with optional freeze at consensus.
 
-    Records step 0, every ``record_stride``-th step and the last.  Once the
-    disagreement drops to ``eps_consensus`` (freezing enabled) the states
-    snap to their mean, which stops floating-point chatter at the
-    non-Lipschitz equilibrium; the freeze step is recorded and the run stops.
+    Records the steps of ``_record_plan``.  Once the disagreement drops to
+    ``eps_consensus`` (freezing enabled) the states snap to their mean, which
+    stops floating-point chatter at the non-Lipschitz equilibrium; the freeze
+    step is recorded and the run stops.
     A step costs four ``L @ x``, four ``bank.eval`` and a few O(n) ufuncs.
 
-    The records array (a spare row for an off-stride freeze step) is
-    allocated up front; rows past the freeze record are never written.  A
-    run whose records x n exceeds ``MAX_RECORD_VALUES`` raises
-    ``RecordBudgetExceeded`` first.
+    The state rows (a spare one for an off-stride freeze step) are allocated
+    up front.  ``times`` keeps one entry per record; the state rows and the
+    disagreement end at the freeze record.
 
     ``observe(x, fx)``, when given, is called with every state x of the run
     except a frozen one, together with its field fx = f(-L x): each step's x
@@ -133,7 +131,7 @@ def integrate(
         raise ValueError("x0 must be finite")
     if len(bank) != g.n:
         raise ValueError("bank size must equal agent count")
-    n_steps, _ = _record_plan(cfg, g.n)
+    plan = _record_plan(cfg, g.n)  # raises RecordBudgetExceeded before anything is allocated
 
     L = laplacian(g)
     dt, eps, freeze = cfg.dt, cfg.eps_consensus, cfg.freeze_on_consensus
@@ -143,13 +141,11 @@ def integrate(
         y = L @ v
         return bank.eval(np.negative(y, out=y))
 
-    plan = np.arange(0, n_steps + cfg.record_stride, cfg.record_stride)  # the recorded steps
-    plan[-1] = n_steps
     states = np.empty((plan.size + 1, g.n))
     frozen, r = False, 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):  # step 0: x0
+        for k in range(plan[-1] + 1):  # step 0: x0
             if k:
                 k1 = field(x)
                 if observe:
@@ -175,10 +171,7 @@ def integrate(
     if plan[r - 1] != k:
         plan = np.insert(plan, r - 1, k)
     states = states[:r]
-    dis = np.empty(plan.size)
-    np.subtract(states.max(axis=1), states.min(axis=1), out=dis[:r])
-    dis[r:] = dis[r - 1]
-    traj = Trajectory(times=plan * dt, states=states, disagreement=dis,
+    traj = Trajectory(times=plan * dt, states=states, disagreement=np.ptp(states, axis=1),
                       steps=k, freeze_step=k if frozen else None)
     traj.settled_at = settling_time(traj, eps)
     return traj
@@ -210,12 +203,9 @@ def lyapunov_trace(
     bank: ProtocolBank,
     traj: Trajectory,
 ) -> np.ndarray:
-    """V at every record from the held state rows; also stored on the trajectory."""
+    """V at every held state row; also stored on the trajectory."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
     L = laplacian(g)
-    traj.lyapunov = v = np.empty(traj.times.size)
-    for i, x in enumerate(traj.states):
-        v[i] = _lyapunov(L, omega, bank, x)
-    v[i + 1:] = v[i]  # the frozen tail repeats V of the freeze record
-    return v
+    traj.lyapunov = np.array([_lyapunov(L, omega, bank, x) for x in traj.states])
+    return traj.lyapunov

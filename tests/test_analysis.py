@@ -28,7 +28,7 @@ from ftconsensus import (
     mirror_laplacian,
     settling_bound_rooted,
 )
-from ftconsensus import analysis, protocols
+from ftconsensus import analysis, dynamics, protocols
 from ftconsensus.analysis import constants_for_bank
 from ftconsensus.cli import main
 from ftconsensus.errors import (
@@ -140,7 +140,7 @@ class TestEstimateC1:
         # With random weights -L x at x = 0.5 * 1 is rounding noise, not 0.
         for g in (directed_cycle(3), random_strongly_connected(np.random.default_rng(21), 40)):
             bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * g.n)
-            report, _ = certify(g, bank, np.full(g.n, 0.5), SimulationConfig(t_max=0.1))
+            report = certify(g, bank, np.full(g.n, 0.5), SimulationConfig(t_max=0.1))
             root = report.certificates[0]
             assert root.c1_source == "mixed-sign-infimum"
             assert root.v0 == 0.0 and root.t_star == 0.0
@@ -160,7 +160,7 @@ class TestEstimateC1:
         observe, low = analysis._root_observer(*root)
         integrate(cfg, g, bank, x0, observe)
         assert low() == math.inf
-        report, _ = certify(g, bank, x0, cfg)
+        report = certify(g, bank, x0, cfg)
         cert = report.certificates[0]
         assert cert.v0 > 0.0 and cert.c1_source == "mixed-sign-infimum"
         assert cert.c1 == estimate_c1(mirror_laplacian(g, left_null_vector(g)))[0]
@@ -207,7 +207,7 @@ class TestEstimateC1:
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * g.n)
         x0 = np.random.default_rng(201).uniform(-2.0, 2.0, g.n)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        report, _ = certify(g, bank, x0, SimulationConfig(t_max=0.2))
+        report = certify(g, bank, x0, SimulationConfig(t_max=0.2))
         root = report.certificates[0]
         assert root.v0 > 0.0 and root.c1_source == "a-posteriori-trajectory" and root.c1 > 0.0
 
@@ -217,15 +217,16 @@ class TestEstimateC1:
         g = random_strongly_connected(np.random.default_rng(200), 200)
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * g.n)
         x0 = np.random.default_rng(202).uniform(-2.0, 2.0, g.n)
-        peaks, runs = [], []
+        peaks, runs, records = [], [], []
         certify(g, bank, x0, SimulationConfig(t_max=0.1))  # first-call caches
         for t_max in (0.5, 5.0):
             cfg = SimulationConfig(t_max=t_max, freeze_on_consensus=False)
             peaks.append(traced_peak(lambda: runs.append(certify(g, bank, x0, cfg))))
-        grown = (runs[1][1].times.size - runs[0][1].times.size) * 8 * (g.n + 3)
+            records.append(dynamics._record_plan(cfg, g.n).size)
+        grown = (records[1] - records[0]) * 8 * (g.n + 3)
         # a records x n copy would add another 450 records x 200 x 8 B = 703 KiB
         assert peaks[1] - peaks[0] <= grown + 16 * 2**10
-        assert [r[0].certificates[0].c1_source for r in runs] == ["a-posteriori-trajectory"] * 2
+        assert [r.certificates[0].c1_source for r in runs] == ["a-posteriori-trajectory"] * 2
 
 
 class TestStronglyConnectedBound:
@@ -334,7 +335,7 @@ class TestCertify:
     def test_strongly_connected_single_stage(self):
         g = directed_cycle(3)
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
-        report, traj = certify(g, bank, np.array([1.0, 0.0, -1.0]), SimulationConfig(t_max=10.0))
+        report = certify(g, bank, np.array([1.0, 0.0, -1.0]), SimulationConfig(t_max=10.0))
         assert report.spanning_tree
         assert len(report.components) == 1
         cert = report.certificates[0]
@@ -346,7 +347,7 @@ class TestCertify:
     def test_fig1_two_stages(self, fig1, monkeypatch):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
         searches = count_graph_searches(monkeypatch)
-        report, traj = certify(fig1, bank, np.array([2.0, -1.0, 3.0, -2.0]), SimulationConfig())
+        report = certify(fig1, bank, np.array([2.0, -1.0, 3.0, -2.0]), SimulationConfig())
         assert len(searches) == 1  # one condensation serves the whole certificate
         assert report.components == ((0, 1, 2), (3,))
         assert report.dag_edges == ((0, 1),)
@@ -366,7 +367,9 @@ class TestCertify:
         g = WeightedDigraph(w)
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
         x0 = np.array([0.75, -1.0, 2.0, 0.0])
-        report, traj = certify(g, bank, x0, SimulationConfig(t_max=15.0))
+        cfg = SimulationConfig(t_max=15.0)
+        report = certify(g, bank, x0, cfg)
+        traj = integrate(cfg, g, bank, x0)
         assert report.certificates[0].t_star == 0.0
         assert report.consensus_value == pytest.approx(x0[0])
         assert abs(traj.states[-1].mean() - x0[0]) <= 1e-9
@@ -376,7 +379,9 @@ class TestCertify:
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), LogPower(1.0, 0.5),
                              PowerLinear(1.5, 0.5, 0.6), LogPower(0.8, 0.4)])
         x0 = np.array([2.0, -1.0, 3.0, -2.0])
-        report, traj = certify(fig1, bank, x0, SimulationConfig(eps_consensus=1e-4))
+        cfg = SimulationConfig(eps_consensus=1e-4)
+        report = certify(fig1, bank, x0, cfg)
+        traj = integrate(cfg, fig1, bank, x0)
         assert bank.uniform_kind is None and traj.times.size == 2002
         root, follower = report.certificates
         # alpha is the largest per-agent closed form, power-linear's 2c/(1+c)
@@ -401,12 +406,12 @@ class TestCertify:
         g = WeightedDigraph(w)
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 4)
         x0 = np.array([1.0, 1.2, -2.0, -2.2])
-        report, traj = certify(g, bank, x0, SimulationConfig(t_max=5.0))
+        report = certify(g, bank, x0, SimulationConfig(t_max=5.0))
         assert not report.spanning_tree
         assert report.overall_bound is None
         assert all(c is None for c in report.certificates)
         assert any("spanning tree" in n for n in report.notes)
-        assert traj.disagreement[-1] > 1.0  # non-consensus confirmed
+        assert report.final_disagreement > 1.0  # non-consensus confirmed
 
     def test_certificate_soundness_random(self):
         rng = np.random.default_rng(31)
@@ -415,7 +420,8 @@ class TestCertify:
             g = random_strongly_connected(rng, int(rng.integers(2, 6)))
             bank = random_claim1_bank(rng, g.n)
             x0 = rng.uniform(-3, 3, g.n)
-            report, traj = certify(g, bank, x0, cfg)
+            report = certify(g, bank, x0, cfg)
+            traj = integrate(cfg, g, bank, x0)
             cert = report.certificates[0]
             omega = left_null_vector(g)
             v = lyapunov_trace(g, omega, bank, traj)
@@ -423,7 +429,7 @@ class TestCertify:
             # frozen state carries O(1e-20) rounding residue in V
             v = np.where(v <= 1e-12, 0.0, v)
             K = cert.c1 * cert.c2 * cert.beta
-            dv = np.diff(v) / np.diff(traj.times)
+            dv = np.diff(v) / np.diff(traj.times[:v.size])
             bound = -K * v[1:] ** cert.alpha
             assert np.all(dv <= bound + 1e-6 * np.abs(bound) + 1e-12)
             ext_idx = np.flatnonzero(v <= 1e-12)
@@ -462,7 +468,8 @@ class TestEveryStepC1:
     @pytest.mark.parametrize("case", ["fig1", "fig1-cut", "mixed-kind", "n200"])
     def test_equals_a_reference_loop(self, case):
         g, bank, x0, cfg = self._cases()[case]
-        report, traj = certify(g, bank, x0, cfg)
+        report = certify(g, bank, x0, cfg)
+        traj = integrate(cfg, g, bank, x0)
         root = report.certificates[0]
         verts = list(report.components[0])
         assert root.c1_source == "a-posteriori-trajectory"
@@ -473,7 +480,8 @@ class TestEveryStepC1:
         from test_acceptance import _twenty_fixtures
 
         for g, bank, x0, cfg in _twenty_fixtures():
-            report, traj = certify(g, bank, x0, cfg)
+            report = certify(g, bank, x0, cfg)
+            traj = integrate(cfg, g, bank, x0)
             assert report.certificates[0].c1 <= recorded_c1(g, bank, traj, list(range(g.n))) * (1 + 1e-12)
 
     @pytest.mark.parametrize("workload", ["fig1_paper", "scc_200", "dag_mixed"])
@@ -485,7 +493,8 @@ class TestEveryStepC1:
             doc = next(iter(make(seed).configs.values()))  # fig1-paper: the freeze config
             cfg = parse_config(json.dumps(doc))
             g, bank = cfg.graph(), cfg.bank()
-            report, traj = certify(g, bank, cfg.x0_array(), cfg.sim)
+            report = certify(g, bank, cfg.x0_array(), cfg.sim)
+            traj = integrate(cfg.sim, g, bank, cfg.x0_array())
             verts = list(report.components[0])
             assert report.certificates[0].c1 <= recorded_c1(g, bank, traj, verts) * (1 + 1e-12)
 

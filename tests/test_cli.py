@@ -64,6 +64,7 @@ class TestParseConfig:
         (lambda d: d.update(sim={"eps_consensus": None}), "eps_consensus"),
         (lambda d: d.update(bogus=1), "unknown"),
         (lambda d: d.update(certify=False), r"unknown top-level fields: \['certify'\]"),
+        (lambda d: d.update(sim={"dt": 1e-3, "bogus": 1}), r"^unknown sim fields: \['bogus'\]$"),
         # numbers that overflow a float or are not finite (json writes inf as Infinity)
         (lambda d: d.update(x0=[10**400, 0.0, -1.0]), "x0 entries must be finite"),
         (lambda d: d.update(x0=[math.nan, 0.0, -1.0]), "x0 entries must be finite"),
@@ -377,6 +378,26 @@ class TestCertifyCommand:
         assert doc["spanning_tree"] is True and doc["overall_bound"] is None
         assert doc["certificates"] == [None] * len(doc["components"])
         assert doc["notes"][-1].startswith("ratio bound (A2) is 0")
+
+    @pytest.mark.parametrize("fields, nulls", [
+        # a one-agent root has no feedback direction: C1 is infinite
+        ({"graph": {"n": 3, "edges": [[1, 2, 1], [1, 3, 2]]}, "x0": [2.0, -1.0, 3.0]},
+         [["c1", "lambda1"], [], []]),
+        # x0 = 0 gives M = 0: the ratio bound over an empty range is infinite
+        ({"x0": [0.0] * 4}, [["beta", "lambda1"], ["beta"]]),
+        ({"graph": {"n": 1, "edges": []}, "x0": [2.0]}, [["beta", "c1", "lambda1"]]),
+    ])
+    def test_certificate_is_standard_json(self, fields, nulls, tmp_path):
+        # a non-finite constant is written as null, never as Infinity or NaN
+        def refuse(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        doc = dict(json.loads(FIG1_CFG.read_text()), **fields)
+        (tmp_path / "c.cfg").write_text(json.dumps(doc))
+        assert main(["certify", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "certificate.json").read_text(), parse_constant=refuse)
+        assert [sorted(k for k, v in c.items() if v is None) for c in doc["certificates"]] == nulls
+        assert doc["overall_bound"] is not None  # every stage is still bounded
 
     @pytest.mark.parametrize("scale, code",[(1e-300, 1), (1e-200, 1), (1e-150, 0)])
     def test_tiny_x0_scale_is_named(self, scale, code, tmp_path, capsys):

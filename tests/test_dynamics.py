@@ -151,10 +151,12 @@ class TestIntegrate:
         cfg = SimulationConfig(dt=0.001, t_max=t_max, eps_consensus=1e-3, record_stride=stride,
                                freeze_on_consensus=freeze)
         traj = integrate(cfg, g, bank, np.array([1.0, 0.0, 0.0]))
-        n_steps, records = dynamics._record_plan(cfg, 3)
+        plan = dynamics._record_plan(cfg, 3)
+        n_steps = max(1, round(t_max / cfg.dt))
+        assert list(plan) == [*range(0, n_steps, stride), n_steps]
         k = np.rint(traj.times / cfg.dt).astype(int)
-        grid = set(range(0, n_steps, stride)) | {n_steps}
-        assert traj.times.size == records + len(set(k) - grid)
+        grid = set(plan)
+        assert traj.times.size == plan.size + len(set(k) - grid)
         assert set(k) >= grid and len(set(k) - grid) <= int(freeze)
         assert np.all(np.diff(k) > 0) and full_states(traj).shape == (traj.times.size, 3)
 
@@ -262,14 +264,37 @@ class TestRk4Loop:
         steps, rows = rk4_reference(cfg, g, bank, x0)
         assert np.array_equal(_bits(traj.states), _bits(rows))
         assert np.array_equal(traj.times[:len(steps)], np.array(steps) * cfg.dt)
-        n_steps, records = dynamics._record_plan(cfg, g.n)
+        plan = dynamics._record_plan(cfg, g.n)
+        n_steps = plan[-1]
         if freeze:
             # each case freezes before t_max, so there is a tail of records
             assert traj.freeze_step == traj.steps == steps[-1] < n_steps
             assert traj.times.size > len(steps)
         else:
             assert traj.freeze_step is None and traj.steps == n_steps
-            assert traj.times.size == len(steps) == records
+            assert traj.times.size == len(steps) == plan.size
+
+    @pytest.mark.parametrize("case", [_uniform_200_case, _mixed_case])
+    @pytest.mark.parametrize("freeze,stride", [(True, None), (True, 1), (False, None)])
+    def test_every_column_but_times_ends_at_the_freeze_record(self, case, freeze, stride):
+        # times has one entry per planned record, and one more for a freeze
+        # step between two of them (each case freezes off its own stride);
+        # the state rows, disagreement and V end at the freeze record
+        g, bank, x0, cfg = case()
+        cfg = dataclasses.replace(cfg, freeze_on_consensus=freeze,
+                                  record_stride=stride or cfg.record_stride)
+        plan = dynamics._record_plan(cfg, g.n)
+        for start in (x0, np.full(g.n, 1.5)):  # the second freezes at step 0
+            traj = integrate(cfg, g, bank, start)
+            lyapunov_trace(g, left_null_vector(g), bank, traj)
+            assert len(traj.disagreement) == len(traj.lyapunov) == len(traj.states)
+            off_stride = traj.freeze_step is not None and traj.freeze_step not in plan
+            assert off_stride == (freeze and stride is None and start is x0)
+            assert traj.times.size == plan.size + off_stride
+            if traj.freeze_step is None:
+                assert len(traj.states) == plan.size
+            else:
+                assert traj.times[len(traj.states) - 1] == traj.settled_at
 
     @pytest.mark.parametrize("case", [_fig1_case, _mixed_case])
     @pytest.mark.parametrize("freeze", [True, False])
@@ -304,8 +329,8 @@ class TestRk4Loop:
         assert at_consensus.freeze_step == at_consensus.steps == 0
 
     def test_frozen_tail_holds_no_rows(self):
-        # the state rows end at the freeze record, whatever the horizon; the
-        # later records repeat its disagreement and V
+        # the state rows, disagreement and V end at the freeze record,
+        # whatever the horizon; the later records repeat them
         g, bank, x0, cfg = _fig1_case()
         short = integrate(cfg, g, bank, x0)
         long = integrate(dataclasses.replace(cfg, t_max=10 * cfg.t_max), g, bank, x0)
@@ -314,16 +339,14 @@ class TestRk4Loop:
         assert np.array_equal(_bits(short.states), _bits(long.states))
         assert long.freeze_step == short.freeze_step and long.settled_at == short.settled_at
         assert np.array_equal(short.times[:held], long.times[:held])
-        assert np.all(long.disagreement[held - 1:] == 0.0)
+        assert np.array_equal(long.disagreement, short.disagreement) and long.disagreement[-1] == 0.0
         cycle = directed_cycle(3)
         bank3 = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
         traj = integrate(SimulationConfig(t_max=5.0), cycle, bank3, np.array([1.0, 0.0, -1.0]))
         v = lyapunov_trace(cycle, left_null_vector(cycle), bank3, traj)
-        held = len(traj.states)
-        assert held < v.size == traj.times.size
-        assert list(v[:held]) == [lyapunov_value(cycle, left_null_vector(cycle), bank3, x)
-                                  for x in traj.states]
-        assert np.all(v[held:] == v[held - 1])
+        assert v.size == len(traj.states) < traj.times.size
+        assert list(v) == [lyapunov_value(cycle, left_null_vector(cycle), bank3, x)
+                           for x in traj.states]
 
     def test_finite_state_with_overflowing_sum_runs(self):
         # two entries of 1e308 sum to inf, so the quick check fails and the
@@ -395,8 +418,7 @@ class TestSettlingTime:
         assert settling_time(traj, 1e-9) is None
 
     def test_first_settled_index_reads_held_rows(self, fig1):
-        # every vertex subset settles at the record the expanded states give;
-        # with every agent the run's disagreement answers and no row is read
+        # every vertex subset settles at the record the expanded states give
         from itertools import combinations
 
         traj = integrate(SimulationConfig(t_max=8.0), fig1, PL_BANK4, FIG1_X0)
@@ -407,5 +429,3 @@ class TestSettlingTime:
                 sub = full[:, list(verts)]
                 expected = dynamics._settled_index(sub.max(axis=1) - sub.min(axis=1), 1e-9)
                 assert dynamics._first_settled_index(traj, list(verts), 1e-9) == expected
-        rowless = dataclasses.replace(traj, states=np.full((1, 4), np.nan))
-        assert dynamics._first_settled_index(rowless, [3, 0, 1, 2], 1e-9) == len(traj.states) - 1
