@@ -299,12 +299,28 @@ def certify(
     x0: np.ndarray,
     sim_cfg: SimulationConfig,
 ) -> CertificationReport:
-    """Run the simulation and assemble the staged certification report."""
+    """Run the simulation and assemble the staged certification report.
+
+    The constants need only the graph, x0 and the bank, so they come first:
+    a run whose ratio bound is 0 gets no root observer."""
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
     root = np.array(cond.components[0])
+    notes, beta = [], 0.0
+    if cond.spanning_tree:
+        M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
+        alpha, beta, beta_closed, note = constants_for_bank(bank, M)
+        notes.append(note)
+        if _closed_beta_exceeds(beta_closed, beta):
+            notes.append("closed-form beta exceeds the ratio lower bound; the bound is used")
+        if not beta > 0:
+            notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
+                         "the finite-time hypothesis fails and no settling bound is produced")
+    else:
+        notes.append("topology has no directed spanning tree; the finite-time consensus "
+                     "hypothesis fails and no settling bound is produced")
     g_root = omega = observe = root_c1 = None
-    if cond.spanning_tree and root.size > 1:
+    if beta > 0 and root.size > 1:
         # the run observes the root's every-step C1 (see _root_observer)
         g_root = g.component(0)
         omega = left_null_vector(g_root)
@@ -321,23 +337,9 @@ def certify(
         extinction_times=[None] * n_comp,
         final_disagreement=float(traj.disagreement[-1]),
         settled_at=traj.settled_at,
+        notes=notes,
     )
-    if not cond.spanning_tree:
-        report.notes.append(
-            "topology has no directed spanning tree; the finite-time consensus "
-            "hypothesis fails and no settling bound is produced"
-        )
-        return report
-
-    M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
-    alpha, beta, beta_closed, note = constants_for_bank(bank, M)
-    report.notes.append(note)
-    if _closed_beta_exceeds(beta_closed, beta):
-        report.notes.append(
-            "closed-form beta exceeds the ratio lower bound; the bound is used")
     if not beta > 0:
-        report.notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
-                            "the finite-time hypothesis fails and no settling bound is produced")
         return report
 
     for k, comp in enumerate(cond.components):

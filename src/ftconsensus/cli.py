@@ -12,12 +12,13 @@ Exit codes: 0 success / criteria pass; 1 validation or criteria failure;
 
 Argument parsing, config validation and their error exits load no numpy:
 each command imports the numeric modules when it starts to compute.
+Importing this module, or ``load_config``, loads neither ``argparse`` nor
+``dataclasses``: ``build_parser`` imports ``argparse`` when ``main`` first
+runs, and the config records are not dataclasses (``config``).
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -85,26 +86,25 @@ def _write_text(path: Path, text: str):  # text, then a final newline
 
 
 def _write_trajectory_csv(path: Path, traj):
-    """Stream ``traj`` as CSV (t, x_1..x_n, disagreement[, V]), one row at a time.
+    """Stream ``traj`` as CSV (t, x_1..x_n, disagreement[, V]), one row per
+    record of ``Trajectory.rows``; a row it repeats is formatted once.
 
-    Records after the held state rows repeat the last row's cells, formatted
-    once; each adds only its t.  Rows go to a temporary name beside ``path``
-    that replaces it once complete: a failed write leaves no partial file.
+    Rows go to a temporary name beside ``path`` that replaces it once
+    complete: a failed write leaves no partial file.
     """
     import os
 
-    columns = [traj.disagreement] + ([] if traj.lyapunov is None else [traj.lyapunov])
-    header = ["t"] + [f"x_{i + 1}" for i in range(traj.states.shape[1])]
-    header += ["disagreement", "V"][:len(columns)]
+    header = ["t"] + [f"x_{i + 1}" for i in range(traj.states.shape[1])] + ["disagreement"]
+    header += [] if traj.lyapunov is None else ["V"]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for k, state in enumerate(traj.states):
-                rest = ",".join(map(_fmt, [*state, *(col[k] for col in columns)])) + "\n"
-                fh.write(f"{_fmt(traj.times[k])},{rest}")
-            for t in traj.times[k + 1:]:
-                fh.write(f"{_fmt(t)},{rest}")
+            last = None
+            for t, row in traj.rows():
+                if row is not last:
+                    last, cells = row, ",".join(map(_fmt, row)) + "\n"
+                fh.write(f"{_fmt(t)},{cells}")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -151,6 +151,8 @@ def _criteria(f, M: float, alpha, beta) -> tuple:
 
     The closed-form beta is shown, and used when no beta is given, unless it
     exceeds the proven ratio bound."""
+    import dataclasses
+
     from .protocols import ProtocolBank, _closed_beta_exceeds, _closed_form_constants, check_a2
 
     bank = ProtocolBank([f])
@@ -221,13 +223,14 @@ def cmd_demo_paper(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a usage error is bad input: exit 1 with one line
-        raise FtConsensusError(message)
-
-
 @functools.cache  # one parser per process: each build leaves argparse objects in cycles
-def build_parser() -> _Parser:
+def build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error is bad input: exit 1 with one line
+            raise FtConsensusError(message)
+
     p = _Parser(
         prog="ftconsensus",
         description="Simulate and certify finite-time consensus on weighted digraphs")

@@ -21,7 +21,10 @@ hold ``n`` entries before anything of size ``n`` is built.
 
 The module loads no numpy, so a config validates without it.  It also holds
 the records a config names (``SimulationConfig``, the protocol families and
-their spec grammar), which ``dynamics`` and ``protocols`` re-export.
+their spec grammar), which ``dynamics`` and ``protocols`` re-export.  They
+are frozen ``_record.Record`` values, not dataclasses, so a cold start
+imports neither ``dataclasses`` nor ``typing``; ``_record`` has their
+``fields``, ``replace`` and ``asdict``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
-from typing import Union
-
+from ._record import Record, fields, replace
 from .errors import ConfigParseError, ConfigValidationError
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "SimulationConfig", "Linear",
@@ -65,8 +66,7 @@ def _check_finite(record, names, is_kind=_number, kind="a real number"):
             raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Record):
     dt: float = 1e-3
     t_max: float = 20.0
     eps_consensus: float = 1e-9
@@ -87,8 +87,7 @@ class SimulationConfig:
 
 
 # protocol families, with finite real parameters; their f and F live in ``protocols``
-@dataclass(frozen=True)
-class Linear:
+class Linear(Record):
     k: float
 
     def __post_init__(self):
@@ -97,8 +96,7 @@ class Linear:
             raise ValueError("linear gain k must be positive")
 
 
-@dataclass(frozen=True)
-class PowerLinear:
+class PowerLinear(Record):
     a: float
     b: float
     c: float
@@ -113,8 +111,7 @@ class PowerLinear:
             raise ValueError("power-linear c must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class LogPower:
+class LogPower(Record):
     a: float
     c: float
 
@@ -126,7 +123,7 @@ class LogPower:
             raise ValueError("log-power c must lie in (0, 2/3)")
 
 
-ProtocolFunction = Union[Linear, PowerLinear, LogPower]
+ProtocolFunction = Linear | PowerLinear | LogPower
 
 
 # spec-string grammar: kind{key=value, ...}, the keys being the family's fields
@@ -157,7 +154,7 @@ def parse_protocol_spec(spec: str) -> ProtocolFunction:
             raise ValueError(f"non-numeric value for {key!r} in spec {spec!r}") from exc
         if not math.isfinite(params[key]):
             raise ValueError(f"non-finite value for {key!r} in spec {spec!r}")
-    expected = tuple(key.name for key in fields(_KINDS[kind]))
+    expected = fields(_KINDS[kind])
     if set(params) != set(expected):
         raise ValueError(f"spec {spec!r} must define exactly the keys {expected}")
     return _KINDS[kind](**params)
@@ -165,12 +162,11 @@ def parse_protocol_spec(spec: str) -> ProtocolFunction:
 
 def format_protocol_spec(f: ProtocolFunction) -> str:
     kind = next(kind for kind, family in _KINDS.items() if isinstance(f, family))
-    values = ",".join(f"{key.name}={getattr(f, key.name):.17g}" for key in fields(f))
+    values = ",".join(f"{key}={getattr(f, key):.17g}" for key in fields(f))
     return f"{kind}{{{values}}}"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     n: int
     edges: tuple  # ((from, to, weight), ...), 1-based endpoints
     protocol_specs: tuple  # one spec string per agent
@@ -260,7 +256,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "sim" in doc:
         sdoc = doc["sim"]
         _require(isinstance(sdoc, dict), "sim must be an object")
-        unknown = set(sdoc) - {f.name for f in fields(SimulationConfig)}
+        unknown = set(sdoc).difference(fields(SimulationConfig))
         _require(not unknown, f"unknown sim fields: {sorted(unknown)}")
         try:
             sim = replace(sim, **sdoc)

@@ -51,6 +51,16 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
+    def rows(self):
+        """Yield (t, row) for every record: row lists the state, disagreement and
+        V (when traced) of its held row.  Every record after the freeze record
+        gets the freeze record's row, the same list object."""
+        columns = [self.disagreement] + ([] if self.lyapunov is None else [self.lyapunov])
+        for k, t in enumerate(self.times):
+            if k < len(self.states):
+                row = [*self.states[k], *(col[k] for col in columns)]
+            yield t, row
+
 
 def _settled_index(dis, eps):
     """First index of the trailing run of ``dis <= eps``; None if dis[-1] > eps."""

@@ -197,8 +197,9 @@ _GRID_DECADES = 12.0  # the grid reaches down to M * 10^-_GRID_DECADES
 
 def _ratio_grid(M: float) -> np.ndarray:
     """The grid of (0, M] the ratio bound is taken on: log-spaced points from
-    M 10^-_GRID_DECADES to M, with M and 1/e, ascending and without repeats."""
-    z = np.geomspace(M * 10.0**-_GRID_DECADES, M, _GRID_POINTS)
+    min(M 10^-_GRID_DECADES, 1/e) to M, with M and 1/e, ascending and without
+    repeats.  It never starts above 1/e, where ``_tail_bound`` takes over."""
+    z = np.geomspace(min(M * 10.0**-_GRID_DECADES, _BREAK), M, _GRID_POINTS)
     # geomspace ascends, so M goes last and 1/e before the first point not below it:
     # the sorted union, without paging in numpy's sort code
     k = np.count_nonzero(z < _BREAK)
@@ -272,8 +273,8 @@ def _ratio_min_single(f, M, alpha):
     monotone or rises then falls (log-power's only interior local minimum,
     1/e, is a grid point), so on [z_k, z_k+1] the ratio is at least
     min(f(z_k), f(z_k+1))^2 / F(z_k+1)^alpha.  The tail (0, z_0]:
-    ``_tail_bound``, as z_0 <= 1/e (``_ratio_grid`` puts 1/e first when
-    M 10^-_GRID_DECADES exceeds it).
+    ``_tail_bound``, as z_0 <= 1/e (``_ratio_grid`` starts at 1/e when
+    M 10^-_GRID_DECADES exceeds it, so no cell spans the decades between).
 
     Rounding.  The inputs (grid points, parameters, alpha) are exact floats.
     A kernel value takes a few correctly rounded operations (<= u = 2^-53

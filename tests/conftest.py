@@ -1,11 +1,10 @@
 import json
 import tracemalloc
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
 from ftconsensus import PowerLinear, ProtocolBank, WeightedDigraph, graph
+from ftconsensus._record import asdict
 
 
 def fig1_graph() -> WeightedDigraph:

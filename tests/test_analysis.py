@@ -413,6 +413,20 @@ class TestCertify:
         assert any("spanning tree" in n for n in report.notes)
         assert report.final_disagreement > 1.0  # non-consensus confirmed
 
+    def test_no_root_observer_without_a_bound(self, fig1, monkeypatch):
+        # beta needs only the graph, x0 and the bank, so certify takes it before
+        # the run and observes the root C1 only when a stage bound will use it
+        observers = []
+        run = analysis.integrate
+        monkeypatch.setattr(analysis, "integrate",
+                            lambda *args: observers.append(args[4]) or run(*args))
+        x0 = np.array([2.0, -1.0, 3.0, -2.0])
+        cfg = SimulationConfig(t_max=1.0)
+        for f in (Linear(1.0), PowerLinear(1.0, 1.0, 0.75)):
+            report = certify(fig1, ProtocolBank([f] * 4), x0, cfg)
+            assert (report.certificates[0] is None) == (type(f) is Linear)
+        assert [observe is None for observe in observers] == [True, False]
+
     def test_certificate_soundness_random(self):
         rng = np.random.default_rng(31)
         cfg = SimulationConfig(t_max=15.0, eps_consensus=2e-3)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -20,6 +18,7 @@ from ftconsensus import (
     settling_time,
 )
 from ftconsensus import dynamics
+from ftconsensus._record import replace
 from ftconsensus.errors import NonFiniteState, NotStronglyConnected, RecordBudgetExceeded
 
 from conftest import (
@@ -130,7 +129,7 @@ class TestIntegrate:
         steps = set(range(0, n_steps + 1, 4)) | {n_steps}
         # the freeze step is the first step of the free run within eps, and it
         # falls between stride multiples
-        free = integrate(dataclasses.replace(cfg, record_stride=1, freeze_on_consensus=False),
+        free = integrate(replace(cfg, record_stride=1, freeze_on_consensus=False),
                          g, bank, x0)
         k_f = int(np.argmax(free.disagreement <= 1e-3))
         assert 0 < k_f < n_steps and k_f % 4 != 0
@@ -259,7 +258,7 @@ class TestRk4Loop:
     @pytest.mark.parametrize("freeze", [True, False])
     def test_states_bit_equal_to_plain_rk4(self, case, freeze):
         g, bank, x0, cfg = case()
-        cfg = dataclasses.replace(cfg, freeze_on_consensus=freeze)
+        cfg = replace(cfg, freeze_on_consensus=freeze)
         traj = integrate(cfg, g, bank, x0)
         steps, rows = rk4_reference(cfg, g, bank, x0)
         assert np.array_equal(_bits(traj.states), _bits(rows))
@@ -281,8 +280,7 @@ class TestRk4Loop:
         # step between two of them (each case freezes off its own stride);
         # the state rows, disagreement and V end at the freeze record
         g, bank, x0, cfg = case()
-        cfg = dataclasses.replace(cfg, freeze_on_consensus=freeze,
-                                  record_stride=stride or cfg.record_stride)
+        cfg = replace(cfg, freeze_on_consensus=freeze, record_stride=stride or cfg.record_stride)
         plan = dynamics._record_plan(cfg, g.n)
         for start in (x0, np.full(g.n, 1.5)):  # the second freezes at step 0
             traj = integrate(cfg, g, bank, start)
@@ -302,7 +300,7 @@ class TestRk4Loop:
         # with every step recorded, the observed states are the held rows
         # without a frozen last one, and each comes with f(-L x), bit for bit
         g, bank, x0, cfg = case()
-        cfg = dataclasses.replace(cfg, record_stride=1, freeze_on_consensus=freeze)
+        cfg = replace(cfg, record_stride=1, freeze_on_consensus=freeze)
         seen = []
 
         def observe(x, fx):
@@ -323,7 +321,7 @@ class TestRk4Loop:
         traj = integrate(cfg, g, bank, x0)
         assert traj.freeze_step == round(traj.settled_at / cfg.dt) == traj.steps
         assert traj.settled_at == traj.times[len(traj.states) - 1]
-        free = integrate(dataclasses.replace(cfg, freeze_on_consensus=False), g, bank, x0)
+        free = integrate(replace(cfg, freeze_on_consensus=False), g, bank, x0)
         assert free.freeze_step is None and free.steps == round(cfg.t_max / cfg.dt)
         at_consensus = integrate(cfg, g, bank, np.full(4, 1.5))
         assert at_consensus.freeze_step == at_consensus.steps == 0
@@ -333,7 +331,7 @@ class TestRk4Loop:
         # whatever the horizon; the later records repeat them
         g, bank, x0, cfg = _fig1_case()
         short = integrate(cfg, g, bank, x0)
-        long = integrate(dataclasses.replace(cfg, t_max=10 * cfg.t_max), g, bank, x0)
+        long = integrate(replace(cfg, t_max=10 * cfg.t_max), g, bank, x0)
         held = len(short.states)
         assert held == len(long.states) < short.times.size < long.times.size
         assert np.array_equal(_bits(short.states), _bits(long.states))
@@ -347,6 +345,26 @@ class TestRk4Loop:
         assert v.size == len(traj.states) < traj.times.size
         assert list(v) == [lyapunov_value(cycle, left_null_vector(cycle), bank3, x)
                            for x in traj.states]
+
+    def test_rows_repeat_the_freeze_row(self):
+        # one (t, row) per record, the row being the state, disagreement and V;
+        # every record after the freeze record gets its row, the same list
+        g, bank, x0, cfg = _fig1_case()
+        cycle = directed_cycle(3)
+        bank3 = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
+        traced = integrate(SimulationConfig(t_max=5.0), cycle, bank3, np.array([1.0, 0.0, -1.0]))
+        lyapunov_trace(cycle, left_null_vector(cycle), bank3, traced)
+        free = integrate(replace(cfg, freeze_on_consensus=False), g, bank, x0)
+        for traj in (integrate(cfg, g, bank, x0), free, traced):
+            held = len(traj.states)
+            k = np.minimum(np.arange(traj.times.size), held - 1)
+            columns = [traj.disagreement] + ([] if traj.lyapunov is None else [traj.lyapunov])
+            rows = list(traj.rows())
+            assert np.array_equal([t for t, _ in rows], traj.times)
+            assert np.array_equal(_bits([row for _, row in rows]),
+                                  _bits(np.column_stack([traj.states[k], *(c[k] for c in columns)])))
+            assert all(row is rows[held - 1][1] for _, row in rows[held:])
+            assert (len(rows) > held) is (traj is not free)
 
     def test_finite_state_with_overflowing_sum_runs(self):
         # two entries of 1e308 sum to inf, so the quick check fails and the

@@ -1,6 +1,5 @@
 import math
 import typing
-from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 
@@ -23,6 +22,7 @@ from ftconsensus import (
     parse_protocol_spec,
 )
 from ftconsensus import config, protocols
+from ftconsensus._record import fields
 from ftconsensus.analysis import constants_for_bank
 
 from conftest import random_claim1_bank
@@ -181,7 +181,7 @@ class TestKernels:
         assert sorted(protocols._KERNELS, key=repr) == sorted(families, key=repr)
         for family, (f, F, names) in protocols._KERNELS.items():
             assert callable(f) and callable(F) and f is not F
-            assert names == tuple(field.name for field in fields(family))
+            assert names == fields(family)
 
     def test_power_linear_f_is_the_signed_product(self):
         # sign(z) a |z|^c + b z bit for bit, both zeros included: copysign(a |z|^c, z)
@@ -289,7 +289,8 @@ class TestPositiveGrid:
     @staticmethod
     def _sorted_union(M):
         # the construction _ratio_grid replaced: sort the grid, M and 1/e, drop repeats
-        z = np.geomspace(M * 10.0**-protocols._GRID_DECADES, M, protocols._GRID_POINTS)
+        z = np.geomspace(min(M * 10.0**-protocols._GRID_DECADES, protocols._BREAK), M,
+                         protocols._GRID_POINTS)
         z = np.sort(np.concatenate([z, [M, protocols._BREAK] if M >= protocols._BREAK else [M]]))
         return z[np.concatenate([[True], z[1:] != z[:-1]])]
 
@@ -302,6 +303,17 @@ class TestPositiveGrid:
             z = protocols._ratio_grid(M)
             assert z.tobytes() == self._sorted_union(M).tobytes(), M
             assert np.all(z[1:] > z[:-1]) and z[-1] == M
+
+    def test_a_huge_M_grid_starts_at_1_over_e(self):
+        # once M 1e-12 > 1/e the grid starts at 1/e: no cell spans the decades
+        # from 1/e to M 1e-12, whose first cell gave 1.5e-184 at M = 1e150 and
+        # 0.055 at M = 1e13; the infimum is 1.5^(2/3) = 1.3104 (the z -> 0 limit)
+        f = PowerLinear(1.0, 1.0, 0.5)
+        alpha = protocols._closed_form_alpha(ProtocolBank([f]))
+        assert protocols._ratio_grid(6.0)[0] == 6e-12
+        for M in (1e13, 1e50, 1e150):
+            assert protocols._ratio_grid(M)[0] == protocols._BREAK
+            assert 1.02 < protocols._ratio_min_single(f, M, alpha) <= 1.3104, M
 
 
 class TestCheckA2:
@@ -408,7 +420,8 @@ class TestRatioBound:
     def test_below_the_ratio_on_a_denser_grid(self, kind):
         for f, M, alpha, _, beta in self.cases(kind):
             # ten times the points of the ratio grid over the same span, with M and 1/e
-            dense = np.geomspace(M * 10.0**-protocols._GRID_DECADES, M, 10 * protocols._GRID_POINTS)
+            dense = np.geomspace(min(M * 10.0**-protocols._GRID_DECADES, protocols._BREAK), M,
+                                 10 * protocols._GRID_POINTS)
             dense = np.concatenate([dense, [M, protocols._BREAK] if M >= protocols._BREAK else [M]])
             assert beta <= self.ratio(f, dense, alpha).min(), (f, M, alpha, beta)
 
