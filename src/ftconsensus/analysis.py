@@ -50,6 +50,7 @@ from .dynamics import (
     lyapunov_value,
 )
 from .protocols import (
+    Linear,
     ProtocolBank,
     _closed_beta_exceeds,
     _closed_form_constants,
@@ -301,26 +302,16 @@ def certify(
 ) -> CertificationReport:
     """Run the simulation and assemble the staged certification report.
 
-    The constants need only the graph, x0 and the bank, so they come first:
-    a run whose ratio bound is 0 gets no root observer."""
+    A linear agent makes the ratio bound 0 over every (0, M] with M > 0
+    (``protocols._tail_bound``), so no stage is certified and the run
+    observes no root C1.  The bound itself is taken after the run: its grid
+    temporaries, allocated before the records, raise the peak RSS."""
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
     root = np.array(cond.components[0])
-    notes, beta = [], 0.0
-    if cond.spanning_tree:
-        M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
-        alpha, beta, beta_closed, note = constants_for_bank(bank, M)
-        notes.append(note)
-        if _closed_beta_exceeds(beta_closed, beta):
-            notes.append("closed-form beta exceeds the ratio lower bound; the bound is used")
-        if not beta > 0:
-            notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
-                         "the finite-time hypothesis fails and no settling bound is produced")
-    else:
-        notes.append("topology has no directed spanning tree; the finite-time consensus "
-                     "hypothesis fails and no settling bound is produced")
     g_root = omega = observe = root_c1 = None
-    if beta > 0 and root.size > 1:
+    # M > 0 exactly when x0 is not 0, as the root has arcs
+    if cond.spanning_tree and root.size > 1 and not (Linear in bank.kinds and x0.any()):
         # the run observes the root's every-step C1 (see _root_observer)
         g_root = g.component(0)
         omega = left_null_vector(g_root)
@@ -337,9 +328,23 @@ def certify(
         extinction_times=[None] * n_comp,
         final_disagreement=float(traj.disagreement[-1]),
         settled_at=traj.settled_at,
-        notes=notes,
     )
+    if not cond.spanning_tree:
+        report.notes.append(
+            "topology has no directed spanning tree; the finite-time consensus "
+            "hypothesis fails and no settling bound is produced"
+        )
+        return report
+
+    M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
+    alpha, beta, beta_closed, note = constants_for_bank(bank, M)
+    report.notes.append(note)
+    if _closed_beta_exceeds(beta_closed, beta):
+        report.notes.append(
+            "closed-form beta exceeds the ratio lower bound; the bound is used")
     if not beta > 0:
+        report.notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
+                            "the finite-time hypothesis fails and no settling bound is produced")
         return report
 
     for k, comp in enumerate(cond.components):

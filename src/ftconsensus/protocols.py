@@ -192,7 +192,7 @@ class ProtocolBank:
 
 
 _GRID_POINTS = 10_000  # log-spaced points of the ratio grid
-_GRID_DECADES = 12.0  # the grid reaches down to M * 10^-_GRID_DECADES
+_GRID_DECADES = 12.0  # the grid reaches down to min(M * 10^-_GRID_DECADES, 1/e)
 
 
 def _ratio_grid(M: float) -> np.ndarray:
