@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+
 import numpy as np
 import pytest
 
