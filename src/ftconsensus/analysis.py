@@ -50,7 +50,6 @@ from .dynamics import (
     lyapunov_value,
 )
 from .protocols import (
-    Linear,
     ProtocolBank,
     _closed_beta_exceeds,
     _closed_form_constants,
@@ -300,18 +299,12 @@ def certify(
     x0: np.ndarray,
     sim_cfg: SimulationConfig,
 ) -> CertificationReport:
-    """Run the simulation and assemble the staged certification report.
-
-    A linear agent makes the ratio bound 0 over every (0, M] with M > 0
-    (``protocols._tail_bound``), so no stage is certified and the run
-    observes no root C1.  The bound itself is taken after the run: its grid
-    temporaries, allocated before the records, raise the peak RSS."""
+    """Run the simulation and assemble the staged certification report."""
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
     root = np.array(cond.components[0])
     g_root = omega = observe = root_c1 = None
-    # M > 0 exactly when x0 is not 0, as the root has arcs
-    if cond.spanning_tree and root.size > 1 and not (Linear in bank.kinds and x0.any()):
+    if cond.spanning_tree and root.size > 1:
         # the run observes the root's every-step C1 (see _root_observer)
         g_root = g.component(0)
         omega = left_null_vector(g_root)

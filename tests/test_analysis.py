@@ -413,21 +413,6 @@ class TestCertify:
         assert any("spanning tree" in n for n in report.notes)
         assert report.final_disagreement > 1.0  # non-consensus confirmed
 
-    def test_no_root_observer_without_a_bound(self, fig1, monkeypatch):
-        # a linear agent makes the ratio bound 0 when M > 0, so no stage is
-        # certified and the run observes no root C1; at x0 = 0 (M = 0) it is not 0
-        observers = []
-        run = analysis.integrate
-        monkeypatch.setattr(analysis, "integrate",
-                            lambda *args: observers.append(args[4]) or run(*args))
-        x0 = np.array([2.0, -1.0, 3.0, -2.0])
-        cfg = SimulationConfig(t_max=1.0)
-        for f, start, certified in ((Linear(1.0), x0, False), (Linear(1.0), 0 * x0, True),
-                                    (PowerLinear(1.0, 1.0, 0.75), x0, True)):
-            report = certify(fig1, ProtocolBank([f] * 4), start, cfg)
-            assert (report.certificates[0] is not None) is certified
-            assert (observers[-1] is not None) is certified
-
     def test_certificate_soundness_random(self):
         rng = np.random.default_rng(31)
         cfg = SimulationConfig(t_max=15.0, eps_consensus=2e-3)

@@ -1041,17 +1041,6 @@ print(json.dumps(steps))
                      if m.split(".")[0] in self.SLOW_MODULES]
         assert offenders == []
 
-    def test_cold_start_modules_stay_below_2048_parser_tokens(self):
-        # CPython 3.11's parser doubles its token array at 2048 tokens, and every
-        # cold start compiles these modules when no bytecode cache is written
-        import tokenize
-
-        skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-        for name in self.COLD_START_FILES:
-            with open(REPO / "src" / "ftconsensus" / name, "rb") as fh:
-                tokens = sum(t.type not in skipped for t in tokenize.tokenize(fh.readline))
-            assert tokens < 2048, name
-
     SETUP_SCRIPT = """
 import sys
 bare = set(sys.modules)
