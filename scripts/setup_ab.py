@@ -19,6 +19,10 @@ edits are not measured.
 It prints each side's median and quartiles in ms, the median less the bare
 one (the program's share), and in how many rounds HEAD was faster than the
 base.
+
+It stands in for a higher-resolution ``setup_s`` until ``bench/run.py``
+takes more set-up samples, and goes when it does.  Its numbers size a
+change; a claim is judged on the benchmark's ``setup_s``.
 """
 
 from __future__ import annotations
