@@ -14,9 +14,13 @@ read-only), and ``g.component(k)`` is known to be strongly connected, so the
 checked functions are the only path and cost a graph one SCC search.
 
 The left null vector omega comes from Grassmann-Taksar-Heyman elimination on
-one n x n copy of the weights, with no subtraction and no dense SVD, and the
-mirror Laplacian from one n x n product.  No eigen-solver and no norm of a
-certificate lives here: ``analysis`` computes what it decides.
+one n x n copy of the weights, with no dense SVD.  It runs in the
+left-looking order: each state's row and column are finished from the states
+already eliminated by two matrix-vector products, 2(n-1) in all and no
+matrix-matrix product.  Every step adds, multiplies or divides nonnegative
+numbers and none subtracts.  The mirror Laplacian is one n x n product.  No
+eigen-solver and no norm of a certificate lives here: ``analysis`` computes
+what it decides.
 """
 
 from __future__ import annotations
@@ -166,20 +170,17 @@ def condensation(g: WeightedDigraph) -> Condensation:
     """SCC decomposition with components listed in a topological order, kept on ``g``."""
     if "condensation" in g._memo:
         return g._memo["condensation"]
-    n = g.n
-    # adj[v] lists the vertices v sends information to: arcs v -> u, i.e.
-    # weights[u, v] > 0.
-    adj = [[int(u) for u in np.flatnonzero(g.weights[:, v] > 0)] for v in range(n)]
+    # every arc v -> u, i.e. weights[u, v] > 0, sorted by v and then u;
+    # adj[v] lists the vertices v sends information to, in ascending order
+    src, dst = (idx.tolist() for idx in np.nonzero(g.weights.T > 0))
+    adj = [[] for _ in range(g.n)]
+    for v, u in zip(src, dst):
+        adj[v].append(u)
     sccs = _tarjan_sccs(adj)
     sccs.reverse()  # Tarjan emits sinks first; reversed is topological
     comp_of = {v: k for k, comp in enumerate(sccs) for v in comp}
-    edges = set()
-    rows, cols = np.nonzero(g.weights > 0)
-    for i, j in zip(rows, cols):
-        # weights[i, j] > 0 is the arc j -> i; dag edge parent -> child
-        ci, cj = comp_of[int(j)], comp_of[int(i)]
-        if ci != cj:
-            edges.add((ci, cj))
+    # dag edge parent -> child
+    edges = {(comp_of[v], comp_of[u]) for v, u in zip(src, dst) if comp_of[v] != comp_of[u]}
     cond = g._memo["condensation"] = Condensation(components=tuple(sccs), dag_edges=frozenset(edges))
     return cond
 
@@ -198,11 +199,6 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     return len(condensation(g).components) == 1
 
 
-# states eliminated per block of left_null_vector; what a block adds to the
-# rates among the states below it is applied as one matrix product
-_GTH_BLOCK = 16
-
-
 def left_null_vector(g: WeightedDigraph) -> np.ndarray:
     """Positive row vector w with w @ L = 0, normalized to sum to 1.
 
@@ -215,10 +211,16 @@ def left_null_vector(g: WeightedDigraph) -> np.ndarray:
     probability a_kj / s_k, where s_k = sum_{j<k} a_kj, so the rates become
     a_ij + (a_ik / s_k) a_kj.  The column a_ik / s_k is kept, and the
     balance of state k in the censored chain gives back-substitution
-    w_0 = 1, w_k = sum_{i<k} w_i a_ik / s_k.  The states are eliminated in
-    blocks of ``_GTH_BLOCK``; within a block no step reads the rates among
-    the states below it, so their rank-1 updates are summed as one matrix
-    product when the block is done.
+    w_0 = 1, w_k = sum_{i<k} w_i a_ik / s_k.
+
+    The elimination runs in the left-looking (Crout) order: no step updates
+    the rates among the states still to be eliminated.  When state k comes,
+    its row a_kj and column a_ik (i, j < k) take every rerouting term of
+    the states m > k at once, sum_m a_km a_mj and sum_m a_im a_mk, each one
+    matrix-vector product with the kept rows and scaled columns of those
+    states; the column is then divided by s_k.  That is 2(n-1)
+    matrix-vector products, no matrix-matrix product, and no n x n array
+    beyond the copy.
 
     s_k is the (off-diagonal) row sum itself, not the diagonal of L less
     the eliminated entries, so no step subtracts: every quantity is a sum,
@@ -234,15 +236,10 @@ def left_null_vector(g: WeightedDigraph) -> np.ndarray:
         raise NotStronglyConnected("left null vector requires a strongly connected graph")
     a = np.array(g.weights)
     with np.errstate(all="ignore"):  # w beyond float range fails the check
-        for top in range(g.n - 1, 0, -_GTH_BLOCK):
-            lo = max(1, top - _GTH_BLOCK + 1)
-            for k in range(top, lo - 1, -1):
-                a[:k, k] /= a[k, :k].sum()
-                # the rank-1 update of a[:k, :k], except on a[:lo, :lo], which
-                # no step of this block reads: that part waits for the product below
-                a[lo:k, :k] += a[lo:k, k, None] * a[k, :k]
-                a[:lo, lo:k] += a[:lo, k, None] * a[k, lo:k]
-            a[:lo, :lo] += a[:lo, lo:top + 1] @ a[lo:top + 1, :lo]
+        for k in range(g.n - 1, 0, -1):
+            a[k, :k] += a[k, k + 1:] @ a[k + 1:, :k]
+            a[:k, k] += a[:k, k + 1:] @ a[k + 1:, k]
+            a[:k, k] /= a[k, :k].sum()
         w = np.empty(g.n)
         w[0] = 1.0
         for k in range(1, g.n):

@@ -45,6 +45,18 @@ def random_strongly_connected(rng: np.random.Generator, n: int, extra_p: float =
     return WeightedDigraph(w)
 
 
+def gth_right_looking(weights: np.ndarray) -> np.ndarray:
+    """Stationary vector by textbook GTH elimination: right-looking, unblocked."""
+    a = np.array(weights, dtype=float)
+    for k in range(len(a) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    w = np.ones(len(a))
+    for k in range(1, len(a)):
+        w[k] = w[:k] @ a[:k, k]
+    return w / w.sum()
+
+
 def reachable_from(g: WeightedDigraph, root: int) -> set:
     """BFS over arcs root -> ... (arc v -> u iff weights[u, v] > 0)."""
     seen = {root}
