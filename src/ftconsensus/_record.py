@@ -1,12 +1,16 @@
-"""Frozen value records for the config types, without ``dataclasses``.
+"""Frozen value records, the one way the package declares a record.
 
+Every record type is a ``Record`` subclass: the config types, the graph and
+its condensation, the criteria report, the trajectory and the certificates.
 ``dataclasses`` imports ``inspect``, and the two cost a cold start more than
 the config module itself.  A ``Record`` subclass names its fields as
 annotations, in order; a class attribute of the same name is the field's
 default.  Every construction, a ``replace`` included, runs the class's
-``__post_init__`` check when it has one.  A record refuses assignment and
-deletion, and its ``==``, ``hash`` and ``repr`` are those of a frozen
-dataclass: by type, then by the tuple of its field values.
+``__post_init__`` check when it has one; a check that normalises a field
+writes it into ``__dict__``.  A record refuses assignment and deletion, and
+its ``==``, ``hash`` and ``repr`` are those of a frozen dataclass: by type,
+then by the tuple of its field values.  A result is built once, with every
+field; a changed copy is a ``replace``.
 """
 
 

@@ -27,10 +27,10 @@ report alone and reads the run's rows only through ``dynamics``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._record import Record, asdict
 from .errors import (
     DegenerateInput,
     InvalidConstants,
@@ -66,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(Record):
     component_id: int
     alpha: float
     beta: float
@@ -80,27 +79,29 @@ class ConvergenceCertificate:
     lambda1: float | None = None  # rooted stages only
 
 
-@dataclass
-class CertificationReport:
+class CertificationReport(Record):
     spanning_tree: bool
     components: tuple  # SCC vertex tuples in topological order
     dag_edges: tuple
-    certificates: list = field(default_factory=list)  # parallel to components (None if absent)
-    stage_starts: list = field(default_factory=list)
-    extinction_times: list = field(default_factory=list)
+    certificates: list  # parallel to components (None if absent)
+    stage_starts: list
+    extinction_times: list
     overall_bound: float | None = None  # empirical-hybrid composition
     consensus_value: float | None = None
     final_disagreement: float | None = None
     settled_at: float | None = None
-    notes: list = field(default_factory=list)
+    notes: list
 
     def to_dict(self) -> dict:
         """The fields as plain data for JSON, the certificates as dicts too; a
         float that is not finite (beta when M = 0, c1 of a one-agent root) is None."""
+        def plain(record):
+            return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in asdict(record).items()}
+
         kind = "empirical-hybrid" if self.overall_bound is not None else None
-        return dict(asdict(self, dict_factory=lambda items: {
-            k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in items}),
-            overall_bound_kind=kind)
+        certificates = [None if c is None else plain(c) for c in self.certificates]
+        return dict(plain(self), certificates=certificates, overall_bound_kind=kind)
 
 
 def c2_constant(omega: np.ndarray, alpha: float) -> float:
@@ -312,55 +313,50 @@ def certify(
     traj = integrate(sim_cfg, g, bank, x0, observe)
     eps = sim_cfg.eps_consensus
     n_comp = len(cond.components)
-    report = CertificationReport(
-        spanning_tree=cond.spanning_tree,
-        components=cond.components,
-        dag_edges=tuple(sorted(cond.dag_edges)),
-        certificates=[None] * n_comp,
-        stage_starts=[None] * n_comp,
-        extinction_times=[None] * n_comp,
-        final_disagreement=float(traj.disagreement[-1]),
-        settled_at=traj.settled_at,
-    )
+    certificates, starts, extinctions, notes = [None] * n_comp, [None] * n_comp, [None] * n_comp, []
+    # every exit's report: these lists are filled in below before it is built
+    common = dict(spanning_tree=cond.spanning_tree, components=cond.components,
+                  dag_edges=tuple(sorted(cond.dag_edges)), certificates=certificates,
+                  stage_starts=starts, extinction_times=extinctions,
+                  final_disagreement=float(traj.disagreement[-1]), settled_at=traj.settled_at,
+                  notes=notes)
     if not cond.spanning_tree:
-        report.notes.append(
+        notes.append(
             "topology has no directed spanning tree; the finite-time consensus "
             "hypothesis fails and no settling bound is produced"
         )
-        return report
+        return CertificationReport(**common)
 
     M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
     alpha, beta, beta_closed, note = constants_for_bank(bank, M)
-    report.notes.append(note)
+    notes.append(note)
     if _closed_beta_exceeds(beta_closed, beta):
-        report.notes.append(
-            "closed-form beta exceeds the ratio lower bound; the bound is used")
+        notes.append("closed-form beta exceeds the ratio lower bound; the bound is used")
     if not beta > 0:
-        report.notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
-                            "the finite-time hypothesis fails and no settling bound is produced")
-        return report
+        notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
+                     "the finite-time hypothesis fails and no settling bound is produced")
+        return CertificationReport(**common)
 
     for k, comp in enumerate(cond.components):
         verts = list(comp)
         if k == 0:
-            report.certificates[0], report.consensus_value = _root_stage(
+            certificates[0], consensus = _root_stage(
                 g_root, bank, verts, x0, omega, traj, root_c1, alpha, beta)
-            report.stage_starts[0] = 0.0
+            starts[0] = 0.0
             settled = verts
         else:
             anc_verts = sorted(v for c in cond.ancestors(k) for v in cond.components[c])
             idx0 = _first_settled_index(traj, anc_verts, eps)
             if idx0 is None:
-                report.notes.append(
-                    f"component {k}: ancestors never settled within the horizon; "
-                    "stage bound unavailable")
+                notes.append(f"component {k}: ancestors never settled within the horizon; "
+                             "stage bound unavailable")
                 continue
-            report.stage_starts[k] = float(traj.times[idx0])
-            report.certificates[k] = _follower_stage(
+            starts[k] = float(traj.times[idx0])
+            certificates[k] = _follower_stage(
                 g, bank, k, verts, traj.states[idx0], anc_verts, alpha, beta)
             settled = anc_verts + verts
         idx = _first_settled_index(traj, settled, eps)
-        report.extinction_times[k] = None if idx is None else float(traj.times[idx])
+        extinctions[k] = None if idx is None else float(traj.times[idx])
 
-    report.overall_bound = _compose(cond, report.certificates)
-    return report
+    return CertificationReport(**common, overall_bound=_compose(cond, certificates),
+                               consensus_value=consensus)

@@ -12,9 +12,10 @@ Exit codes: 0 success / criteria pass; 1 validation or criteria failure;
 
 Argument parsing, config validation and their error exits load no numpy:
 each command imports the numeric modules when it starts to compute.
-Importing this module, or ``load_config``, loads neither ``argparse`` nor
-``dataclasses``: ``build_parser`` imports ``argparse`` when ``main`` first
-runs, and the config records are not dataclasses (``config``).
+Importing this module, or ``load_config``, loads no ``argparse``:
+``build_parser`` imports it when ``main`` first runs.  No command loads
+``dataclasses``: every record is a ``_record.Record``.  Every output file
+is written by ``_write_atomic``, whole or not at all.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import sys
 from pathlib import Path
 
+from ._record import replace
 from .config import ExperimentConfig, SimulationConfig, load_config, parse_protocol_spec
 from .errors import FtConsensusError
 
@@ -47,9 +49,7 @@ def _run_experiment(cfg: ExperimentConfig):
     # omega before the run: its n x n elimination copy is freed before the records exist
     omega = left_null_vector(g) if is_strongly_connected(g) else None
     traj = integrate(cfg.sim, g, bank, cfg.x0_array())
-    if omega is not None:
-        lyapunov_trace(g, omega, bank, traj)
-    return traj
+    return traj if omega is None else replace(traj, lyapunov=lyapunov_trace(g, omega, bank, traj))
 
 
 def _summary(traj) -> dict:
@@ -80,35 +80,40 @@ def _json(v, pad="\n"):
     return ends[0] + ",".join(parts) + pad + ends[1] if parts else ends
 
 
-def _write_text(path: Path, text: str):  # text, then a final newline
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
-
-
-def _write_trajectory_csv(path: Path, traj):
-    """Stream ``traj`` as CSV (t, x_1..x_n, disagreement[, V]), one row per
-    record of ``Trajectory.rows``; a row it repeats is formatted once.
-
-    Rows go to a temporary name beside ``path`` that replaces it once
-    complete: a failed write leaves no partial file.
-    """
+def _write_atomic(path: Path, write):
+    """Call ``write(fh)`` on a file at a temporary name beside ``path`` that
+    replaces it once complete: a failed write leaves no partial file."""
     import os
 
-    header = ["t"] + [f"x_{i + 1}" for i in range(traj.states.shape[1])] + ["disagreement"]
-    header += [] if traj.lyapunov is None else ["V"]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            last = None
-            for t, row in traj.rows():
-                if row is not last:
-                    last, cells = row, ",".join(map(_fmt, row)) + "\n"
-                fh.write(f"{_fmt(t)},{cells}")
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_text(path: Path, text: str):  # text, then a final newline
+    _write_atomic(path, lambda fh: fh.write(text + "\n"))
+
+
+def _write_trajectory_csv(path: Path, traj):
+    """Stream ``traj`` as CSV (t, x_1..x_n, disagreement[, V]), one row per
+    record of ``Trajectory.rows``; a row it repeats is formatted once."""
+    header = ["t"] + [f"x_{i + 1}" for i in range(traj.states.shape[1])] + ["disagreement"]
+    header += [] if traj.lyapunov is None else ["V"]
+
+    def write(fh):
+        fh.write(",".join(header) + "\n")
+        last = None
+        for t, row in traj.rows():
+            if row is not last:
+                last, cells = row, ",".join(map(_fmt, row)) + "\n"
+            fh.write(f"{_fmt(t)},{cells}")
+
+    _write_atomic(path, write)
 
 
 def cmd_simulate(args) -> int:
@@ -151,8 +156,6 @@ def _criteria(f, M: float, alpha, beta) -> tuple:
 
     The closed-form beta is shown, and used when no beta is given, unless it
     exceeds the proven ratio bound."""
-    import dataclasses
-
     from .protocols import ProtocolBank, _closed_beta_exceeds, _closed_form_constants, check_a2
 
     bank = ProtocolBank([f])
@@ -163,7 +166,7 @@ def _criteria(f, M: float, alpha, beta) -> tuple:
     if _closed_beta_exceeds(closed, report.ratio_bound):
         closed = None
     if closed is not None and beta is None:
-        report = dataclasses.replace(report, beta=closed, beta_source="closed-form")
+        report = replace(report, beta=closed, beta_source="closed-form")
     return report, closed
 
 

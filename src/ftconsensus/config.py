@@ -14,17 +14,18 @@ Schema (all fields required unless noted)::
 
 Edges are written information-flow style ``[from, to, weight]`` with
 1-based agent ids: the arc carries agent ``from``'s state to agent ``to``.
-Internally that sets ``weights[to-1, from-1] = weight``.  Self-loops and
-duplicate edges are rejected, and so is any number that does not convert to
-a finite float.  JSON ``true``/``false`` are not numbers, and ``x0`` must
-hold ``n`` entries before anything of size ``n`` is built.
+Internally that sets ``weights[to-1, from-1] = weight``.  Self-loops,
+duplicate edges and a key repeated in one object or one spec are rejected,
+and so is any number that does not convert to a finite float.  JSON
+``true``/``false`` are not numbers, and ``x0`` must hold ``n`` entries
+before anything of size ``n`` is built.
 
 The module loads no numpy, so a config validates without it.  It also holds
 the records a config names (``SimulationConfig``, the protocol families and
 their spec grammar), which ``dynamics`` and ``protocols`` re-export.  They
-are frozen ``_record.Record`` values, not dataclasses, so a cold start
-imports neither ``dataclasses`` nor ``typing``; ``_record`` has their
-``fields``, ``replace`` and ``asdict``.
+are frozen ``_record.Record`` values, like every record of the package, so
+a cold start imports neither ``dataclasses`` nor ``typing``; ``_record`` has
+their ``fields``, ``replace`` and ``asdict``.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def parse_protocol_spec(spec: str) -> ProtocolFunction:
         if "=" not in part:
             raise ValueError(f"malformed parameter {part!r} in spec {spec!r}")
         key, val = (s.strip() for s in part.split("=", 1))
+        if key in params:
+            raise ValueError(f"repeated key {key!r} in spec {spec!r}")
         try:
             params[key] = float(val)
         except ValueError as exc:
@@ -201,9 +204,18 @@ def _require(cond: bool, msg: str, *args):
         raise ConfigValidationError(msg.format(*args) if args else msg)
 
 
+def _object(pairs) -> dict:
+    """A JSON object; ``json.loads`` alone would keep a repeated key's last value."""
+    doc = {}
+    for key, value in pairs:
+        _require(key not in doc, "repeated field {!r}", key)
+        doc[key] = value
+    return doc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _require(isinstance(doc, dict), "top level must be an object")

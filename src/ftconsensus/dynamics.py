@@ -16,10 +16,10 @@ graph keeps its condensation and Laplacian, so the check costs no search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .config import SimulationConfig
 from .errors import NonFiniteState, NotStronglyConnected, RecordBudgetExceeded
 from .graph import WeightedDigraph, is_strongly_connected, laplacian
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """One time per record; state rows, disagreement and V up to the freeze
     record: the solution is constant after it, so later records repeat its row."""
 
@@ -181,10 +180,10 @@ def integrate(
     if plan[r - 1] != k:
         plan = np.insert(plan, r - 1, k)
     states = states[:r]
-    traj = Trajectory(times=plan * dt, states=states, disagreement=np.ptp(states, axis=1),
-                      steps=k, freeze_step=k if frozen else None)
-    traj.settled_at = settling_time(traj, eps)
-    return traj
+    times, dis = plan * dt, np.ptp(states, axis=1)
+    settled_at = settling_time(Trajectory(times, states, dis), eps)  # reads times and dis only
+    return Trajectory(times, states, dis, settled_at=settled_at, steps=k,
+                      freeze_step=k if frozen else None)
 
 
 def lyapunov_value(
@@ -213,9 +212,9 @@ def lyapunov_trace(
     bank: ProtocolBank,
     traj: Trajectory,
 ) -> np.ndarray:
-    """V at every held state row; also stored on the trajectory."""
+    """V at every held state row; ``traj`` is left as it is (a trajectory
+    with a V column is ``_record.replace(traj, lyapunov=...)``)."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("Lyapunov value requires a strongly connected graph")
     L = laplacian(g)
-    traj.lyapunov = np.array([_lyapunov(L, omega, bank, x) for x in traj.states])
-    return traj.lyapunov
+    return np.array([_lyapunov(L, omega, bank, x) for x in traj.states])

@@ -25,10 +25,9 @@ what it decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import NotStronglyConnected
 
 __all__ = [
@@ -42,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
+class WeightedDigraph(Record):
     """Interaction topology: nonnegative weight matrix with zero diagonal."""
 
     weights: np.ndarray
@@ -60,8 +58,7 @@ class WeightedDigraph:
             raise ValueError("diagonal weights must be exactly zero")
         w = w.copy()
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_memo", {})  # condensation and Laplacian, once computed
+        self.__dict__.update(weights=w, _memo={})  # _memo: condensation and Laplacian, once computed
 
     @property
     def n(self) -> int:
@@ -82,8 +79,7 @@ class WeightedDigraph:
         return sub
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(Record):
     """SCCs in topological order plus the DAG edges between them."""
 
     components: tuple

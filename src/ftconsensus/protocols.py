@@ -34,11 +34,10 @@ rule that leaves out a closed-form beta above the proven bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .config import (Linear, LogPower, PowerLinear, ProtocolFunction,  # re-exported
                      format_protocol_spec, parse_protocol_spec)
 from .errors import ProtocolDomainError
@@ -137,7 +136,7 @@ def antiderivative(f: ProtocolFunction, z: float) -> float:
 class ProtocolBank:
     """One protocol function per agent, evaluated one family group at a time."""
 
-    def __init__(self, functions: Sequence[ProtocolFunction]):
+    def __init__(self, functions):
         if len(functions) == 0:
             raise ValueError("bank must contain at least one function")
         self.functions = tuple(functions)
@@ -207,8 +206,7 @@ def _ratio_grid(M: float) -> np.ndarray:
     return z[np.concatenate([[True], z[1:] != z[:-1]])]  # first of each run of equal values
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
+class CriteriaReport(Record):
     """Outcome of the numeric ratio-bound verification for a bank."""
 
     monotone: bool  # every agent's check_a1; informational, not needed for convergence

@@ -437,11 +437,23 @@ class TestCertify:
             assert traj.times[ext_idx[0]] <= cert.t_star
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+def _load_bench(name):
+    """``bench/<name>.py``, loaded by path: the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO / "bench" / f"{name}.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_benchmark_target_exists():
+    # the tracer skips a target the package no longer has, and its metrics then
+    # read 0; pytest bench carries known failures, so a third would pass unseen
+    missing = []
+    for metric, module_name, attr, cls_name, _ in _load_bench("tracer").TARGETS:
+        owner = importlib.import_module(module_name)
+        owner = getattr(owner, cls_name, None) if cls_name else owner
+        missing += [] if hasattr(owner, attr) else [metric]
+    assert missing == []
 
 
 class TestEveryStepC1:
@@ -488,7 +500,7 @@ class TestEveryStepC1:
     def test_not_above_the_recorded_states_on_the_workloads(self, workload):
         from ftconsensus.config import parse_config
 
-        make = getattr(_load_workloads(), workload)
+        make = getattr(_load_bench("workloads"), workload)
         for seed in (1, 2, 3):
             doc = next(iter(make(seed).configs.values()))  # fig1-paper: the freeze config
             cfg = parse_config(json.dumps(doc))

@@ -61,6 +61,16 @@ class TestParseConfig:
         for args, kwargs in (((1.0, 2.0), {}), ((), {"k": 1.0, "j": 2.0}), ((1.0,), {"k": 1.0}), ((), {})):
             with pytest.raises(TypeError):
                 Linear(*args, **kwargs)
+        # so are the results: a trajectory, a stage certificate and a report
+        traj, _ = _hand_built(True)
+        cert = analysis.ConvergenceCertificate(0, 0.5, 1.0, "grid-bound", 1.0, "singleton-root",
+                                               1.0, 0.0, 0.0)
+        report = analysis.CertificationReport(True, ((0,),), (), [cert], [0.0], [0.0], notes=[])
+        assert replace(cert, t_star=1.0) != cert == replace(cert) and hash(cert) == hash(replace(cert))
+        for record, name in ((traj, "settled_at"), (traj, "lyapunov"), (cert, "t_star"),
+                             (report, "overall_bound"), (report, "notes")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
     def test_parse_error_reports_location(self):
         with pytest.raises(ConfigParseError, match=r"line \d+, column \d+"):
@@ -97,12 +107,17 @@ class TestParseConfig:
         (lambda d: d.update(protocols="powerlinear{a=1,b=nan,c=0.5}"), r"non-finite value for 'b' in spec"),
         (lambda d: d.update(protocols="linear{k=inf}"), r"non-finite value for 'k' in spec 'linear\{k=inf\}'"),
         (lambda d: d.update(protocols="logpower{a=1e309,c=0.5}"), r"non-finite value for 'a' in spec"),
+        (lambda d: d.update(protocols="powerlinear{a=1,a=2,b=1,c=0.5}"), r"repeated key 'a' in spec"),
+        # a key repeated in one object (a mutation that returns text gives the document)
+        (lambda d: json.dumps(d)[:-1] + ', "x0": [1.0, 0.0, -1.0]}', r"^repeated field 'x0'$"),
+        (lambda d: json.dumps(d)[:-1] + ', "sim": {"dt": 1e-3, "dt": 1e-4}}', r"^repeated field 'dt'$"),
+        (lambda d: json.dumps(d).replace('"n": 3', '"n": 3, "n": 3'), r"^repeated field 'n'$"),
     ])
     def test_validation_errors(self, mutate, fragment):
         doc = make_doc()
-        mutate(doc)
+        text = mutate(doc)
         with pytest.raises(ConfigValidationError, match=fragment):
-            parse_config(json.dumps(doc))
+            parse_config(text if isinstance(text, str) else json.dumps(doc))
 
     @pytest.mark.parametrize("doc,fragment", [
         ({"graph": {"n": True, "edges": []}, "protocols": "linear{k=1}", "x0": [True]},
@@ -238,7 +253,10 @@ class TestSimulateCommand:
         ('"n": 4', '"n": 1' + "0" * 400, "x0 must be an array of 1000"),
         ('"n": 4', '"n": true', "graph.n must be a positive integer"),
         ("[1, 2, 1.0]", "[1, 2, true]", "edge [1, 2, True]: weight must be a positive number"),
-    ], ids=["n-2**62", "n-10**400", "n-true", "weight-true"])
+        ('"x0": [2.0', '"x0": [0, 0, 0, 0], "x0": [2.0', "repeated field 'x0'"),
+        ('"dt": 1e-3,', '"dt": 1e-3, "dt": 1e-4,', "repeated field 'dt'"),
+        ("c=0.75}", "c=0.75,a=2}", "repeated key 'a' in spec"),
+    ], ids=["n-2**62", "n-10**400", "n-true", "weight-true", "x0-twice", "dt-twice", "spec-key-twice"])
     def test_huge_or_boolean_fields_exit_one(self, old, new, fragment, tmp_path, capsys):
         text = FIG1_CFG.read_text()
         assert old in text
@@ -345,6 +363,22 @@ class TestTrajectoryCsv:
         rc = main(["simulate", str(FIG1_CFG), "--out", str(tmp_path / "o")])
         assert rc == 2 and "No space left" in capsys.readouterr().err
         assert os.listdir(tmp_path / "o") == []
+        # the JSON outputs go through the same writer: a lone surrogate fails
+        # to encode once the file is open, and an earlier file stays whole
+        bad = '{"x": "\ud800"}'
+        (tmp_path / "j").mkdir()
+        (tmp_path / "j" / "summary.json").write_text("old\n")
+        for name in ("summary.json", "certificate.json"):
+            with pytest.raises(UnicodeEncodeError):
+                cli._write_text(tmp_path / "j" / name, bad)
+        assert os.listdir(tmp_path / "j") == ["summary.json"]
+        assert (tmp_path / "j" / "summary.json").read_text() == "old\n"
+        # through the command: exit 1 with one line, and no certificate.json
+        monkeypatch.setattr(cli, "_json", lambda v: bad)
+        rc = main(["certify", str(FIG1_CFG), "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path / "c") == []
 
 
 class TestCertifyCommand:
@@ -533,6 +567,7 @@ class TestCheckProtocolCommand:
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning would be a second stderr line
     @pytest.mark.parametrize("spec,flags,code,fragment", [
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--beta", "-5"], 1, "--beta must be positive"),
+        ("powerlinear{a=1,a=2,b=1,c=0.5}", ["--bound", "6"], 1, "repeated key 'a' in spec"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--beta", "0"], 1, "--beta must be positive"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--beta", "inf"], 1, "--beta must be finite"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "6", "--alpha", "nan"], 1, "--alpha must be finite"),
@@ -887,6 +922,22 @@ print(json.dumps(steps))
                               if m.split(".")[0] == "scipy"]
         assert offenders == []
 
+    def test_every_record_is_a_record_and_no_module_imports_dataclasses(self):
+        # one way to declare a record: a class with annotated fields subclasses
+        # _record.Record, and no module imports dataclasses, in a function body either
+        offenders = []
+        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+                        a.name for a in node.names]
+                    offenders += [f"{path.name}:{node.lineno} imports {m}" for m in names
+                                  if m.split(".")[0] == "dataclasses"]
+                elif (isinstance(node, ast.ClassDef) and any(isinstance(n, ast.AnnAssign) for n in node.body)
+                      and "Record" not in {getattr(b, "id", None) for b in node.bases}):
+                    offenders.append(f"{path.name}:{node.lineno} {node.name} is no Record")
+        assert offenders == []
+
     def test_no_module_uses_numpy_random_unique_or_median(self):
         # np.random costs ~6 MB of RSS, and np.unique and np.median load
         # numpy.ma; this also covers paths the fresh-interpreter test skips
@@ -1031,7 +1082,7 @@ print(json.dumps(steps))
         assert offenders == []
 
     def test_cold_start_modules_import_no_slow_module(self):
-        # argparse is imported inside cli.build_parser, dataclasses inside cli._criteria
+        # argparse is imported inside cli.build_parser
         src = REPO / "src" / "ftconsensus"
         assert "argparse" not in self._import_time_imports(src / "cli.py")
         assert "argparse" in [a.name for node in ast.walk(ast.parse((src / "cli.py").read_text()))

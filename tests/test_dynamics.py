@@ -284,8 +284,9 @@ class TestRk4Loop:
         plan = dynamics._record_plan(cfg, g.n)
         for start in (x0, np.full(g.n, 1.5)):  # the second freezes at step 0
             traj = integrate(cfg, g, bank, start)
-            lyapunov_trace(g, left_null_vector(g), bank, traj)
-            assert len(traj.disagreement) == len(traj.lyapunov) == len(traj.states)
+            v = lyapunov_trace(g, left_null_vector(g), bank, traj)
+            assert traj.lyapunov is None  # V is returned, not stored
+            assert len(traj.disagreement) == len(v) == len(traj.states)
             off_stride = traj.freeze_step is not None and traj.freeze_step not in plan
             assert off_stride == (freeze and stride is None and start is x0)
             assert traj.times.size == plan.size + off_stride
@@ -353,7 +354,8 @@ class TestRk4Loop:
         cycle = directed_cycle(3)
         bank3 = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
         traced = integrate(SimulationConfig(t_max=5.0), cycle, bank3, np.array([1.0, 0.0, -1.0]))
-        lyapunov_trace(cycle, left_null_vector(cycle), bank3, traced)
+        traced = replace(traced, lyapunov=lyapunov_trace(cycle, left_null_vector(cycle), bank3, traced))
+        assert traced.lyapunov.size == len(traced.states)  # the V column is checked below
         free = integrate(replace(cfg, freeze_on_consensus=False), g, bank, x0)
         for traj in (integrate(cfg, g, bank, x0), free, traced):
             held = len(traj.states)
@@ -410,6 +412,18 @@ class TestLyapunovValue:
         assert searches == []  # left_null_vector above searched g, and g kept the result
         assert list(v) == expected
 
+    def test_trace_leaves_the_trajectory_as_it_was(self):
+        # V is returned; a trajectory with a V column is a replace, and
+        # tracing that one leaves its column in place
+        g = directed_cycle(3)
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 3)
+        omega = left_null_vector(g)
+        traj = integrate(SimulationConfig(t_max=2.0), g, bank, np.array([1.0, 0.0, -1.0]))
+        v = lyapunov_trace(g, omega, bank, traj)
+        traced = replace(traj, lyapunov=v)
+        assert lyapunov_trace(g, omega, bank, traced) is not v
+        assert traced.lyapunov is v and traj.lyapunov is None
+
 
 class TestSettlingTime:
     @staticmethod
@@ -447,3 +461,4 @@ class TestSettlingTime:
                 sub = full[:, list(verts)]
                 expected = dynamics._settled_index(sub.max(axis=1) - sub.min(axis=1), 1e-9)
                 assert dynamics._first_settled_index(traj, list(verts), 1e-9) == expected
+

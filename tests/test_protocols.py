@@ -584,6 +584,8 @@ class TestSpecGrammar:
         "linear{k=abc}",              # non-numeric
         "linear",                     # no braces
         "powerlinear{a=1,b=1,c=2}",   # out of range
+        "powerlinear{a=1,a=2,b=1,c=0.5}",  # repeated key
+        "linear{k=1,k=1}",            # repeated key, same value
     ])
     def test_rejects(self, spec):
         with pytest.raises(ValueError):
