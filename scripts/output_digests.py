@@ -15,8 +15,10 @@ to 1 as the benchmark pins them:
   ``bench/workloads.py`` builds them (the module is imported, not changed);
 * ``simulate`` and ``certify`` on the variants of ``configs/fig1.cfg`` in
   ``VARIANTS``: banks with a linear agent (a ratio bound of 0), a star with a
-  one-agent root, x0 shifted by 1e6, x0 = 0 (frozen at step 0, M = 0) and a
-  one-agent graph;
+  one-agent root, x0 shifted by 1e6, x0 = 0 (frozen at step 0, M = 0), a
+  one-agent graph, a horizon too short for the follower's ancestors to
+  settle and a graph with two roots, so every exit of ``certify`` is
+  covered;
 * ``demo-paper``;
 * ``check-protocol`` on each family, at ``--bound 1e150`` and with an
   explicit ``--beta`` (``CHECK_PROTOCOL``).
@@ -63,6 +65,9 @@ VARIANTS = (
     ("fig1-offset-1e6", {"x0": [1e6 + v for v in (2.0, -1.0, 3.0, -2.0)]}),
     ("fig1-x0-zero", {"x0": [0.0] * 4}),
     ("one-agent", {"graph": {"n": 1, "edges": []}, "x0": [2.0]}),
+    ("fig1-short", {"sim": {"dt": 1e-3, "t_max": 1.0, "eps_consensus": 1e-9, "record_stride": 10,
+                            "freeze_on_consensus": True}}),
+    ("two-roots", {"graph": {"n": 4, "edges": [[1, 2, 1.0], [3, 4, 1.0]]}}),
 )
 MAIN = "import sys; from ftconsensus.cli import main; sys.exit(main(sys.argv[1:]))"
 

@@ -10,7 +10,7 @@ _EXPORTS = {
     "graph": "Condensation WeightedDigraph condensation has_spanning_tree laplacian left_null_vector "
              "mirror_laplacian".split(),
     "protocols": "CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative check_a1 "
-                 "check_a2 evaluate format_protocol_spec parse_protocol_spec".split(),
+                 "check_a2 evaluate parse_protocol_spec".split(),
     "dynamics": "SimulationConfig Trajectory integrate lyapunov_trace lyapunov_value settling_time".split(),
     "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
                 "settling_bound_rooted".split(),

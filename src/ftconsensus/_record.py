@@ -8,9 +8,11 @@ annotations, in order; a class attribute of the same name is the field's
 default.  Every construction, a ``replace`` included, runs the class's
 ``__post_init__`` check when it has one; a check that normalises a field
 writes it into ``__dict__``.  A record refuses assignment and deletion, and
-its ``==``, ``hash`` and ``repr`` are those of a frozen dataclass: by type,
-then by the tuple of its field values.  A result is built once, with every
-field; a changed copy is a ``replace``.
+its ``repr`` is that of a frozen dataclass.  Its ``==`` and ``hash`` are a
+frozen dataclass's too, by type, then by the tuple of its field values,
+unless a field is annotated as an ndarray (the graph, the trajectory): such
+a record compares and hashes by identity.  A result is built once, with
+every field; a changed copy is a ``replace``.
 """
 
 
@@ -18,6 +20,9 @@ class Record:
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        if any("ndarray" in str(kind) for kind in cls.__annotations__.values()):
+            # an array has no one truth value, so such a record equals itself alone
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs):
         cls = type(self)

@@ -20,8 +20,16 @@ infimum over every mixed-sign direction, exactly from the principal
 submatrices of B (``estimate_c1``, a rigorous lower bound under A1), and
 the a posteriori minimum over the k1 of every RK4 step of the run that is
 certified (``_root_observer``, ``integrate``'s observe hook).  The path
-between the states of a step is not observed.  ``certify`` returns the
-report alone and reads the run's rows only through ``dynamics``.
+between the states of a step is not observed.
+
+``certify`` prepares the root's subgraph, omega and observer, runs
+``integrate``, takes alpha and beta, then makes one pass over the
+components in topological order.  Each pass finds the stage's start (0 for
+the root, else the first record after which its ancestors stay eps-agreed,
+or a note and a skip), its certificate (``_root_stage`` or
+``settling_bound_rooted``), its extinction time and its path sum toward
+the overall bound.  The report is built once, after the loop, at every
+exit; it holds no run and reads the run's rows only through ``dynamics``.
 """
 
 from __future__ import annotations
@@ -83,14 +91,14 @@ class CertificationReport(Record):
     spanning_tree: bool
     components: tuple  # SCC vertex tuples in topological order
     dag_edges: tuple
-    certificates: list  # parallel to components (None if absent)
-    stage_starts: list
-    extinction_times: list
+    certificates: tuple  # parallel to components (None if absent)
+    stage_starts: tuple
+    extinction_times: tuple
     overall_bound: float | None = None  # empirical-hybrid composition
     consensus_value: float | None = None
     final_disagreement: float | None = None
     settled_at: float | None = None
-    notes: list
+    notes: tuple
 
     def to_dict(self) -> dict:
         """The fields as plain data for JSON, the certificates as dicts too; a
@@ -253,17 +261,19 @@ def constants_for_bank(bank: ProtocolBank, M: float) -> tuple:
     return alpha, _ratio_bound(bank, M, alpha), beta_closed, note
 
 
-def _root_stage(g_root, bank, verts, x0, omega, traj, root_c1, alpha, beta) -> tuple:
-    """(certificate, consensus value) of the root SCC ``verts`` started at x0: its
-    subgraph, weights and ``_root_observer``'s ``low`` (None for one agent)."""
-    if len(verts) == 1:
+def _root_stage(root, bank, verts, x0, traj, alpha, beta) -> tuple:
+    """(certificate, consensus value) of the root SCC ``verts`` started at x0;
+    ``root`` is its (subgraph, omega, ``_root_observer``'s ``low``), None for
+    one agent."""
+    if root is None:
         # no in-arcs anywhere: the state is constant, settled from t=0
         cert = _certificate(0, alpha, beta, math.inf, "singleton-root", np.ones(1), 0.0)
         return cert, float(x0[verts[0]])
+    g_root, omega, low = root
     bank_sub = ProtocolBank([bank[v] for v in verts])
     B = mirror_laplacian(g_root, omega)
     v0 = 0.0 if np.all(x0[verts] == x0[verts[0]]) else lyapunov_value(g_root, omega, bank_sub, x0[verts])
-    c1, c1_src = root_c1(), "a-posteriori-trajectory"
+    c1, c1_src = low(), "a-posteriori-trajectory"
     if v0 != 0.0 and math.isfinite(c1):
         _check_psd(B)
     else:
@@ -273,90 +283,67 @@ def _root_stage(g_root, bank, verts, x0, omega, traj, root_c1, alpha, beta) -> t
     return cert, float(np.mean(traj.final_state()[verts]))
 
 
-def _follower_stage(g, bank, k, verts, x_start, anc_verts, alpha, beta) -> ConvergenceCertificate:
-    """Rooted-stage certificate of SCC ``k`` (``verts``) started at ``x_start``,
-    the state when its ancestors ``anc_verts`` have settled on their mean."""
-    others = [u for u in range(g.n) if u not in verts]
-    b_vec = g.weights[np.ix_(verts, others)].sum(axis=1)
-    z0 = x_start[verts] - float(np.mean(x_start[anc_verts]))
-    return settling_bound_rooted(g.component(k), b_vec, ProtocolBank([bank[v] for v in verts]),
-                                 z0, alpha, beta, component_id=k)
-
-
-def _compose(cond, certificates) -> float | None:
-    """Max over root-to-leaf condensation paths of the summed stage bounds
-    (each stage anchored at its empirical start); None if a stage has none."""
-    if None in certificates:
-        return None
-    path_sum = []
-    for k, cert in enumerate(certificates):  # topological order
-        path_sum.append(max((path_sum[p] for p in cond.parents(k)), default=0.0) + cert.t_star)
-    return max(path_sum)
-
-
 def certify(
     g: WeightedDigraph,
     bank: ProtocolBank,
     x0: np.ndarray,
     sim_cfg: SimulationConfig,
 ) -> CertificationReport:
-    """Run the simulation and assemble the staged certification report."""
+    """Run the simulation and certify it stage by stage along the condensation
+    (the loop is described in the module docstring)."""
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
-    root = np.array(cond.components[0])
-    g_root = omega = observe = root_c1 = None
-    if cond.spanning_tree and root.size > 1:
+    root = observe = None  # root: (subgraph, omega, low) of a root of two or more agents
+    if cond.spanning_tree and len(cond.components[0]) > 1:
         # the run observes the root's every-step C1 (see _root_observer)
         g_root = g.component(0)
         omega = left_null_vector(g_root)
-        observe, root_c1 = _root_observer(root, omega, laplacian(g_root))
+        observe, low = _root_observer(np.array(cond.components[0]), omega, laplacian(g_root))
+        root = g_root, omega, low
     traj = integrate(sim_cfg, g, bank, x0, observe)
     eps = sim_cfg.eps_consensus
-    n_comp = len(cond.components)
-    certificates, starts, extinctions, notes = [None] * n_comp, [None] * n_comp, [None] * n_comp, []
-    # every exit's report: these lists are filled in below before it is built
-    common = dict(spanning_tree=cond.spanning_tree, components=cond.components,
-                  dag_edges=tuple(sorted(cond.dag_edges)), certificates=certificates,
-                  stage_starts=starts, extinction_times=extinctions,
-                  final_disagreement=float(traj.disagreement[-1]), settled_at=traj.settled_at,
-                  notes=notes)
+    certificates, starts, extinctions, path_sums = ([None] * len(cond.components) for _ in range(4))
+    notes, stages, consensus = [], (), None
     if not cond.spanning_tree:
-        notes.append(
-            "topology has no directed spanning tree; the finite-time consensus "
-            "hypothesis fails and no settling bound is produced"
-        )
-        return CertificationReport(**common)
-
-    M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
-    alpha, beta, beta_closed, note = constants_for_bank(bank, M)
-    notes.append(note)
-    if _closed_beta_exceeds(beta_closed, beta):
-        notes.append("closed-form beta exceeds the ratio lower bound; the bound is used")
-    if not beta > 0:
-        notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
-                     "the finite-time hypothesis fails and no settling bound is produced")
-        return CertificationReport(**common)
-
-    for k, comp in enumerate(cond.components):
-        verts = list(comp)
-        if k == 0:
-            certificates[0], consensus = _root_stage(
-                g_root, bank, verts, x0, omega, traj, root_c1, alpha, beta)
-            starts[0] = 0.0
-            settled = verts
+        notes.append("topology has no directed spanning tree; the finite-time consensus "
+                     "hypothesis fails and no settling bound is produced")
+    else:
+        M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
+        alpha, beta, beta_closed, note = constants_for_bank(bank, M)
+        notes.append(note)
+        if _closed_beta_exceeds(beta_closed, beta):
+            notes.append("closed-form beta exceeds the ratio lower bound; the bound is used")
+        if beta > 0:
+            stages = enumerate(cond.components)
         else:
-            anc_verts = sorted(v for c in cond.ancestors(k) for v in cond.components[c])
-            idx0 = _first_settled_index(traj, anc_verts, eps)
-            if idx0 is None:
-                notes.append(f"component {k}: ancestors never settled within the horizon; "
-                             "stage bound unavailable")
-                continue
-            starts[k] = float(traj.times[idx0])
-            certificates[k] = _follower_stage(
-                g, bank, k, verts, traj.states[idx0], anc_verts, alpha, beta)
-            settled = anc_verts + verts
-        idx = _first_settled_index(traj, settled, eps)
-        extinctions[k] = None if idx is None else float(traj.times[idx])
+            notes.append("ratio bound (A2) is 0 (f^2 / F^alpha tends to 0 at 0 for some agent): "
+                         "the finite-time hypothesis fails and no settling bound is produced")
 
-    return CertificationReport(**common, overall_bound=_compose(cond, certificates),
-                               consensus_value=consensus)
+    for k, comp in stages:
+        verts = list(comp)
+        anc_verts = sorted(v for c in cond.ancestors(k) for v in cond.components[c])
+        idx0 = _first_settled_index(traj, anc_verts, eps) if k else 0
+        if idx0 is None:
+            notes.append(f"component {k}: ancestors never settled within the horizon; "
+                         "stage bound unavailable")
+            continue
+        if k == 0:
+            cert, consensus = _root_stage(root, bank, verts, x0, traj, alpha, beta)
+        else:
+            # relative to the ancestors' mean, driven by the arcs into this stage
+            x_start, others = traj.states[idx0], [u for u in range(g.n) if u not in verts]
+            b_vec = g.weights[np.ix_(verts, others)].sum(axis=1)
+            z0 = x_start[verts] - float(np.mean(x_start[anc_verts]))
+            cert = settling_bound_rooted(g.component(k), b_vec, ProtocolBank([bank[v] for v in verts]),
+                                         z0, alpha, beta, component_id=k)
+        idx = _first_settled_index(traj, anc_verts + verts, eps)
+        certificates[k], starts[k] = cert, float(traj.times[idx0])
+        extinctions[k] = None if idx is None else float(traj.times[idx])
+        # every parent has a path sum: a skipped stage's descendants are skipped
+        # too, since their ancestors include its own, which never settled
+        path_sums[k] = max((path_sums[p] for p in cond.parents(k)), default=0.0) + cert.t_star
+
+    return CertificationReport(
+        cond.spanning_tree, cond.components, tuple(sorted(cond.dag_edges)), tuple(certificates),
+        tuple(starts), tuple(extinctions), None if None in certificates else max(path_sums),
+        consensus, float(traj.disagreement[-1]), traj.settled_at, tuple(notes))

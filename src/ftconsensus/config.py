@@ -37,7 +37,7 @@ from ._record import Record, fields, replace
 from .errors import ConfigParseError, ConfigValidationError
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "SimulationConfig", "Linear",
-           "PowerLinear", "LogPower", "ProtocolFunction", "parse_protocol_spec", "format_protocol_spec"]
+           "PowerLinear", "LogPower", "ProtocolFunction", "parse_protocol_spec"]
 
 
 def _number(value) -> bool:
@@ -161,12 +161,6 @@ def parse_protocol_spec(spec: str) -> ProtocolFunction:
     if set(params) != set(expected):
         raise ValueError(f"spec {spec!r} must define exactly the keys {expected}")
     return _KINDS[kind](**params)
-
-
-def format_protocol_spec(f: ProtocolFunction) -> str:
-    kind = next(kind for kind, family in _KINDS.items() if isinstance(f, family))
-    values = ",".join(f"{key}={getattr(f, key):.17g}" for key in fields(f))
-    return f"{kind}{{{values}}}"
 
 
 class ExperimentConfig(Record):

@@ -181,7 +181,8 @@ def integrate(
         plan = np.insert(plan, r - 1, k)
     states = states[:r]
     times, dis = plan * dt, np.ptp(states, axis=1)
-    settled_at = settling_time(Trajectory(times, states, dis), eps)  # reads times and dis only
+    settled = _settled_index(dis, eps)
+    settled_at = None if settled is None else float(times[settled])
     return Trajectory(times, states, dis, settled_at=settled_at, steps=k,
                       freeze_step=k if frozen else None)
 

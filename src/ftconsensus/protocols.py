@@ -38,8 +38,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .config import (Linear, LogPower, PowerLinear, ProtocolFunction,  # re-exported
-                     format_protocol_spec, parse_protocol_spec)
+from .config import Linear, LogPower, PowerLinear, ProtocolFunction, parse_protocol_spec  # re-exported
 from .errors import ProtocolDomainError
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "check_a1",
     "check_a2",
     "parse_protocol_spec",
-    "format_protocol_spec",
 ]
 
 _BREAK = math.exp(-1.0)

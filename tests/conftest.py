@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ftconsensus import PowerLinear, ProtocolBank, WeightedDigraph, graph
-from ftconsensus._record import asdict
+from ftconsensus import PowerLinear, ProtocolBank, WeightedDigraph, config, graph
+from ftconsensus._record import asdict, fields
 
 
 def fig1_graph() -> WeightedDigraph:
@@ -104,6 +104,13 @@ def serialize_config(cfg) -> str:
         "sim": asdict(cfg.sim),
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def format_protocol_spec(f) -> str:
+    """The spec string of a family record, for round trips through ``parse_protocol_spec``."""
+    kind = next(kind for kind, family in config._KINDS.items() if isinstance(f, family))
+    values = ",".join(f"{key}={getattr(f, key):.17g}" for key in fields(f))
+    return f"{kind}{{{values}}}"
 
 
 def full_states(traj) -> np.ndarray:

@@ -29,8 +29,10 @@ from ftconsensus import (
     settling_bound_rooted,
 )
 from ftconsensus import analysis, dynamics, protocols
+from ftconsensus._record import replace
 from ftconsensus.analysis import constants_for_bank
 from ftconsensus.cli import main
+from ftconsensus.config import load_config
 from ftconsensus.errors import (
     DegenerateInput,
     InvalidConstants,
@@ -412,6 +414,25 @@ class TestCertify:
         assert all(c is None for c in report.certificates)
         assert any("spanning tree" in n for n in report.notes)
         assert report.final_disagreement > 1.0  # non-consensus confirmed
+
+    def test_ancestors_never_settled(self):
+        # fig1 stopped at t = 1, before its root SCC settles: the follower
+        # stage has no start, so no certificate and no overall bound
+        cfg = load_config(REPO / "configs" / "fig1.cfg")
+        report = certify(cfg.graph(), cfg.bank(), cfg.x0_array(), replace(cfg.sim, t_max=1.0))
+        assert report.certificates[0] is not None and report.stage_starts[0] == 0.0
+        assert (report.certificates[1], report.stage_starts[1], report.extinction_times[1],
+                report.overall_bound) == (None, None, None, None)
+        assert report.notes[-1] == ("component 1: ancestors never settled within the horizon; "
+                                    "stage bound unavailable")
+
+    def test_report_is_an_immutable_value(self):
+        # the list-like fields are tuples: a built report cannot change, and it hashes
+        cfg = load_config(REPO / "configs" / "fig1.cfg")
+        report = certify(cfg.graph(), cfg.bank(), cfg.x0_array(), cfg.sim)
+        with pytest.raises(AttributeError):
+            report.notes.append("changed")
+        assert hash(report) == hash(replace(report)) and report == replace(report)
 
     def test_certificate_soundness_random(self):
         rng = np.random.default_rng(31)

@@ -20,6 +20,7 @@ from ftconsensus.cli import main
 from ftconsensus.config import ExperimentConfig, Linear, LogPower, PowerLinear, load_config, parse_config
 from ftconsensus.dynamics import SimulationConfig, Trajectory
 from ftconsensus.errors import ConfigParseError, ConfigValidationError
+from ftconsensus.graph import WeightedDigraph
 
 from conftest import count_graph_searches, random_strongly_connected, serialize_config, traced_peak
 
@@ -71,6 +72,15 @@ class TestParseConfig:
                              (report, "overall_bound"), (report, "notes")):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+    def test_records_with_arrays_compare_by_identity(self):
+        # an array has no one truth value: a graph or a trajectory equals only
+        # itself and hashes by identity, so == gives a bool and both go in a set
+        w = np.array([[0.0, 1.0], [2.0, 0.0]])
+        traj, _ = _hand_built(True)
+        for a, b in ((WeightedDigraph(w), WeightedDigraph(w.copy())), (traj, replace(traj))):
+            assert (a == b, a != b, a == a) == (False, True, True)
+            assert len({a, b, a}) == 2
 
     def test_parse_error_reports_location(self):
         with pytest.raises(ConfigParseError, match=r"line \d+, column \d+"):
@@ -792,7 +802,7 @@ print(json.dumps(steps))
         "graph": "Condensation WeightedDigraph condensation has_spanning_tree laplacian left_null_vector "
                  "mirror_laplacian",
         "protocols": "CriteriaReport Linear LogPower PowerLinear ProtocolBank antiderivative check_a1 "
-                     "check_a2 evaluate format_protocol_spec parse_protocol_spec",
+                     "check_a2 evaluate parse_protocol_spec",
         "dynamics": "SimulationConfig Trajectory integrate lyapunov_trace lyapunov_value settling_time",
         "analysis": "CertificationReport ConvergenceCertificate c2_constant certify estimate_c1 "
                     "settling_bound_rooted",
@@ -848,7 +858,7 @@ print(json.dumps(steps))
                 assert getattr(sys.modules[obj.__module__], name) is obj, name
         config = importlib.import_module("ftconsensus.config")
         for module_name, names in [("protocols", "Linear PowerLinear LogPower ProtocolFunction "
-                                                 "parse_protocol_spec format_protocol_spec"),
+                                                 "parse_protocol_spec"),
                                    ("dynamics", "SimulationConfig")]:
             module = importlib.import_module(f"ftconsensus.{module_name}")
             for name in names.split():

@@ -18,14 +18,13 @@ from ftconsensus import (
     check_a1,
     check_a2,
     evaluate,
-    format_protocol_spec,
     parse_protocol_spec,
 )
 from ftconsensus import config, protocols
 from ftconsensus._record import fields
 from ftconsensus.analysis import constants_for_bank
 
-from conftest import random_claim1_bank
+from conftest import format_protocol_spec, random_claim1_bank
 
 ALL_KINDS = [Linear(k=1.3), PowerLinear(a=1.0, b=1.0, c=0.75), LogPower(a=1.0, c=0.5)]
 
