@@ -8,11 +8,10 @@ annotations, in order; a class attribute of the same name is the field's
 default.  Every construction, a ``replace`` included, runs the class's
 ``__post_init__`` check when it has one; a check that normalises a field
 writes it into ``__dict__``.  A record refuses assignment and deletion, and
-its ``repr`` is that of a frozen dataclass.  Its ``==`` and ``hash`` are a
-frozen dataclass's too, by type, then by the tuple of its field values,
-unless a field is annotated as an ndarray (the graph, the trajectory): such
-a record compares and hashes by identity.  A result is built once, with
-every field; a changed copy is a ``replace``.
+its ``==``, ``hash`` and ``repr`` are those of a frozen dataclass: by type,
+then by the tuple of its field values, but by identity for a record with an
+ndarray field.  A result is built once, with every field; a changed copy is
+a ``replace``.
 """
 
 

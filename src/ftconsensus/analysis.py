@@ -20,16 +20,12 @@ infimum over every mixed-sign direction, exactly from the principal
 submatrices of B (``estimate_c1``, a rigorous lower bound under A1), and
 the a posteriori minimum over the k1 of every RK4 step of the run that is
 certified (``_root_observer``, ``integrate``'s observe hook).  The path
-between the states of a step is not observed.
-
-``certify`` prepares the root's subgraph, omega and observer, runs
-``integrate``, takes alpha and beta, then makes one pass over the
-components in topological order.  Each pass finds the stage's start (0 for
-the root, else the first record after which its ancestors stay eps-agreed,
-or a note and a skip), its certificate (``_root_stage`` or
-``settling_bound_rooted``), its extinction time and its path sum toward
-the overall bound.  The report is built once, after the loop, at every
-exit; it holds no run and reads the run's rows only through ``dynamics``.
+between the states of a step is not observed.  After ``integrate``,
+``certify`` makes one pass over the components in topological order: each
+stage gets its start (0 for the root, else the first record after which its
+ancestors stay eps-agreed), certificate, extinction time and path sum, and
+the report is built once, after the loop.  ``certify`` returns the report
+alone and reads the run's rows only through ``dynamics``.
 """
 
 from __future__ import annotations
@@ -289,8 +285,7 @@ def certify(
     x0: np.ndarray,
     sim_cfg: SimulationConfig,
 ) -> CertificationReport:
-    """Run the simulation and certify it stage by stage along the condensation
-    (the loop is described in the module docstring)."""
+    """Run the simulation and assemble the staged certification report."""
     x0 = np.asarray(x0, dtype=float)
     cond = condensation(g)
     root = observe = None  # root: (subgraph, omega, low) of a root of two or more agents
