@@ -14,8 +14,19 @@ The garbage collector is off during each pass and runs once after it, so the
 count printed per pass is every object the pass left in reference cycles.
 At the end the script prints ``ru_maxrss`` and the Rss of each mapping from
 ``/proc/self/smaps``: ``[heap]``, anonymous memory, each shared object, and
-every other named mapping.  The last line is the same data as one JSON
-object, for diffing two checkouts.
+every other named mapping.
+
+Then it runs two more passes with ``tracemalloc`` started and stopped around
+each op's command (not the output check after it), and prints each op's
+traced peak in KiB on the second: the memory the program itself allocates,
+which tells a change in what it holds from a change in heap layout.  The
+first of the two refills the interpreter's free lists, which the full
+collections after the untraced passes empty (the first op traced after them
+reads about 230 KiB higher on scc-200).  ``tracemalloc`` is imported only
+after the RSS readout, so it does not move the RSS figures.  The last line
+is all of this as one JSON object, the traced peaks under
+``traced_peak_kib`` keyed by op kind (the larger where a kind repeats), for
+diffing two checkouts.
 """
 
 from __future__ import annotations
@@ -83,6 +94,24 @@ def main(argv=None) -> int:
             gc.enable()
         maxrss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         mappings = rss_by_mapping()
+        import tracemalloc
+
+        traced, state = {}, {}
+
+        def traced_call(kind, fn, *args):
+            tracemalloc.start()
+            try:
+                return fn(*args)
+            finally:
+                peak_kib = round(tracemalloc.get_traced_memory()[1] / 1024.0, 1)
+                tracemalloc.stop()
+                traced[kind] = max(traced.get(kind, 0.0), peak_kib)
+
+        runner._call = traced_call  # the op's command alone, not the output check after it
+        for _ in range(2):  # the peaks of the second pass: see the module docstring
+            traced.clear()
+            errors = [runner._run_op(op, state)[1] for op in w.ops]
+        failures += [f"{op.kind} (traced): {err}" for op, err in zip(w.ops, errors) if err is not None]
 
     print(f"{args.workload} seed {args.seed}, {args.passes} pass(es), checkout {args.root.resolve()}")
     for i, n in enumerate(cyclic, 1):
@@ -92,11 +121,14 @@ def main(argv=None) -> int:
     for name, kib in mappings.items():
         if kib:
             print(f"    {kib:>8} KiB  {name}")
+    print("  traced peak per op (second traced pass):")
+    for kind, kib in traced.items():
+        print(f"    {kib:>8.1f} KiB  {kind}")
     for failure in failures[:5]:
         print(f"  failed: {failure}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": args.passes,
                       "cyclic_per_pass": cyclic, "failed": len(failures),
-                      "ru_maxrss_kib": maxrss_kib, "rss_kib": mappings}))
+                      "ru_maxrss_kib": maxrss_kib, "rss_kib": mappings, "traced_peak_kib": traced}))
     return 1 if failures else 0
 
 

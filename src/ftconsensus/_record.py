@@ -4,21 +4,21 @@ Every record type is a ``Record`` subclass: the config types, the graph and
 its condensation, the criteria report, the trajectory and the certificates.
 ``dataclasses`` imports ``inspect``, and the two cost a cold start more than
 the config module itself.  A ``Record`` subclass names its fields as
-annotations, in order; a class attribute of the same name is the field's
-default.  Every construction, a ``replace`` included, runs the class's
-``__post_init__`` check when it has one; a check that normalises a field
-writes it into ``__dict__``.  A record refuses assignment and deletion, and
-its ``==``, ``hash`` and ``repr`` are those of a frozen dataclass: by type,
-then by the tuple of its field values, but by identity for a record with an
-ndarray field.  A result is built once, with every field; a changed copy is
-a ``replace``.
+annotations, in order; a class attribute of the same name, unless a
+property, is the field's default.  Every construction, a ``replace``
+included, runs the class's ``__post_init__`` check when it has one; a check
+that normalises a field writes it into ``__dict__``.  A record refuses
+assignment and deletion, and its ``==``, ``hash`` and ``repr`` are those of
+a frozen dataclass: by type, then by the tuple of its field values, but by
+identity for a record with an ndarray field.  A result is built once, with
+every field; a changed copy is a ``replace``.
 """
 
 
 class Record:
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        cls._defaults = {k: v for k, v in vars(cls).items() if k in cls._fields and type(v) is not property}
         if any("ndarray" in str(kind) for kind in cls.__annotations__.values()):
             # an array has no one truth value, so such a record equals itself alone
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__

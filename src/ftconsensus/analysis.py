@@ -135,7 +135,8 @@ def _check_psd(B):
     """
     n = B.shape[0]
     S = B if np.array_equal(B, B.T) else (B + B.T) / 2.0
-    d, rows = np.diagonal(S), np.abs(S).sum(axis=1)
+    d = np.diagonal(S)
+    rows = np.concatenate([np.abs(S[r:r + 64]).sum(axis=1) for r in range(0, n, 64)])  # no n x n |S|
     bound = np.min(d + np.abs(d) - rows) - (n + 2) * np.finfo(float).eps * rows.max()
     if not bound >= -1e-10 * max(1.0, d.max()):
         lam = np.linalg.eigvalsh(S)
@@ -327,7 +328,7 @@ def certify(
         else:
             # relative to the ancestors' mean, driven by the arcs into this stage
             x_start, others = traj.states[idx0], [u for u in range(g.n) if u not in verts]
-            b_vec = g.weights[np.ix_(verts, others)].sum(axis=1)
+            b_vec = np.negative(laplacian(g)[np.ix_(verts, others)]).sum(axis=1)
             z0 = x_start[verts] - float(np.mean(x_start[anc_verts]))
             cert = settling_bound_rooted(g.component(k), b_vec, ProtocolBank([bank[v] for v in verts]),
                                          z0, alpha, beta, component_id=k)

@@ -148,6 +148,8 @@ def cmd_certify(args) -> int:
         print("ratio bound (A2) is 0: finite-time consensus hypothesis fails")
     elif report.overall_bound is not None:
         print(f"overall settling bound (empirical-hybrid): {report.overall_bound:.6g}")
+    else:
+        print("no overall bound: a stage's ancestors never settled within the horizon (see notes)")
     return EXIT_OK
 
 

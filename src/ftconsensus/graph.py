@@ -9,18 +9,17 @@ row sum of the adjacency, since the diagonal is zero).  This is the standard
 definition and the one consistent with the row-sum-zero property that the
 whole analysis rests on.
 
-A graph keeps what ``condensation`` and ``laplacian`` compute (the Laplacian
-read-only), and ``g.component(k)`` is known to be strongly connected, so the
-checked functions are the only path and cost a graph one SCC search.
+A graph keeps its Laplacian (read-only, its one n x n array) and its
+condensation once computed, and ``g.component(k)`` is known to be strongly
+connected, so the checked functions cost a graph one SCC search.
 
-The left null vector omega comes from Grassmann-Taksar-Heyman elimination on
-one n x n copy of the weights, with no dense SVD.  It runs in the
-left-looking order: each state's row and column are finished from the states
-already eliminated by two matrix-vector products, 2(n-1) in all and no
-matrix-matrix product.  Every step adds, multiplies or divides nonnegative
-numbers and none subtracts.  The mirror Laplacian is one n x n product.  No
-eigen-solver and no norm of a certificate lives here: ``analysis`` computes
-what it decides.
+The left null vector omega comes from Grassmann-Taksar-Heyman elimination in
+one fresh copy of the weights, with no dense SVD, in the left-looking order:
+each state's row and column are finished from the states already eliminated
+by two matrix-vector products, 2(n-1) in all and no matrix-matrix product.
+Every step adds, multiplies or divides nonnegative numbers and none
+subtracts.  The mirror Laplacian is built in its own output, with no n x n
+temporary.  No eigen-solver and no norm of a certificate lives here.
 """
 
 from __future__ import annotations
@@ -42,12 +41,13 @@ __all__ = [
 
 
 class WeightedDigraph(Record):
-    """Interaction topology: nonnegative weight matrix with zero diagonal."""
+    """Interaction topology: nonnegative weight matrix with zero diagonal, held as its
+    Laplacian L alone; ``g.weights`` is a fresh array, -L off the diagonal and 0 on it."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.asarray(self.__dict__.pop("weights"), dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise ValueError("weights must be a square matrix with n >= 1")
         if not np.all(np.isfinite(w)):
@@ -56,17 +56,26 @@ class WeightedDigraph(Record):
             raise ValueError("weights must be nonnegative")
         if np.any(np.diag(w) != 0):
             raise ValueError("diagonal weights must be exactly zero")
-        w = w.copy()
-        w.setflags(write=False)
-        self.__dict__.update(weights=w, _memo={})  # _memo: condensation and Laplacian, once computed
+        L = np.negative(w)
+        np.fill_diagonal(L, w.sum(axis=1))
+        L.setflags(write=False)
+        self.__dict__.update(_laplacian=L, _memo={})  # _memo: the condensation, once computed
+
+    @property
+    def weights(self) -> np.ndarray:
+        w = np.negative(self._laplacian)
+        np.fill_diagonal(w, 0.0)
+        return w
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self._laplacian.shape[0]
 
     def subgraph(self, vertices) -> "WeightedDigraph":
         idx = np.asarray(sorted(vertices), dtype=int)
-        return WeightedDigraph(self.weights[np.ix_(idx, idx)])
+        w = np.negative(self._laplacian[np.ix_(idx, idx)])
+        np.fill_diagonal(w, 0.0)
+        return WeightedDigraph(w)
 
     def component(self, k: int) -> "WeightedDigraph":
         """Subgraph on SCC ``k`` of ``condensation(self)``, known strongly connected
@@ -106,12 +115,8 @@ class Condensation(Record):
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
-    """Graph Laplacian, kept read-only on ``g``: row sums are exactly zero."""
-    if "laplacian" not in g._memo:
-        L = g._memo["laplacian"] = np.negative(g.weights)
-        np.fill_diagonal(L, g.weights.sum(axis=1))
-        L.setflags(write=False)
-    return g._memo["laplacian"]
+    """Graph Laplacian, held read-only by ``g``: row sums are exactly zero."""
+    return g._laplacian
 
 
 def _tarjan_sccs(adj: list) -> list:
@@ -166,9 +171,9 @@ def condensation(g: WeightedDigraph) -> Condensation:
     """SCC decomposition with components listed in a topological order, kept on ``g``."""
     if "condensation" in g._memo:
         return g._memo["condensation"]
-    # every arc v -> u, i.e. weights[u, v] > 0, sorted by v and then u;
-    # adj[v] lists the vertices v sends information to, in ascending order
-    src, dst = (idx.tolist() for idx in np.nonzero(g.weights.T > 0))
+    # every arc v -> u, i.e. weights[u, v] > 0, that is l_uv < 0 (a zero weight's l_uv is
+    # -0.0), sorted by v and then u; adj[v] lists the vertices v sends information to, ascending
+    src, dst = (idx.tolist() for idx in np.nonzero(g._laplacian.T < 0))
     adj = [[] for _ in range(g.n)]
     for v, u in zip(src, dst):
         adj[v].append(u)
@@ -230,7 +235,7 @@ def left_null_vector(g: WeightedDigraph) -> np.ndarray:
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("left null vector requires a strongly connected graph")
-    a = np.array(g.weights)
+    a = g.weights  # a fresh array
     with np.errstate(all="ignore"):  # w beyond float range fails the check
         for k in range(g.n - 1, 0, -1):
             a[k, :k] += a[k, k + 1:] @ a[k + 1:, :k]
@@ -256,7 +261,9 @@ def mirror_laplacian(g: WeightedDigraph, omega: np.ndarray) -> np.ndarray:
     if not is_strongly_connected(g):
         raise NotStronglyConnected("mirror Laplacian requires a strongly connected graph")
     B = np.asarray(omega, dtype=float)[:, None] * laplacian(g)
-    B += B.T
+    for r in range(0, g.n, 64):  # B + B^T by strips of 64 rows and columns: no n x n temporary
+        np.add(B[r:r + 64, r:], B[r:, r:r + 64].T, out=B[r:r + 64, r:])
+        B[r:, r:r + 64] = B[r:r + 64, r:].T
     B /= 2.0
     return B
 

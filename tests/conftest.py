@@ -211,6 +211,29 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def traced_held(fn) -> int:
+    """Bytes that tracemalloc sees still allocated once ``fn()`` has returned,
+    with its result kept alive."""
+    tracemalloc.start()
+    try:
+        kept = fn()  # noqa: F841
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def dense_condensation(w: np.ndarray) -> tuple:
+    """(set of SCC vertex tuples, {(v, u): arc v -> u between SCCs}) of the arcs
+    weights[u, v] > 0, by boolean transitive closure."""
+    n = len(w)
+    reach = (w.T > 0) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[[k], :]
+    comps = {tuple(np.flatnonzero(reach[v] & reach[:, v]).tolist()) for v in range(n)}
+    between = {(int(v), int(u)) for u, v in zip(*np.nonzero(w > 0)) if not (reach[u, v] and reach[v, u])}
+    return comps, between
+
+
 @pytest.fixture
 def fig1():
     return fig1_graph()

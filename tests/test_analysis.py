@@ -201,6 +201,14 @@ class TestEstimateC1:
         run(mirror_laplacian(g, left_null_vector(g)))
         assert 30 not in sizes  # a priori still solves the 29 x 29 deletions
 
+    def test_psd_proof_takes_no_n_by_n_array(self):
+        # the Gershgorin row sums of |S| are taken in strips of 64 rows; the
+        # symmetry test's n x n booleans are an eighth of one float array
+        n = 200
+        g = random_strongly_connected(np.random.default_rng(200), n)
+        B = mirror_laplacian(g, left_null_vector(g))
+        assert traced_peak(lambda: analysis._check_psd(B)) <= 64 * n * 8 + n * n + 16 * 1024
+
     def test_certify_runs_no_eigensolve(self, monkeypatch):
         def refuse(m):
             raise AssertionError("eigvalsh called")
@@ -425,6 +433,40 @@ class TestCertify:
                 report.overall_bound) == (None, None, None, None)
         assert report.notes[-1] == ("component 1: ancestors never settled within the horizon; "
                                     "stage bound unavailable")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_follower_coupling_matches_the_dense_weights(self, seed, monkeypatch):
+        # each follower stage's b_vec, its in-arc weights summed per agent, is
+        # bit for bit the sum over the weights matrix, zero weights included
+        rng = np.random.default_rng(500 + seed)
+        blocks = [int(rng.integers(1, 4)) for _ in range(4)]
+        n = sum(blocks)
+        w = np.zeros((n, n))
+        starts = np.cumsum([0, *blocks])
+        for k, size in enumerate(blocks):
+            verts = np.arange(starts[k], starts[k + 1])
+            if size > 1:
+                w[np.roll(verts, -1), verts] = rng.uniform(0.3, 2.0, size)
+                w[np.ix_(verts, verts)] += (rng.random((size, size)) < 0.4) * rng.uniform(0.2, 2.0, (size, size))
+            if k:  # one arc from the previous block, some more from any earlier one
+                w[rng.choice(verts), rng.integers(starts[k - 1], starts[k])] = rng.uniform(0.3, 2.0)
+                w[verts, :starts[k]] += (rng.random((size, starts[k])) < 0.2) * rng.uniform(0.2, 2.0)
+        np.fill_diagonal(w, 0.0)
+        g = WeightedDigraph(w)
+        seen = []
+        rooted = analysis.settling_bound_rooted
+
+        def spy(g_sub, b_vec, *args, **kwargs):
+            seen.append(b_vec)
+            return rooted(g_sub, b_vec, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "settling_bound_rooted", spy)
+        bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * n)
+        report = certify(g, bank, rng.uniform(-2.0, 2.0, n), SimulationConfig(t_max=30.0))
+        assert report.overall_bound is not None
+        refs = [w[np.ix_(comp, [u for u in range(n) if u not in comp])].sum(axis=1)
+                for comp in report.components[1:]]
+        assert [b.tobytes() for b in seen] == [r.tobytes() for r in refs]
 
     def test_report_is_an_immutable_value(self):
         # the list-like fields are tuples: a built report cannot change, and it hashes

@@ -421,6 +421,21 @@ class TestCertifyCommand:
         assert doc["spanning_tree"] is False
         assert doc["overall_bound"] is None
 
+    def test_unsettled_ancestors_get_a_line(self, tmp_path, capsys):
+        # fig1 stopped at t = 1: the follower's ancestors never settle, so no
+        # overall bound; stdout says so, as the other no-bound exits do
+        doc = json.loads(FIG1_CFG.read_text())
+        doc["sim"]["t_max"] = 1.0
+        (tmp_path / "short.cfg").write_text(json.dumps(doc))
+        rc = main(["certify", str(tmp_path / "short.cfg"), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert out.splitlines()[1:] == [
+            "no overall bound: a stage's ancestors never settled within the horizon (see notes)"]
+        doc = json.loads((tmp_path / "o" / "certificate.json").read_text())
+        assert doc["overall_bound"] is None and doc["certificates"][0] is not None
+        assert doc["notes"][-1].startswith("component 1: ancestors never settled")
+
     @pytest.mark.parametrize("fields", [
         {"protocols": "linear{k=1}"},
         {"protocols": ["linear{k=1}", "powerlinear{a=1,b=1,c=0.75}", "logpower{a=1,c=0.5}",
@@ -946,6 +961,16 @@ print(json.dumps(steps))
                 elif (isinstance(node, ast.ClassDef) and any(isinstance(n, ast.AnnAssign) for n in node.body)
                       and "Record" not in {getattr(b, "id", None) for b in node.bases}):
                     offenders.append(f"{path.name}:{node.lineno} {node.name} is no Record")
+        assert offenders == []
+
+    def test_only_graph_reads_the_weights(self):
+        # a graph holds its Laplacian alone and g.weights rebuilds an n x n
+        # array on each read; every other module reads laplacian(g)
+        offenders = [f"{path.name}:{node.lineno}"
+                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
+                     if path.name != "graph.py"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr == "weights"]
         assert offenders == []
 
     def test_no_module_uses_numpy_random_unique_or_median(self):

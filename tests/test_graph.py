@@ -16,11 +16,13 @@ from ftconsensus.errors import NotStronglyConnected
 from conftest import (
     brute_force_spanning_tree,
     count_graph_searches,
+    dense_condensation,
     directed_cycle,
     fig1_graph,
     gth_right_looking,
     random_digraph,
     random_strongly_connected,
+    traced_held,
     traced_peak,
 )
 
@@ -48,6 +50,58 @@ class TestWeightedDigraph:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             WeightedDigraph(np.zeros((2, 3)))
+
+    def test_weights_are_a_fresh_exact_copy(self):
+        # g.weights is rebuilt from L on each read: the input's bits, a zero
+        # weight given as -0.0 included, and writing to it leaves g unchanged
+        rng = np.random.default_rng(40)
+        w = np.array(random_digraph(rng, 9).weights)
+        w[(w == 0.0) & (rng.random(w.shape) < 0.5) & ~np.eye(9, dtype=bool)] = -0.0
+        g = WeightedDigraph(w)
+        got = g.weights
+        assert got.tobytes() == w.tobytes() and got is not g.weights
+        got[0, 1] = 7.0
+        assert g.weights.tobytes() == w.tobytes()
+        # the weights property is no default for the field
+        with pytest.raises(TypeError, match="missing"):
+            WeightedDigraph()
+
+    def test_keeps_one_n_by_n_array(self):
+        # the Laplacian is the graph's only n x n array: no weights copy beside it
+        n = 200
+        w = random_strongly_connected(np.random.default_rng(200), n).weights
+
+        def build():
+            g = WeightedDigraph(w)
+            laplacian(g), condensation(g)
+            return g
+
+        assert traced_held(build) <= n * n * 8 + 16 * 1024
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_subgraph_component_and_condensation_match_the_dense_weights(self, seed):
+        # references built from the weights matrix itself, with many zero
+        # weights (-0.0 in L), some given as -0.0
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 14))
+        w = np.array(random_digraph(rng, n, p=0.2).weights)
+        w[(w == 0.0) & (rng.random(w.shape) < 0.5) & ~np.eye(n, dtype=bool)] = -0.0
+        g = WeightedDigraph(w)
+        cond = condensation(g)
+        comps, between = dense_condensation(w)
+        comp_of = {v: k for k, comp in enumerate(cond.components) for v in comp}
+        assert set(cond.components) == comps
+        assert cond.dag_edges == {(comp_of[v], comp_of[u]) for v, u in between}
+        for verts in [*cond.components, sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))]:
+            ref = w[np.ix_(verts, verts)]
+            np.fill_diagonal(ref, 0.0)
+            L = np.negative(ref)
+            np.fill_diagonal(L, ref.sum(axis=1))
+            sub = g.subgraph(verts)
+            assert sub.weights.tobytes() == ref.tobytes()
+            assert laplacian(sub).tobytes() == L.tobytes()
+        for k, comp in enumerate(cond.components):
+            assert laplacian(g.component(k)).tobytes() == laplacian(g.subgraph(comp)).tobytes()
 
 
 class TestLaplacian:
@@ -260,12 +314,28 @@ class TestLeftNullVector:
 
 class TestMirrorLaplacian:
     def test_equals_the_diagonal_products(self):
-        rng = np.random.default_rng(20)
-        for _ in range(50):
-            g = random_strongly_connected(rng, int(rng.integers(1, 30)))
+        # also bit for bit (-0.0 included) against the entrywise formula, and
+        # at sizes across the edges of the 64-row strips it is built in
+        def check(g):
             omega = left_null_vector(g)
             L, W = laplacian(g), np.diag(omega)
-            assert np.array_equal(mirror_laplacian(g, omega), (W @ L + L.T @ W) / 2.0)
+            B = mirror_laplacian(g, omega)
+            assert np.array_equal(B, (W @ L + L.T @ W) / 2.0)
+            assert B.tobytes() == ((omega[:, None] * L + L.T * omega) / 2.0).tobytes()
+            assert B.tobytes() == B.T.tobytes()
+
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            check(random_strongly_connected(rng, int(rng.integers(1, 30))))
+        for n in (1, 2, 63, 64, 65, 127, 128, 129, 200):
+            check(random_strongly_connected(rng, n))
+
+    def test_peak_is_its_own_output(self):
+        # no n x n temporary beside B: a strip of 64 rows, its sum and its half
+        n = 200
+        g = random_strongly_connected(np.random.default_rng(200), n)
+        omega = left_null_vector(g)
+        assert traced_peak(lambda: mirror_laplacian(g, omega)) <= n * n * 8 + 2 * 64 * n * 8 + 16 * 1024
 
     def test_symmetric_graph_scaled(self):
         rng = np.random.default_rng(17)
