@@ -27,6 +27,14 @@ after the RSS readout, so it does not move the RSS figures.  The last line
 is all of this as one JSON object, the traced peaks under
 ``traced_peak_kib`` keyed by op kind (the larger where a kind repeats), for
 diffing two checkouts.
+
+Last, for each module of the checkout's package, it prints the token count
+(as ``tokenize`` gives them, less comments, blank lines and the encoding
+token) and the traced peak of compiling the source, the least of three
+``compile()`` calls.  Every benchmark worker compiles the package, since the
+benchmark sets ``PYTHONDONTWRITEBYTECODE=1``, and the largest module's peak
+shapes the heap the workload then runs in.  The JSON object holds these as
+``tokens`` and ``compile_peak_kib``, keyed by file name.
 """
 
 from __future__ import annotations
@@ -113,6 +121,25 @@ def main(argv=None) -> int:
             errors = [runner._run_op(op, state)[1] for op in w.ops]
         failures += [f"{op.kind} (traced): {err}" for op, err in zip(w.ops, errors) if err is not None]
 
+    import io
+    import tokenize
+
+    def compile_peak_kib(source: bytes, path: Path) -> float:
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            compile(source, str(path), "exec", dont_inherit=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return round(min(peaks) / 1024.0, 1)
+
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    tokens, compile_peaks = {}, {}
+    for path in sorted((args.root.resolve() / "src" / "ftconsensus").glob("*.py")):
+        source = path.read_bytes()
+        tokens[path.name] = sum(t.type not in skipped for t in tokenize.tokenize(io.BytesIO(source).readline))
+        compile_peaks[path.name] = compile_peak_kib(source, path)
+
     print(f"{args.workload} seed {args.seed}, {args.passes} pass(es), checkout {args.root.resolve()}")
     for i, n in enumerate(cyclic, 1):
         print(f"  pass {i}: {n} objects in reference cycles")
@@ -124,11 +151,15 @@ def main(argv=None) -> int:
     print("  traced peak per op (second traced pass):")
     for kind, kib in traced.items():
         print(f"    {kib:>8.1f} KiB  {kind}")
+    print("  compile per module (tokens, traced peak of the least of 3 compiles):")
+    for name, kib in compile_peaks.items():
+        print(f"    {tokens[name]:>8}  {kib:>8.1f} KiB  {name}")
     for failure in failures[:5]:
         print(f"  failed: {failure}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": args.passes,
                       "cyclic_per_pass": cyclic, "failed": len(failures),
-                      "ru_maxrss_kib": maxrss_kib, "rss_kib": mappings, "traced_peak_kib": traced}))
+                      "ru_maxrss_kib": maxrss_kib, "rss_kib": mappings, "traced_peak_kib": traced,
+                      "tokens": tokens, "compile_peak_kib": compile_peaks}))
     return 1 if failures else 0
 
 

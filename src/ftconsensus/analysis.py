@@ -53,12 +53,7 @@ from .dynamics import (
     integrate,
     lyapunov_value,
 )
-from .protocols import (
-    ProtocolBank,
-    _closed_beta_exceeds,
-    _closed_form_constants,
-    _ratio_bound,
-)
+from .protocols import ProtocolBank, _constants
 
 __all__ = [
     "ConvergenceCertificate",
@@ -245,17 +240,16 @@ def settling_bound_rooted(
 
 
 def constants_for_bank(bank: ProtocolBank, M: float) -> tuple:
-    """(alpha, beta_bound, beta_closed, source_note) for certification.
+    """(alpha, beta, notes) for certification, from ``protocols._constants``.
 
-    alpha, beta_closed and the note come from ``protocols._closed_form_constants``.
-    The beta used downstream is always the proven lower bound on the ratio
-    over (0, M] (``protocols._ratio_min_single``), which holds along every
-    trajectory whose arguments stay within M.
+    beta is always the proven lower bound on the ratio over (0, M]
+    (``protocols._ratio_min_single``), which holds along every trajectory
+    whose arguments stay within M, never the closed form.
     """
     if M <= 0:
-        return 0.5, math.inf, None, "degenerate (already at consensus)"
-    alpha, beta_closed, note = _closed_form_constants(bank, M)
-    return alpha, _ratio_bound(bank, M, alpha), beta_closed, note
+        return 0.5, math.inf, ["degenerate (already at consensus)"]
+    alpha, beta, _, notes = _constants(bank, M)
+    return alpha, beta, notes
 
 
 def _root_stage(root, bank, verts, x0, traj, alpha, beta) -> tuple:
@@ -305,10 +299,8 @@ def certify(
                      "hypothesis fails and no settling bound is produced")
     else:
         M = float(np.abs(laplacian(g)).sum(axis=1).max()) * float(np.abs(x0).max())  # inf, no warning
-        alpha, beta, beta_closed, note = constants_for_bank(bank, M)
-        notes.append(note)
-        if _closed_beta_exceeds(beta_closed, beta):
-            notes.append("closed-form beta exceeds the ratio lower bound; the bound is used")
+        alpha, beta, more = constants_for_bank(bank, M)
+        notes += more
         if beta > 0:
             stages = enumerate(cond.components)
         else:

@@ -153,25 +153,6 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _criteria(f, M: float, alpha, beta) -> tuple:
-    """(check_a2 report, closed-form beta or None) for one protocol over (0, M].
-
-    The closed-form beta is shown, and used when no beta is given, unless it
-    exceeds the proven ratio bound."""
-    from .protocols import ProtocolBank, _closed_beta_exceeds, _closed_form_constants, check_a2
-
-    bank = ProtocolBank([f])
-    closed = None
-    if alpha is None:
-        alpha, closed, _ = _closed_form_constants(bank, M)
-    report = check_a2(bank, M, alpha, beta)
-    if _closed_beta_exceeds(closed, report.ratio_bound):
-        closed = None
-    if closed is not None and beta is None:
-        report = replace(report, beta=closed, beta_source="closed-form")
-    return report, closed
-
-
 def cmd_check_protocol(args) -> int:
     f = parse_protocol_spec(args.spec)
     M = args.bound
@@ -182,7 +163,9 @@ def cmd_check_protocol(args) -> int:
         raise FtConsensusError("--bound must be positive")
     if args.beta is not None and not args.beta > 0:
         raise FtConsensusError("--beta must be positive (A2 needs beta > 0)")
-    report, closed = _criteria(f, M, args.alpha, args.beta)
+    from .protocols import ProtocolBank, check_a2
+
+    report = check_a2(ProtocolBank([f]), M, args.alpha, args.beta)
 
     print(f"protocol: {args.spec}")
     # A1 holds for every family by proof (protocols.check_a1)
@@ -193,8 +176,8 @@ def cmd_check_protocol(args) -> int:
         print("warning: monotonicity fails (non-fatal; the convergence "
               "argument uses sign preservation, not monotonicity)")
     print(f"alpha = {report.alpha:.12g}")
-    if closed is not None:
-        print(f"beta (closed-form) = {closed:.12g}")
+    if report.closed_beta is not None:
+        print(f"beta (closed-form) = {report.closed_beta:.12g}")
     print(f"beta (used, {report.beta_source}) = {report.beta:.12g}")
     print(f"ratio lower bound over (0, {M:g}] = {report.ratio_bound:.12g}")
     print(f"ratio bound (A2): {'pass' if report.a2_pass else 'FAIL'}")

@@ -120,50 +120,39 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
 
 
 def _tarjan_sccs(adj: list) -> list:
-    """Iterative Tarjan; returns SCCs in reverse topological order."""
+    """Iterative Tarjan; returns SCCs in reverse topological order.  A work frame
+    is a vertex and the iterator over its arcs, resumed after each child; a
+    vertex's index is its visit rank, and n once its SCC is out, so that its
+    arcs lower no lowlink."""
     n = len(adj)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list = []
-    sccs: list = []
-    counter = 0
+    index, lowlink, stack, sccs = {}, {}, [], []
     for root in range(n):
-        if index[root] != -1:
+        if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                u = adj[v][i]
-                if index[u] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((u, 0))
-                    advanced = True
+            v, arcs = work[-1]
+            for u in arcs:
+                if u not in index:
+                    index[u] = lowlink[u] = len(index)
+                    stack.append(u)
+                    work.append((u, iter(adj[u])))
                     break
-                if on_stack[u]:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
+                lowlink[v] = min(lowlink[v], index[u])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    u, comp = None, []
+                    while u != v:
+                        u = stack.pop()
+                        index[u] = n
+                        comp.append(u)
+                    sccs.append(tuple(sorted(comp)))
     return sccs
 
 

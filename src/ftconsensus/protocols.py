@@ -26,9 +26,9 @@ below it), once per distinct protocol; certificates use it.  Its
 ``ProtocolDomainError`` is the one check that M is neither too large nor too
 small for f and F.  Closed-form (alpha, beta) exist for uniform power-linear
 and log-power banks (the paper's Claims 1 and 2), one row each of
-``_CLOSED_FORMS``; ``_closed_form_constants`` picks a bank's alpha and
-closed-form beta for every command, and ``_closed_beta_exceeds`` is the one
-rule that leaves out a closed-form beta above the proven bound.
+``_CLOSED_FORMS``.  ``_constants`` is the one rule both commands read: it
+picks a bank's alpha, takes the proven bound, and leaves out a closed-form
+beta above it.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _ratio_grid(M: float) -> np.ndarray:
     """The grid of (0, M] the ratio bound is taken on: log-spaced points from
     min(M 10^-_GRID_DECADES, 1/e) to M, with M and 1/e, ascending and without
     repeats.  It never starts above 1/e, where ``_tail_bound`` takes over."""
-    z = np.geomspace(min(M * 10.0**-_GRID_DECADES, _BREAK), M, _GRID_POINTS)
+    z = np.geomspace(min(M * 10.0**-_GRID_DECADES, _BREAK) or _TINY, M, _GRID_POINTS)  # M 1e-12 may underflow
     # geomspace ascends, so M goes last and 1/e before the first point not below it:
     # the sorted union, without paging in numpy's sort code
     k = np.count_nonzero(z < _BREAK)
@@ -212,7 +212,8 @@ class CriteriaReport(Record):
     alpha: float
     beta: float
     ratio_bound: float  # proven lower bound on the ratio over (0, M]
-    beta_source: str = "explicit"  # explicit | closed-form | grid-bound
+    beta_source: str  # explicit | closed-form | grid-bound
+    closed_beta: float | None  # the closed form _constants keeps, if any
 
 
 def check_a1(f: ProtocolFunction, M: float) -> bool:
@@ -305,39 +306,22 @@ def _ratio_min_single(f, M, alpha):
     return bound if bound >= _NORMAL else 0.0
 
 
-def check_a2(
-    bank: ProtocolBank,
-    M: float,
-    alpha: float,
-    beta: float | None = None,
-) -> CriteriaReport:
+def check_a2(bank: ProtocolBank, M: float, alpha=None, beta=None) -> CriteriaReport:
     """Verify the ratio bound f(z)^2 / F(z)^alpha >= beta on (0, M]; f is odd and F
     even, bit for bit, so the ratio on [-M, 0) repeats it.
 
-    ``bound`` is the least ``_ratio_min_single`` over the distinct protocols.
-    With an explicit ``beta`` the verdict is ``bound >= beta``.  With
-    ``beta=None`` the bound becomes beta and the verdict is ``bound > 0``; it
-    is 0 where the ratio tends to 0 as z -> 0: for linear, and for a positive
-    tail exponent 2c - (1+c) alpha.
+    alpha and the proven ``bound`` come from ``_constants``.  beta is an explicit
+    ``beta`` (pass iff ``bound >= beta``), else the closed form (pass), else the
+    bound (pass iff ``bound > 0``; 0 where the ratio tends to 0 as z -> 0).
     """
-    if not M > 0:
-        raise ValueError("M must be positive")
-    if not 0 < alpha < 1:
+    monotone = all(check_a1(f, M) for f in dict.fromkeys(bank))  # raises unless M > 0
+    if alpha is not None and not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    monotone = all(check_a1(f, M) for f in dict.fromkeys(bank))
-    bound = _ratio_bound(bank, M, alpha)
-    if beta is None:
-        beta, a2_pass, source = bound, bound > 0.0, "grid-bound"
-    else:
-        a2_pass, source = bound >= beta, "explicit"
-    return CriteriaReport(
-        monotone=monotone,
-        a2_pass=bool(a2_pass),
-        alpha=alpha,
-        beta=float(beta),
-        ratio_bound=bound,
-        beta_source=source,
-    )
+    alpha, bound, closed, _ = _constants(bank, M, alpha)
+    if beta is not None:
+        return CriteriaReport(monotone, bool(bound >= beta), alpha, float(beta), bound, "explicit", closed)
+    source = "grid-bound" if closed is None else "closed-form"
+    return CriteriaReport(monotone, bound > 0.0, alpha, closed or bound, bound, source, closed)
 
 
 def _claim1_beta(f, c, alpha, M):
@@ -378,35 +362,32 @@ def _closed_form_alpha(bank) -> float | None:
     return max(_CLOSED_FORMS[kind][0](max(f.c for f in bank if type(f) is kind)) for kind in bank.kinds)
 
 
-def _closed_form_constants(bank: ProtocolBank, M: float) -> tuple:
-    """(alpha, closed-form beta or None, note) for a bank over (0, M].
-
-    Claim 1 for a uniform power-linear bank, Claim 2 for a uniform log-power
-    bank: beta is the least agent term, or None where it is not a positive
-    float (a large parameter or a small M can overflow its powers).  Any
-    other bank gets no beta and the largest per-agent closed-form alpha, or
-    0.5 when it has a linear agent.
+def _constants(bank, M, alpha=None) -> tuple:
+    """(alpha, bound, closed-form beta or None, notes) of a bank over (0, M], for
+    every command.  ``bound`` is the least ``_ratio_min_single`` over the
+    distinct specs.  Without an explicit alpha, Claim 1 (2) gives a uniform
+    power-linear (log-power) bank its alpha and beta, the least agent term,
+    left out where it is not a positive float or exceeds the bound, which a
+    note then says.  Any other bank gets the largest per-agent closed-form
+    alpha, or 0.5 when it has a linear agent.
     """
-    alpha = _closed_form_alpha(bank)
+    closed, notes = None, []
     if alpha is None:
-        return 0.5, None, "no closed form for this bank; alpha defaulted"
-    if bank.uniform_kind is None:
-        return alpha, None, "alpha closed-form (largest per-agent value of a mixed bank)"
-    _, term, family = _CLOSED_FORMS[bank.uniform_kind]
-    c = max(f.c for f in bank)
-    try:
-        beta = min(term(f, c, alpha, M) for f in bank)
-    except OverflowError:  # float ** raises where numpy would return inf
-        beta = math.inf
-    return alpha, beta if 0.0 < beta < math.inf else None, f"alpha closed-form ({family} family)"
-
-
-def _closed_beta_exceeds(closed, bound) -> bool:
-    """Whether a closed-form beta exists and exceeds the proven ratio lower bound:
-    the one test by which every command leaves it out, neither shown nor used."""
-    return closed is not None and closed > bound
-
-
-def _ratio_bound(bank, M, alpha) -> float:
-    """Smallest ratio lower bound over the bank, one bound per distinct spec."""
-    return min(_ratio_min_single(f, M, alpha) for f in dict.fromkeys(bank))
+        alpha = _closed_form_alpha(bank)
+        if alpha is None:
+            alpha, notes = 0.5, ["no closed form for this bank; alpha defaulted"]
+        elif bank.uniform_kind is None:
+            notes = ["alpha closed-form (largest per-agent value of a mixed bank)"]
+        else:
+            _, term, family = _CLOSED_FORMS[bank.uniform_kind]
+            c = max(f.c for f in bank)
+            try:
+                closed = min(term(f, c, alpha, M) for f in bank)
+            except OverflowError:  # float ** raises where numpy would return inf
+                closed = math.inf
+            closed, notes = closed if 0.0 < closed < math.inf else None, [f"alpha closed-form ({family} family)"]
+    bound = min(_ratio_min_single(f, M, alpha) for f in dict.fromkeys(bank))
+    if closed is not None and closed > bound:
+        closed = None
+        notes.append("closed-form beta exceeds the ratio lower bound; the bound is used")
+    return alpha, bound, closed, notes

@@ -30,7 +30,7 @@ from ftconsensus import (
 )
 from ftconsensus.cli import FIG1_EDGES, FIG1_X0, main
 from ftconsensus.config import ExperimentConfig
-from ftconsensus.protocols import _closed_form_constants
+from ftconsensus.protocols import _constants
 from scipy.linalg import expm
 
 from conftest import (
@@ -177,7 +177,7 @@ def test_08_criteria_checker(capsys):
     for _ in range(20):
         bank = random_claim1_bank(rng, int(rng.integers(1, 5)))
         M = float(rng.uniform(1.0, 10.0))
-        alpha, beta = _closed_form_constants(bank, M)[:2]
+        alpha, _, beta, _ = _constants(bank, M)
         rep = check_a2(bank, M, alpha, beta)
         assert rep.a2_pass
     for c in [0.2, 0.4, 0.6]:

@@ -268,7 +268,7 @@ class TestStronglyConnectedBound:
         omega = left_null_vector(g)
         x0 = np.array([1.0, 0.0, 0.0])
         M = np.abs(laplacian(g)).sum(axis=1).max() * np.abs(x0).max()
-        alpha, beta = protocols._closed_form_constants(self.BANK3, M)[:2]
+        alpha = protocols._constants(self.BANK3, M)[0]
         rep = check_a2(self.BANK3, M, alpha)
         traj = integrate(SimulationConfig(t_max=10.0), g, self.BANK3, x0)
         v = lyapunov_trace(g, omega, self.BANK3, traj)
@@ -577,9 +577,9 @@ class TestEveryStepC1:
 class TestConstantsForBank:
     def test_powerlinear_alpha_matches_closed_form(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75)] * 2)
-        alpha, emp, closed, _ = constants_for_bank(bank, 6.0)
-        a2, b2 = protocols._closed_form_constants(bank, 6.0)[:2]
-        assert alpha == a2 and closed == b2
+        alpha, emp, _ = constants_for_bank(bank, 6.0)
+        a2, bound, closed, _ = protocols._constants(bank, 6.0)
+        assert alpha == a2 and emp == bound
         assert emp >= closed - 1e-9
 
     @pytest.mark.parametrize("specs,distinct", [
@@ -599,7 +599,7 @@ class TestConstantsForBank:
             return original(*args)
 
         monkeypatch.setattr(protocols, "_ratio_min_single", counting)
-        _, emp, _, _ = constants_for_bank(bank, 6.0)
+        _, emp, _ = constants_for_bank(bank, 6.0)
         assert len(calls) == distinct
         assert emp == per_agent
 
@@ -632,6 +632,6 @@ class TestConstantsForBank:
 
     def test_mixed_bank_falls_back(self):
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), Linear(k=1.0)])
-        alpha, emp, closed, note = constants_for_bank(bank, 6.0)
-        assert closed is None and alpha == 0.5
-        assert "no closed form" in note
+        alpha, emp, notes = constants_for_bank(bank, 6.0)
+        assert protocols._constants(bank, 6.0)[2] is None and alpha == 0.5
+        assert "no closed form" in notes[0]

@@ -477,7 +477,7 @@ class TestCertifyCommand:
         assert [sorted(k for k, v in c.items() if v is None) for c in doc["certificates"]] == nulls
         assert doc["overall_bound"] is not None  # every stage is still bounded
 
-    @pytest.mark.parametrize("scale, code",[(1e-300, 1), (1e-200, 1), (1e-150, 0)])
+    @pytest.mark.parametrize("scale, code",[(1e-315, 1), (1e-300, 1), (1e-200, 1), (1e-150, 0)])
     def test_tiny_x0_scale_is_named(self, scale, code, tmp_path, capsys):
         # below some scale f^2 or F underflows to 0 at the bottom of the ratio
         # grid, M * 1e-12; that is the state's fault, not the protocol's
@@ -502,13 +502,13 @@ class TestCertifyCommand:
         ("powerlinear{a=1,b=1,c=0.75}", 1.0),
     ])
     @pytest.mark.parametrize("shrink", [1.0, 1e-20])
-    def test_closed_form_above_the_bound_is_noted(self, spec, scale, shrink, tmp_path, monkeypatch):
-        # a unit 3-cycle, so M = ||L||_inf ||x0||_inf = 2 scale; the note is what
-        # check-protocol's rule gives at that M (test_used_beta_does_not_exceed_the_ratio_bound).
-        # No spec is known whose closed form exceeds the proven bound, so a bound
-        # shrunk below the closed form stands in for one
-        bound = analysis._ratio_bound
-        monkeypatch.setattr(analysis, "_ratio_bound", lambda *args: bound(*args) * shrink)
+    def test_closed_form_above_the_bound_is_noted(self, spec, scale, shrink, tmp_path, monkeypatch, capsys):
+        # a unit 3-cycle, so M = ||L||_inf ||x0||_inf = 2 scale, and check-protocol at
+        # that M follows the same rule: it leaves the closed form out where certify
+        # notes it.  No spec is known whose closed form exceeds the proven bound, so
+        # a bound shrunk below the closed form stands in for one
+        bound = protocols._ratio_min_single
+        monkeypatch.setattr(protocols, "_ratio_min_single", lambda *args: bound(*args) * shrink)
         noted = shrink < 1.0
         doc = make_doc(protocols=spec, x0=[scale, 0.0, -scale], sim={"t_max": 1.0})
         (tmp_path / "big.cfg").write_text(json.dumps(doc))
@@ -516,6 +516,11 @@ class TestCertifyCommand:
         notes = json.loads((tmp_path / "o" / "certificate.json").read_text())["notes"]
         note = "closed-form beta exceeds the ratio lower bound; the bound is used"
         assert (note in notes) == noted, notes
+        capsys.readouterr()
+        assert main(["check-protocol", "--spec", spec, "--bound", repr(2.0 * scale)]) == 0
+        out = capsys.readouterr().out
+        assert ("beta (closed-form)" in out) != noted, out
+        assert ("beta (used, grid-bound)" in out) == noted, out
 
 
 @pytest.mark.parametrize("command", ["simulate", "certify"])
@@ -618,6 +623,9 @@ class TestCheckProtocolCommand:
         ("linear{k=1}", ["--bound", "1e-300"], 1, "argument bound M = 1e-300 too small"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e-300"], 1, "argument bound M = 1e-300 too small"),
         ("logpower{a=1,c=0.5}", ["--bound", "1e-300"], 1, "argument bound M = 1e-300 too small"),
+        # M 1e-12 underflows to 0, so the grid starts at the least float
+        ("powerlinear{a=1,b=1,c=0.75}", ["--bound", "1e-320"], 1, "argument bound M = 9.99989e-321 too small"),
+        ("powerlinear{a=1,b=1,c=0.75}", ["--bound", "5e-324"], 1, "argument bound M = 4.94066e-324 too small"),
     ])
     def test_numeric_flags_exit_with_one_line(self, spec, flags, code, fragment, capsys):
         rc = main(["check-protocol", "--spec", spec, *flags])
@@ -961,6 +969,16 @@ print(json.dumps(steps))
                 elif (isinstance(node, ast.ClassDef) and any(isinstance(n, ast.AnnAssign) for n in node.body)
                       and "Record" not in {getattr(b, "id", None) for b in node.bases}):
                     offenders.append(f"{path.name}:{node.lineno} {node.name} is no Record")
+        assert offenders == []
+
+    def test_cli_imports_no_private_name(self):
+        # a command's policy lives in the module that computes it; cli reads
+        # public names only, so no rule is applied a second time there
+        numeric = {"protocols", "analysis", "dynamics", "graph"}
+        offenders = [f"cli.py:{node.lineno} {alias.name}"
+                     for node in ast.walk(ast.parse((REPO / "src" / "ftconsensus" / "cli.py").read_text()))
+                     if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in numeric
+                     for alias in node.names if alias.name.startswith("_")]
         assert offenders == []
 
     def test_only_graph_reads_the_weights(self):

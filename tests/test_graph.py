@@ -180,6 +180,19 @@ class TestCondensation:
         assert sorted(cond.components) == [(0,), (1,), (2,)]
         assert cond.dag_edges == frozenset()
 
+    def test_component_order_is_pinned(self):
+        # several topological orders are valid here; the certificate lists the
+        # components in this one, Tarjan's output (vertices in order, arcs
+        # ascending) reversed.  Arcs v -> u, that is weights[u, v] > 0
+        arcs = [(0, 5), (5, 0), (0, 3), (5, 1), (1, 6), (6, 1), (3, 2), (6, 2), (2, 7), (7, 2),
+                (1, 4), (8, 9)]
+        w = np.zeros((10, 10))
+        for v, u in arcs:
+            w[u, v] = 1.0
+        cond = condensation(WeightedDigraph(w))
+        assert cond.components == ((8,), (9,), (0, 5), (1, 6), (4,), (3,), (2, 7))
+        assert cond.dag_edges == frozenset({(0, 1), (2, 3), (2, 5), (3, 4), (3, 6), (5, 6)})
+
     def test_partition_and_acyclic(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -30,8 +30,9 @@ ALL_KINDS = [Linear(k=1.3), PowerLinear(a=1.0, b=1.0, c=0.75), LogPower(a=1.0, c
 
 
 def closed_form(bank, M):
-    """(alpha, closed-form beta or None) of ``_closed_form_constants``."""
-    return protocols._closed_form_constants(bank, M)[:2]
+    """(alpha, closed-form beta or None) of ``_constants``."""
+    alpha, _, beta, _ = protocols._constants(bank, M)
+    return alpha, beta
 
 
 class TestParameterRanges:
@@ -372,7 +373,7 @@ class TestCheckA2:
             for c in (0.25, 0.4, 0.5):
                 for M in (1.0, 2.5, 40.0):
                     bank = ProtocolBank([LogPower(a, c)])
-                    alpha, emp, _, _ = constants_for_bank(bank, M)
+                    alpha, emp, _ = constants_for_bank(bank, M)
                     assert check_a2(bank, M, alpha).ratio_bound == emp, (a, c, M)
 
 
