@@ -367,8 +367,8 @@ def _constants(bank, M, alpha=None) -> tuple:
     every command.  ``bound`` is the least ``_ratio_min_single`` over the
     distinct specs.  Without an explicit alpha, Claim 1 (2) gives a uniform
     power-linear (log-power) bank its alpha and beta, the least agent term,
-    left out where it is not a positive float or exceeds the bound, which a
-    note then says.  Any other bank gets the largest per-agent closed-form
+    left out where it is not a positive float, and with a note where it
+    exceeds the bound.  Any other bank gets the largest per-agent closed-form
     alpha, or 0.5 when it has a linear agent.
     """
     closed, notes = None, []
@@ -380,12 +380,13 @@ def _constants(bank, M, alpha=None) -> tuple:
             notes = ["alpha closed-form (largest per-agent value of a mixed bank)"]
         else:
             _, term, family = _CLOSED_FORMS[bank.uniform_kind]
+            notes = [f"alpha closed-form ({family} family)"]
             c = max(f.c for f in bank)
             try:
                 closed = min(term(f, c, alpha, M) for f in bank)
             except OverflowError:  # float ** raises where numpy would return inf
                 closed = math.inf
-            closed, notes = closed if 0.0 < closed < math.inf else None, [f"alpha closed-form ({family} family)"]
+            closed = closed if 0.0 < closed < math.inf else None
     bound = min(_ratio_min_single(f, M, alpha) for f in dict.fromkeys(bank))
     if closed is not None and closed > bound:
         closed = None
