@@ -257,3 +257,7 @@ def main(argv=None) -> int:
 
 def entry():  # console-script wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":  # python -m ftconsensus.cli
+    entry()
