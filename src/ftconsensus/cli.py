@@ -169,9 +169,7 @@ def cmd_check_protocol(args) -> int:
 
     print(f"protocol: {args.spec}")
     # A1 holds for every family by proof (protocols.check_a1)
-    print("A1 continuity:        pass")
-    print("A1 zero only at zero: pass")
-    print("A1 sign preservation: pass")
+    print("A1 continuity:        pass\nA1 zero only at zero: pass\nA1 sign preservation: pass")
     if not report.monotone:
         print("warning: monotonicity fails (non-fatal; the convergence "
               "argument uses sign preservation, not monotonicity)")
@@ -255,9 +253,9 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def entry():  # console-script wrapper
+def entry():
     sys.exit(main())
 
 
-if __name__ == "__main__":  # python -m ftconsensus.cli
+if __name__ == "__main__":
     entry()
