@@ -23,7 +23,7 @@ equal (``digests``), and each side's ``traced_peak_kib``,
 
 Then, for each workload and seed, the unchanged ``bench/run.py --trace 0``
 runs once on each tree, one after the other; the order alternates from
-pair to pair so that drift over the session falls on both sides alike.
+pair to pair so that drift over the set falls on both sides alike.
 Each run's record in ``.bench_out/`` gives every row it printed and its raw
 set-up samples.  Per workload the output holds:
 

@@ -727,6 +727,20 @@ def test_help_exits_zero(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: ftconsensus")
 
 
+@pytest.mark.parametrize("module", ["ftconsensus", "ftconsensus.cli"])
+@pytest.mark.parametrize("spec,code", [("powerlinear{a=1,b=1,c=0.75}", 0), ("powerlinear{a=1", 1)])
+def test_python_m_runs_the_command(module, spec, code, tmp_path, capsys):
+    # `python -m ftconsensus` and `python -m ftconsensus.cli` print what main prints
+    argv = ["check-protocol", "--spec", spec, "--bound", "6"]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+    if code:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_commands_leave_no_cyclic_garbage(tmp_path):
     # one parser per process, and JSON written without the encoder's closures:
     # once a first call has built the parser, a command leaves nothing for the
