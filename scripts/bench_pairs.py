@@ -16,10 +16,10 @@ fig1-paper tree read 36.84-36.93 MB under ``/tmp/bench_pairs_*/tree`` and
 Uncommitted edits are not measured; ``uncommitted_changes`` records them.
 
 First, on both trees, this checkout's ``scripts/output_digests.py`` runs
-once, and ``scripts/rss_by_mapping.py`` once per workload (first seed, one
-pass).  The output records the digest lines that differ and how many are
-equal (``digests``), and each side's ``traced_peak_kib``,
-``compile_peak_kib`` and ``ru_maxrss_kib`` (``memory``).
+once, and ``scripts/rss_by_mapping.py`` once per workload (first seed).  The
+output records the digest lines that differ and how many are equal
+(``digests``), and each side's ``traced_peak_kib``, ``compile_peak_kib`` and
+``ru_maxrss_kib`` (``memory``).
 
 Then, for each workload and seed, the unchanged ``bench/run.py --trace 0``
 runs once on each tree, one after the other; the order alternates from
@@ -40,7 +40,8 @@ set-up samples.  Per workload the output holds:
 * ``setup_s_pooled``: the quartiles of every raw set-up sample of every
   run, per side (eight per run), finer than the per-run medians.
 
-Repeating ``--workload`` measures several workloads into the same file.
+Repeating ``--workload`` measures several workloads into the same file.  On
+SIGTERM it exits 143 as on an error: the unpacked trees go, the child is killed.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -100,9 +102,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, units: d
 
 
 def memory(checkout: Path, workload: str, seed: int) -> dict:
-    """``rss_by_mapping.py``'s traced and compile peaks and ``ru_maxrss`` for one pass."""
+    """``rss_by_mapping.py``'s traced and compile peaks and ``ru_maxrss``."""
     out = run(checkout, [str(ROOT / "scripts" / "rss_by_mapping.py"), "--root", str(checkout),
-                         "--workload", workload, "--seed", str(seed), "--passes", "1"],
+                         "--workload", workload, "--seed", str(seed)],
               f"rss_by_mapping.py ({workload})")
     readout = json.loads(out.strip().splitlines()[-1])
     return {key: readout[key] for key in ("traced_peak_kib", "compile_peak_kib", "ru_maxrss_kib")}
@@ -169,6 +171,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("--seeds needs at least two seeds (one pair per seed)")
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]

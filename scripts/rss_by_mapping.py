@@ -2,45 +2,37 @@
 
 Usage (from the root of a checkout)::
 
-    python3 scripts/rss_by_mapping.py --workload fig1-paper --seed 1 --passes 3
-    python3 scripts/rss_by_mapping.py --workload scc-200 --seed 1 --passes 1 --root ../other
+    python3 scripts/rss_by_mapping.py --workload scc-200 --seed 1 [--root ../other]
 
-Runs ``--passes`` passes of the workload's op mix in this process, through
+Runs one pass of the workload's op mix in this process, through
 ``bench/worker.Runner`` of the checkout at ``--root`` (default: this one) and
 that checkout's ``src/ftconsensus``, with BLAS/OpenMP threads pinned to 1 as
-the benchmark pins them.  Nothing under ``bench/`` is changed.
-
-The garbage collector is off during each pass and runs once after it, so the
-count printed per pass is every object the pass left in reference cycles.
-At the end the script prints ``ru_maxrss`` and the Rss of each mapping from
-``/proc/self/smaps``: ``[heap]``, anonymous memory, each shared object, and
-every other named mapping.
+the benchmark pins them, then reads ``ru_maxrss`` and the Rss of each
+mapping from ``/proc/self/smaps``.  Nothing under ``bench/`` is changed.
 
 Then it runs two more passes with ``tracemalloc`` started and stopped around
-each op's command (not the output check after it), and prints each op's
-traced peak in KiB on the second: the memory the program itself allocates,
-which tells a change in what it holds from a change in heap layout.  The
-first of the two refills the interpreter's free lists, which the full
-collections after the untraced passes empty (the first op traced after them
-reads about 230 KiB higher on scc-200).  ``tracemalloc`` is imported only
-after the RSS readout, so it does not move the RSS figures.  The last line
-is all of this as one JSON object, the traced peaks under
-``traced_peak_kib`` keyed by op kind (the larger where a kind repeats), for
-diffing two checkouts.
+each op's command (not the output check after it), and keeps each op's
+traced peak from the second, the first having warmed the interpreter's free
+lists: the memory the program itself allocates, which tells a change in what
+it holds from a change in heap layout.  ``tracemalloc`` is imported only
+after the RSS readout, so it does not move the RSS figures.
 
-Last, for each module of the checkout's package, it prints the token count
-(as ``tokenize`` gives them, less comments, blank lines and the encoding
-token) and the traced peak of compiling the source, the least of three
-``compile()`` calls.  Every benchmark worker compiles the package, since the
-benchmark sets ``PYTHONDONTWRITEBYTECODE=1``, and the largest module's peak
-shapes the heap the workload then runs in.  The JSON object holds these as
-``tokens`` and ``compile_peak_kib``, keyed by file name.
+Last, for each module of the checkout's package, it counts the tokens (as
+``tokenize`` gives them, less comments, blank lines and the encoding token)
+and takes the traced peak of compiling the source, the least of three
+``compile()`` calls.  Every benchmark worker compiles the package
+(``PYTHONDONTWRITEBYTECODE=1``), and the largest module's peak shapes the
+heap the workload then runs in.
+
+It prints one JSON line: ``workload``, ``seed``, ``failed`` (failed ops, each
+named on stderr; the exit code is then 1), ``ru_maxrss_kib``, ``rss_kib`` (by
+mapping), ``traced_peak_kib`` (by op kind, the larger where a kind repeats),
+and ``tokens`` and ``compile_peak_kib`` (in KiB, by file name).
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import resource
@@ -74,11 +66,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--passes", type=int, default=1)
     p.add_argument("--root", type=Path, default=ROOT, help="checkout whose bench/ and src/ run")
     args = p.parse_args(argv)
-    if args.passes < 1:
-        p.error("--passes must be at least 1")
 
     os.environ.update({name: "1" for name in PINNED_THREADS})
     sys.path.insert(0, str(args.root.resolve() / "bench"))
@@ -86,20 +75,12 @@ def main(argv=None) -> int:
     import workloads
 
     w = workloads.build(args.workload, args.seed)
-    cyclic, failures = [], []
     with tempfile.TemporaryDirectory(prefix="rss_by_mapping_") as tmp:
         w.write_configs(Path(tmp))
         runner = worker.Runner(w, Path(tmp))
-        for _ in range(args.passes):
-            gc.collect()
-            gc.disable()
-            state = {}
-            for op in w.ops:
-                _, err, _ = runner._run_op(op, state)
-                if err is not None:
-                    failures.append(f"{op.kind}: {err}")
-            cyclic.append(gc.collect())
-            gc.enable()
+        state = {}
+        errors = [runner._run_op(op, state)[1] for op in w.ops]
+        failures = [f"{op.kind}: {err}" for op, err in zip(w.ops, errors) if err is not None]
         maxrss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         mappings = rss_by_mapping()
         import tracemalloc
@@ -140,24 +121,9 @@ def main(argv=None) -> int:
         tokens[path.name] = sum(t.type not in skipped for t in tokenize.tokenize(io.BytesIO(source).readline))
         compile_peaks[path.name] = compile_peak_kib(source, path)
 
-    print(f"{args.workload} seed {args.seed}, {args.passes} pass(es), checkout {args.root.resolve()}")
-    for i, n in enumerate(cyclic, 1):
-        print(f"  pass {i}: {n} objects in reference cycles")
-    print(f"  ru_maxrss: {maxrss_kib} KiB ({maxrss_kib / 1024.0:.2f} MB)")
-    print(f"  Rss now: {sum(mappings.values())} KiB, by mapping:")
-    for name, kib in mappings.items():
-        if kib:
-            print(f"    {kib:>8} KiB  {name}")
-    print("  traced peak per op (second traced pass):")
-    for kind, kib in traced.items():
-        print(f"    {kib:>8.1f} KiB  {kind}")
-    print("  compile per module (tokens, traced peak of the least of 3 compiles):")
-    for name, kib in compile_peaks.items():
-        print(f"    {tokens[name]:>8}  {kib:>8.1f} KiB  {name}")
-    for failure in failures[:5]:
-        print(f"  failed: {failure}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": args.passes,
-                      "cyclic_per_pass": cyclic, "failed": len(failures),
+    for failure in failures:
+        print(f"failed: {failure}", file=sys.stderr)
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "failed": len(failures),
                       "ru_maxrss_kib": maxrss_kib, "rss_kib": mappings, "traced_peak_kib": traced,
                       "tokens": tokens, "compile_peak_kib": compile_peaks}))
     return 1 if failures else 0

@@ -55,15 +55,6 @@ from .dynamics import (
 )
 from .protocols import ProtocolBank, _constants
 
-__all__ = [
-    "ConvergenceCertificate",
-    "CertificationReport",
-    "c2_constant",
-    "estimate_c1",
-    "settling_bound_rooted",
-    "certify",
-]
-
 
 class ConvergenceCertificate(Record):
     component_id: int

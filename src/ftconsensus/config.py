@@ -36,9 +36,6 @@ import re
 from ._record import Record, fields, replace
 from .errors import ConfigParseError, ConfigValidationError
 
-__all__ = ["ExperimentConfig", "parse_config", "load_config", "SimulationConfig", "Linear",
-           "PowerLinear", "LogPower", "ProtocolFunction", "parse_protocol_spec"]
-
 
 def _number(value) -> bool:
     """True for a JSON number; JSON ``true``/``false`` are bools, not numbers."""

@@ -25,15 +25,6 @@ from .errors import NonFiniteState, NotStronglyConnected, RecordBudgetExceeded
 from .graph import WeightedDigraph, is_strongly_connected, laplacian
 from .protocols import ProtocolBank
 
-__all__ = [
-    "SimulationConfig",
-    "Trajectory",
-    "integrate",
-    "lyapunov_value",
-    "lyapunov_trace",
-    "settling_time",
-]
-
 
 class Trajectory(Record):
     """One time per record; state rows, disagreement and V up to the freeze

@@ -29,16 +29,6 @@ import numpy as np
 from ._record import Record
 from .errors import NotStronglyConnected
 
-__all__ = [
-    "WeightedDigraph",
-    "Condensation",
-    "laplacian",
-    "condensation",
-    "has_spanning_tree",
-    "left_null_vector",
-    "mirror_laplacian",
-]
-
 
 class WeightedDigraph(Record):
     """Interaction topology: nonnegative weight matrix with zero diagonal, held as its

@@ -37,23 +37,9 @@ import math
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, fields
 from .config import Linear, LogPower, PowerLinear, ProtocolFunction, parse_protocol_spec  # re-exported
 from .errors import ProtocolDomainError
-
-__all__ = [
-    "Linear",
-    "PowerLinear",
-    "LogPower",
-    "ProtocolFunction",
-    "ProtocolBank",
-    "CriteriaReport",
-    "evaluate",
-    "antiderivative",
-    "check_a1",
-    "check_a2",
-    "parse_protocol_spec",
-]
 
 _BREAK = math.exp(-1.0)
 _TINY = 5e-324  # max(|z|, _TINY) is |z| except at 0, where ln stays finite and |z|^c = 0
@@ -97,18 +83,18 @@ def _log_power_F(z, a, c):
     return np.where(az <= _BREAK, inner, outer)
 
 
-# family -> (f kernel, F kernel, parameter names in kernel order)
+# family -> (f kernel, F kernel); each kernel takes the family's fields in order
 _KERNELS = {
-    Linear: (_linear_f, _linear_F, ("k",)),
-    PowerLinear: (_power_linear_f, _power_linear_F, ("a", "b", "c")),
-    LogPower: (_log_power_f, _log_power_F, ("a", "c")),
+    Linear: (_linear_f, _linear_F),
+    PowerLinear: (_power_linear_f, _power_linear_F),
+    LogPower: (_log_power_f, _log_power_F),
 }
 
 
 def _params(functions) -> tuple:
-    """Kernel parameters of same-family functions: an array per name, or floats for
+    """Kernel parameters of same-family functions: an array per field, or floats for
     one function (a length-1 array would broadcast into a differently rounded loop)."""
-    columns = ([float(getattr(f, p)) for f in functions] for p in _KERNELS[type(functions[0])][2])
+    columns = ([float(getattr(f, p)) for f in functions] for p in fields(functions[0]))
     return tuple(col[0] if len(col) == 1 else np.array(col) for col in columns)
 
 
@@ -146,7 +132,7 @@ class ProtocolBank:
         order = sum(members.values(), [])  # agents in family-sorted order
         # (slice of that order, kernels, parameters) per family
         self._groups = tuple(
-            (slice(order.index(idx[0]), order.index(idx[-1]) + 1), _KERNELS[kind][:2],
+            (slice(order.index(idx[0]), order.index(idx[-1]) + 1), _KERNELS[kind],
              _params([self.functions[i] for i in idx]))
             for kind, idx in members.items())
         self._order = np.array(order)  # scattered back, not inverted: np.argsort pages in sort code

@@ -900,6 +900,10 @@ print(json.dumps(steps))
             module = importlib.import_module(f"ftconsensus.{module_name}")
             for name in names.split():
                 assert getattr(module, name) is getattr(config, name), name
+        # _EXPORTS is the one list of public names: no submodule keeps a second
+        assert [path.name for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
+                if any(isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+                       for node in ast.walk(ast.parse(path.read_text())))] == ["__init__.py"]
 
     @staticmethod
     def _unreached_exports(sources, exports, readme):

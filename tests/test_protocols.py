@@ -21,7 +21,6 @@ from ftconsensus import (
     parse_protocol_spec,
 )
 from ftconsensus import config, protocols
-from ftconsensus._record import fields
 from ftconsensus.analysis import constants_for_bank
 
 from conftest import format_protocol_spec, random_claim1_bank
@@ -91,7 +90,7 @@ class TestEvaluate:
     def test_odd_and_even_on_the_ratio_grid(self, f, M):
         # f odd and F even bit for bit on the grid check_a2 scans: the ratio at
         # -z is the ratio at z, so (0, M] covers [-M, M]
-        f_kernel, F_kernel, _ = protocols._KERNELS[type(f)]
+        f_kernel, F_kernel = protocols._KERNELS[type(f)]
         params = protocols._params([f])
         z = protocols._ratio_grid(M)
         assert np.array_equal(f_kernel(-z, *params), -f_kernel(z, *params))
@@ -155,9 +154,8 @@ class TestEvaluate:
     def test_uniform_bank_applies_its_kernel_to_the_input(self, monkeypatch):
         # no copy of y and no output buffer: the kernel sees y itself
         seen = []
-        f, F, names = protocols._KERNELS[PowerLinear]
-        monkeypatch.setitem(protocols._KERNELS, PowerLinear,
-                            (lambda z, *p: seen.append(z) or f(z, *p), F, names))
+        f, F = protocols._KERNELS[PowerLinear]
+        monkeypatch.setitem(protocols._KERNELS, PowerLinear, (lambda z, *p: seen.append(z) or f(z, *p), F))
         bank = ProtocolBank([PowerLinear(1.0, 1.0, 0.75), PowerLinear(2.0, 0.5, 0.6)])
         y = np.array([0.5, -2.0])
         out = bank.eval(y)
@@ -179,9 +177,8 @@ class TestKernels:
     def test_one_kernel_pair_per_family(self):
         families = typing.get_args(config.ProtocolFunction)
         assert sorted(protocols._KERNELS, key=repr) == sorted(families, key=repr)
-        for family, (f, F, names) in protocols._KERNELS.items():
+        for f, F in protocols._KERNELS.values():
             assert callable(f) and callable(F) and f is not F
-            assert names == fields(family)
 
     def test_power_linear_f_is_the_signed_product(self):
         # sign(z) a |z|^c + b z bit for bit, both zeros included: copysign(a |z|^c, z)

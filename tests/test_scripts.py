@@ -1,8 +1,10 @@
 """The A/B scripts under ``scripts/``: the summary logic of ``bench_pairs.py``
-(pure functions, no git and no subprocess) and a smoke test of each script."""
+(pure functions, no git and no subprocess), its clean-up on SIGTERM, and a
+smoke test of each script."""
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +95,26 @@ def test_compare_digests():
         {"item": "certify b\tout/c.json", "base": "ff", "change": None},
         {"item": "certify c\tout/c.json", "base": None, "change": "ff"},
         {"item": "simulate a\texit", "base": "0", "change": "1"}]}
+
+
+def test_sigterm_removes_the_unpacked_trees(tmp_path):
+    # the signal comes while a tree runs its first command, after both are unpacked
+    script = f"""
+import importlib.util, os, signal, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", {str(SCRIPTS / "bench_pairs.py")!r})
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+def run(checkout, *_):
+    print(checkout.is_dir(), flush=True)
+    os.kill(os.getpid(), signal.SIGTERM)
+bench_pairs.run = run
+sys.exit(bench_pairs.main(["--base", "HEAD", "--workload", "fig1-paper", "--seeds", "1", "2",
+                           "--out", {str(tmp_path / "out.json")!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, TMPDIR=str(tmp_path)),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (143, "True\n"), proc.stderr
+    assert not list(tmp_path.glob("bench_pairs_*"))
 
 
 def module_constant(path: Path, name: str):
