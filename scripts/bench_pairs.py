@@ -18,8 +18,8 @@ Uncommitted edits are not measured; ``uncommitted_changes`` records them.
 First, on both trees, this checkout's ``scripts/output_digests.py`` runs
 once, and ``scripts/rss_by_mapping.py`` once per workload (first seed).  The
 output records the digest lines that differ and how many are equal
-(``digests``), and each side's ``traced_peak_kib``, ``compile_peak_kib`` and
-``ru_maxrss_kib`` (``memory``).
+(``digests``), and each side's ``traced_peak_kib`` and ``ru_maxrss_kib``
+(``memory``).
 
 Then, for each workload and seed, the unchanged ``bench/run.py --trace 0``
 runs once on each tree, one after the other; the order alternates from
@@ -41,7 +41,8 @@ set-up samples.  Per workload the output holds:
   run, per side (eight per run), finer than the per-run medians.
 
 Repeating ``--workload`` measures several workloads into the same file.  On
-SIGTERM it exits 143 as on an error: the unpacked trees go, the child is killed.
+SIGTERM it exits 143 as on an error: the unpacked trees go, and the child's
+process group is killed, ``bench/run.py``'s worker with it.
 """
 
 from __future__ import annotations
@@ -80,11 +81,19 @@ def unpack(rev: str, dest: Path) -> Path:
 
 
 def run(checkout: Path, argv: list, what: str) -> str:
-    """Stdout of ``argv`` run with this interpreter in ``checkout``."""
-    proc = subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0 or not proc.stdout.strip():
-        raise SystemExit(f"{what} failed in {checkout}: exit {proc.returncode}\n{proc.stderr.strip()}")
-    return proc.stdout
+    """Stdout of ``argv`` run with this interpreter in ``checkout``, in a session of
+    its own, whose whole process group is killed if this script stops first."""
+    with subprocess.Popen([sys.executable, *argv], cwd=checkout, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            if proc.returncode is None:  # not reaped, so the group is still the child's
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    if proc.returncode != 0 or not out.strip():
+        raise SystemExit(f"{what} failed in {checkout}: exit {proc.returncode}\n{err.strip()}")
+    return out
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, units: dict) -> dict:
@@ -102,12 +111,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, units: d
 
 
 def memory(checkout: Path, workload: str, seed: int) -> dict:
-    """``rss_by_mapping.py``'s traced and compile peaks and ``ru_maxrss``."""
+    """``rss_by_mapping.py``'s traced peaks and ``ru_maxrss``."""
     out = run(checkout, [str(ROOT / "scripts" / "rss_by_mapping.py"), "--root", str(checkout),
                          "--workload", workload, "--seed", str(seed)],
               f"rss_by_mapping.py ({workload})")
     readout = json.loads(out.strip().splitlines()[-1])
-    return {key: readout[key] for key in ("traced_peak_kib", "compile_peak_kib", "ru_maxrss_kib")}
+    return {key: readout[key] for key in ("traced_peak_kib", "ru_maxrss_kib")}
 
 
 def compare_digests(base: str, change: str) -> dict:

@@ -17,17 +17,9 @@ lists: the memory the program itself allocates, which tells a change in what
 it holds from a change in heap layout.  ``tracemalloc`` is imported only
 after the RSS readout, so it does not move the RSS figures.
 
-Last, for each module of the checkout's package, it counts the tokens (as
-``tokenize`` gives them, less comments, blank lines and the encoding token)
-and takes the traced peak of compiling the source, the least of three
-``compile()`` calls.  Every benchmark worker compiles the package
-(``PYTHONDONTWRITEBYTECODE=1``), and the largest module's peak shapes the
-heap the workload then runs in.
-
 It prints one JSON line: ``workload``, ``seed``, ``failed`` (failed ops, each
 named on stderr; the exit code is then 1), ``ru_maxrss_kib``, ``rss_kib`` (by
-mapping), ``traced_peak_kib`` (by op kind, the larger where a kind repeats),
-and ``tokens`` and ``compile_peak_kib`` (in KiB, by file name).
+mapping) and ``traced_peak_kib`` (by op kind, the larger where a kind repeats).
 """
 
 from __future__ import annotations
@@ -102,30 +94,10 @@ def main(argv=None) -> int:
             errors = [runner._run_op(op, state)[1] for op in w.ops]
         failures += [f"{op.kind} (traced): {err}" for op, err in zip(w.ops, errors) if err is not None]
 
-    import io
-    import tokenize
-
-    def compile_peak_kib(source: bytes, path: Path) -> float:
-        peaks = []
-        for _ in range(3):
-            tracemalloc.start()
-            compile(source, str(path), "exec", dont_inherit=True)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        return round(min(peaks) / 1024.0, 1)
-
-    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-    tokens, compile_peaks = {}, {}
-    for path in sorted((args.root.resolve() / "src" / "ftconsensus").glob("*.py")):
-        source = path.read_bytes()
-        tokens[path.name] = sum(t.type not in skipped for t in tokenize.tokenize(io.BytesIO(source).readline))
-        compile_peaks[path.name] = compile_peak_kib(source, path)
-
     for failure in failures:
         print(f"failed: {failure}", file=sys.stderr)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "failed": len(failures),
-                      "ru_maxrss_kib": maxrss_kib, "rss_kib": mappings, "traced_peak_kib": traced,
-                      "tokens": tokens, "compile_peak_kib": compile_peaks}))
+                      "ru_maxrss_kib": maxrss_kib, "rss_kib": mappings, "traced_peak_kib": traced}))
     return 1 if failures else 0
 
 

@@ -53,7 +53,7 @@ from .dynamics import (
     integrate,
     lyapunov_value,
 )
-from .protocols import ProtocolBank, _constants
+from .protocols import ProtocolBank, _bound_vanishes, _constants
 
 
 class ConvergenceCertificate(Record):
@@ -276,11 +276,13 @@ def certify(
     cond = condensation(g)
     root = observe = None  # root: (subgraph, omega, low) of a root of two or more agents
     if cond.spanning_tree and len(cond.components[0]) > 1:
-        # the run observes the root's every-step C1 (see _root_observer)
+        # the run observes the root's every-step C1 (see _root_observer), unless beta
+        # is 0 whatever M, so that no stage reads it
         g_root = g.component(0)
         omega = left_null_vector(g_root)
         observe, low = _root_observer(np.array(cond.components[0]), omega, laplacian(g_root))
         root = g_root, omega, low
+        observe = None if _bound_vanishes(bank) else observe
     traj = integrate(sim_cfg, g, bank, x0, observe)
     eps = sim_cfg.eps_consensus
     certificates, starts, extinctions, path_sums = ([None] * len(cond.components) for _ in range(4))

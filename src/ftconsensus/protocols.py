@@ -348,6 +348,14 @@ def _closed_form_alpha(bank) -> float | None:
     return max(_CLOSED_FORMS[kind][0](max(f.c for f in bank if type(f) is kind)) for kind in bank.kinds)
 
 
+def _bound_vanishes(bank) -> bool:
+    """Whether ``_constants(bank, M)``'s bound is 0 at every M > 0, decided before
+    any f is evaluated.  It is where the bank has a linear agent, whose tail
+    bound is 0 at every alpha; otherwise the closed-form alpha keeps every
+    agent's tail exponent 2c - (1+c) alpha at or below 0."""
+    return _closed_form_alpha(bank) is None
+
+
 def _constants(bank, M, alpha=None) -> tuple:
     """(alpha, bound, closed-form beta or None, notes) of a bank over (0, M], for
     every command.  ``bound`` is the least ``_ratio_min_single`` over the

@@ -408,6 +408,31 @@ class TestCertify:
         assert report.extinction_times[0] <= root.t_star
         assert report.extinction_times[1] - report.stage_starts[1] <= follower.t_star
 
+    @pytest.mark.parametrize("specs", [[Linear(k=1.0)] * 4,
+                                       [PowerLinear(1.0, 1.0, 0.75), Linear(k=1.0), LogPower(1.0, 0.5),
+                                        PowerLinear(1.5, 0.5, 0.6)]], ids=["linear", "mixed-linear"])
+    def test_no_root_observer_when_beta_is_zero_at_every_bound(self, specs, monkeypatch):
+        # a linear agent makes beta 0 whatever M, so no stage reads the root's
+        # every-step C1 and the run observes nothing; the report is the one an
+        # observed run gives, and x0 = 0 (M = 0) still certifies its root
+        cfg = load_config(REPO / "configs" / "fig1.cfg")
+        g, bank = cfg.graph(), ProtocolBank(specs)
+        calls, original = [], analysis._root_observer
+
+        def counting(*args):
+            observe, low = original(*args)
+            return (lambda x, k1: calls.append(1) or observe(x, k1)), low
+
+        monkeypatch.setattr(analysis, "_root_observer", counting)
+        reports = [certify(g, bank, x0, cfg.sim) for x0 in (cfg.x0_array(), np.zeros(4))]
+        assert calls == []
+        assert reports[0].overall_bound is None and reports[0].notes[-1].startswith("ratio bound (A2) is 0")
+        root = reports[1].certificates[0]
+        assert (root.c1_source, root.beta, reports[1].overall_bound) == ("mixed-sign-infimum", math.inf, 0.0)
+        monkeypatch.setattr(analysis, "_bound_vanishes", lambda bank: False)
+        assert [certify(g, bank, x0, cfg.sim) for x0 in (cfg.x0_array(), np.zeros(4))] == reports
+        assert len(calls) == 20001  # every step from fig1's x0; none from x0 = 0, frozen at once
+
     def test_no_spanning_tree(self):
         # two disjoint strongly connected 2-cycles starting at different means
         w = np.zeros((4, 4))

@@ -1,12 +1,15 @@
 """The A/B scripts under ``scripts/``: the summary logic of ``bench_pairs.py``
-(pure functions, no git and no subprocess), its clean-up on SIGTERM, and a
-smoke test of each script."""
+(pure functions, no git and no subprocess), its clean-up on SIGTERM, a smoke
+test of each script, and the keys of ``rss_by_mapping.py``'s JSON line."""
 
 import ast
 import importlib.util
+import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,24 +100,61 @@ def test_compare_digests():
         {"item": "simulate a\texit", "base": "0", "change": "1"}]}
 
 
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs: it exists and is not a zombie."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
 def test_sigterm_removes_the_unpacked_trees(tmp_path):
-    # the signal comes while a tree runs its first command, after both are unpacked
+    # the signal comes while a tree runs its first command, after both are
+    # unpacked; that child starts a sleeping grandchild, as bench/run.py
+    # starts bench/worker.py, and the two go with the trees
+    pid_file = tmp_path / "grandchild.pid"
+    child = ("import subprocess, sys; "
+             "p = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(300)']); "
+             f"open({str(pid_file)!r}, 'w').write(str(p.pid)); p.wait()")
     script = f"""
-import importlib.util, os, signal, sys
+import importlib.util, sys
 spec = importlib.util.spec_from_file_location("bench_pairs", {str(SCRIPTS / "bench_pairs.py")!r})
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
-def run(checkout, *_):
-    print(checkout.is_dir(), flush=True)
-    os.kill(os.getpid(), signal.SIGTERM)
-bench_pairs.run = run
+run = bench_pairs.run
+bench_pairs.run = lambda checkout, argv, what: run(checkout, ["-c", {child!r}], what)
 sys.exit(bench_pairs.main(["--base", "HEAD", "--workload", "fig1-paper", "--seeds", "1", "2",
                            "--out", {str(tmp_path / "out.json")!r}]))
 """
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, TMPDIR=str(tmp_path)),
-                          capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (143, "True\n"), proc.stderr
-    assert not list(tmp_path.glob("bench_pairs_*"))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=dict(os.environ, TMPDIR=str(tmp_path)),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    deadline = time.monotonic() + 120
+    while not (pid_file.exists() and pid_file.read_text()):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            pytest.fail(proc.communicate()[1])
+        time.sleep(0.05)
+    grandchild = int(pid_file.read_text())
+    try:
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 143, err
+        while alive(grandchild) and time.monotonic() < deadline:  # the kill may land after the exit
+            time.sleep(0.05)
+        assert not alive(grandchild)
+        assert not list(tmp_path.glob("bench_pairs_*"))
+    finally:
+        if alive(grandchild):
+            os.kill(grandchild, signal.SIGKILL)
+
+
+def test_rss_by_mapping_prints_one_json_line():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "rss_by_mapping.py"), "--workload", "fig1-paper",
+                           "--seed", "1"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    readout = json.loads(proc.stdout)
+    assert set(readout) == {"workload", "seed", "failed", "ru_maxrss_kib", "rss_kib", "traced_peak_kib"}
+    assert readout["failed"] == 0
 
 
 def module_constant(path: Path, name: str):
