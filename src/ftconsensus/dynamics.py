@@ -156,7 +156,10 @@ def integrate(
                 x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 # a finite sum proves every entry finite
                 if not (math.isfinite(x.sum()) or np.all(np.isfinite(x))):
-                    raise NonFiniteState(f"state non-finite at t={k * dt:g}; reduce dt")
+                    cause = ("reduce dt" if np.all(np.isfinite(field(np.array(x0, dtype=float)))) else
+                             "the field overflows at the finite state x0, so no dt helps: the state or "
+                             "weight scale is too large")
+                    raise NonFiniteState(f"state non-finite at t={k * dt:g}; {cause}")
             if freeze and x.max() - x.min() <= eps:
                 x[:] = x.mean()
                 frozen = True

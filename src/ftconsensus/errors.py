@@ -13,11 +13,13 @@ class ProtocolDomainError(FtConsensusError):
     """The argument bound M (``check-protocol``'s ``--bound``, or ``certify``'s
     ||L||_inf ||x0||_inf) is out of range for a protocol: too large where f(M)^2 or
     F(M) overflows a float, too small where f^2 or F leaves the normal float range
-    on the ratio grid."""
+    on the ratio grid.  The protocol's own scale counts as much, so the message
+    names it."""
 
 
 class NonFiniteState(FtConsensusError):
-    """Simulation state became non-finite (step size too large)."""
+    """Simulation state became non-finite: the step size is too large, or the field
+    overflows at x0, where no step size helps."""
 
 
 class RecordBudgetExceeded(FtConsensusError):

@@ -274,8 +274,8 @@ def _ratio_min_single(f, M, alpha):
     is checked; a cell whose f^2 overflows has a ratio above f(M)^2 /
     F(M)^alpha, which the last cell bounds; a bound below that range is 0.
     """
-    scale = (f"argument bound M = {M:g} too {{}} (M is check-protocol's --bound, or certify's "
-             "||L||_inf ||x0||_inf, the x0 scale)")
+    scale = (f"argument bound M = {M:g} too {{0}} for {f!r}, or that spec's scale too {{0}} for M "
+             "(M is check-protocol's --bound, or certify's ||L||_inf ||x0||_inf, the x0 scale)")
     # a branch that np.where discards may overflow, and so may f^2 where F is small
     with np.errstate(over="ignore", invalid="ignore"):
         fM, FM = _f(f, np.float64(M)), _F(f, np.float64(M))

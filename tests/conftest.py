@@ -1,3 +1,5 @@
+import ast
+import functools
 import json
 import tracemalloc
 
@@ -111,6 +113,12 @@ def format_protocol_spec(f) -> str:
     kind = next(kind for kind, family in config._KINDS.items() if isinstance(f, family))
     values = ",".join(f"{key}={getattr(f, key):.17g}" for key in fields(f))
     return f"{kind}{{{values}}}"
+
+
+@functools.cache
+def parsed(source: str) -> ast.Module:
+    """The syntax tree of ``source``, parsed once per text; callers share it and leave it as it is."""
+    return ast.parse(source)
 
 
 def full_states(traj) -> np.ndarray:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ftconsensus
 from ftconsensus import analysis, cli, protocols
 from ftconsensus._record import asdict, fields, replace
 from ftconsensus.cli import main
@@ -22,7 +23,7 @@ from ftconsensus.dynamics import SimulationConfig, Trajectory
 from ftconsensus.errors import ConfigParseError, ConfigValidationError
 from ftconsensus.graph import WeightedDigraph
 
-from conftest import count_graph_searches, random_strongly_connected, serialize_config, traced_peak
+from conftest import count_graph_searches, parsed, random_strongly_connected, serialize_config, traced_peak
 
 REPO = Path(__file__).resolve().parent.parent
 FIG1_CFG = REPO / "configs" / "fig1.cfg"
@@ -604,6 +605,8 @@ class TestCheckProtocolCommand:
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "inf"], 1, "--bound must be finite"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e160"], 1, "argument bound M = 1e+160 too large"),
         ("logpower{a=1,c=0.5}", ["--bound", "1e300"], 1, "argument bound M = 1e+300 too large"),
+        ("powerlinear{a=1,b=1e300,c=0.5}", ["--bound", "6"], 1, "argument bound M = 6 too large for PowerLinear("),
+        ("linear{k=1e-320}", ["--bound", "6"], 1, "argument bound M = 6 too small for Linear(k=1e-320), or that"),
         ("powerlinear{a=1,b=1,c=0.5}", ["--bound", "1e150"], 0, None),
         ("linear{k=1}", ["--bound", "1e150"], 1, None),
         # a linear ratio tends to 0 (here like z^0.2), so no beta > 0 holds down to z = 0
@@ -789,6 +792,98 @@ class TestDemoPaper:
         assert header == "t,x_1,x_2,x_3,x_4,disagreement"
 
 
+SRC = REPO / "src" / "ftconsensus"
+# file name (relative to SRC) -> source text of each module of the package
+SOURCES = {path.relative_to(SRC).as_posix(): path.read_text() for path in sorted(SRC.rglob("*.py"))}
+# importing these loads no numeric module; each command imports its own
+COLD_START_FILES = ("__init__.py", "_record.py", "config.py", "cli.py", "errors.py")
+# nor these, which cost a cold start more than the package itself
+SLOW_MODULES = ("dataclasses", "inspect", "argparse", "typing")
+
+_SORT = ("every order the package needs is known by construction (geomspace ascends, the mixed bank scatters "
+         "by index); numpy's sort and what is built on it page in 256 KiB of _multiarray_umath")
+_MA = "np.unique and np.median load numpy.ma"
+_SVD = ("omega comes from GTH elimination and no command fits a curve; an SVD (or the SVD least squares "
+        "behind lstsq and polyfit) would load LAPACK code and workspace that no result needs")
+_NUMERIC = "importing a cold-start file loads no numeric module; each command imports its own"
+# (name, scope, reason) of each name that no module of the package uses.  The scopes:
+#   numpy        np.NAME or numpy.NAME, or a part of a numpy import after "numpy"
+#   attribute    NAME within any attribute or imported name
+#   import       module NAME, or one inside it, imported anywhere, function bodies included
+#   import-time  the same, imported outside function bodies by COLD_START_FILES
+# They also cover the paths that the fresh-interpreter tests do not run.
+FORBIDDEN = [
+    ("random", "numpy", "np.random costs ~6 MB of RSS"),
+    ("ma", "numpy", _MA + ", which no result needs"),
+    ("unique", "numpy", f"{_SORT}; {_MA}"),
+    ("median", "numpy", f"{_SORT}; {_MA}"),
+    ("sort", "numpy", _SORT),
+    ("lexsort", "numpy", _SORT),
+    ("partition", "numpy", _SORT),
+    ("percentile", "numpy", _SORT),
+    ("quantile", "numpy", _SORT),
+    ("argsort", "attribute", _SORT),
+    ("argpartition", "attribute", _SORT),
+    ("svd", "attribute", _SVD),
+    ("lstsq", "attribute", _SVD),
+    ("polyfit", "attribute", _SVD),
+    ("einsum", "attribute", "the RK4 loop observes C1 by BLAS products; an einsum pages in its own code"),
+    ("scipy", "import", "no call path imports scipy"),
+    ("dataclasses", "import", "one way to declare a record: a class with fields subclasses _record.Record"),
+    ("numpy", "import-time", _NUMERIC),
+    ("ftconsensus.graph", "import-time", _NUMERIC),
+    ("ftconsensus.protocols", "import-time", _NUMERIC),
+    ("ftconsensus.dynamics", "import-time", _NUMERIC),
+    ("ftconsensus.analysis", "import-time", _NUMERIC),
+    *[(module, "import-time", "it costs a cold start more than the package itself")
+      for module in SLOW_MODULES if module != "dataclasses"],  # dataclasses has an import row
+]
+forbidden_rows = pytest.mark.parametrize("name, scope, reason", FORBIDDEN,
+                                         ids=[f"{scope}:{name}" for name, scope, _ in FORBIDDEN])
+
+
+def references(tree) -> list:
+    """(line, kind, name) of each name that ``tree`` references.  Kind "np" is np.NAME or
+    numpy.NAME, "attribute" any other .NAME, and "import" each module an import names
+    (x and x.y for ``from x import y``, a relative x resolved in ftconsensus); an import
+    outside function bodies is listed again as "import-time"."""
+    found, stack = [], [(node, False) for node in tree.body]
+    while stack:
+        node, in_function = stack.pop()
+        if isinstance(node, ast.Attribute):
+            kind = "np" if getattr(node.value, "id", None) in ("np", "numpy") else "attribute"
+            found.append((node.lineno, kind, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                base = node.module or ""
+                if node.level:
+                    base = "ftconsensus" + (f".{base}" if base else "")
+                modules = [base] + [f"{base}.{a.name}" for a in node.names]
+            kinds = ["import"] if in_function else ["import", "import-time"]
+            found += [(node.lineno, kind, module) for module in modules for kind in kinds]
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        stack += [(child, in_function) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def forbidden_uses(sources, name, scope) -> list:
+    """'file:line reference' for each use of the forbidden ``name`` in ``scope`` (see
+    FORBIDDEN) by ``sources``, which map file name to source text."""
+    def uses(kind, ref):
+        parts = ref.split(".")
+        if scope == "numpy":
+            return ref == name if kind == "np" else kind == "import" and parts[0] == "numpy" and name in parts[1:]
+        if scope == "attribute":
+            return kind != "import-time" and name in ref
+        return kind == scope and (ref + ".").startswith(name + ".")
+
+    files = COLD_START_FILES if scope == "import-time" else sources
+    return [f"{file}:{line} {ref}" for file in files for line, kind, ref in references(parsed(sources[file]))
+            if uses(kind, ref)]
+
+
 class TestColdStart:
     SCRIPT = """
 import json, sys
@@ -881,8 +976,6 @@ print(json.dumps(steps))
     def test_exports_resolve_to_their_defining_objects(self):
         import importlib
 
-        import ftconsensus
-
         star = {}
         exec("from ftconsensus import *", star)
         names = [name for names in self.OLD_EXPORTS.values() for name in names.split()]
@@ -901,20 +994,19 @@ print(json.dumps(steps))
             for name in names.split():
                 assert getattr(module, name) is getattr(config, name), name
         # _EXPORTS is the one list of public names: no submodule keeps a second
-        assert [path.name for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
-                if any(isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
-                       for node in ast.walk(ast.parse(path.read_text())))] == ["__init__.py"]
+        assert sorted({file for file, node in self._nodes() if isinstance(node, ast.Name)
+                       and node.id == "__all__" and isinstance(node.ctx, ast.Store)}) == ["__init__.py"]
 
     @staticmethod
     def _unreached_exports(sources, exports, readme):
         """Exported names that no command reaches and README does not name in backticks.
 
-        ``sources`` maps module name to source text.  The ``cmd_*`` functions
+        ``sources`` maps file name to source text.  The ``cmd_*`` functions
         are reached; so is every top-level function, class (all its methods
         with it) or assignment whose name a reached one's body uses."""
         defs = {}
         for source in sources.values():
-            for node in ast.parse(source).body:
+            for node in parsed(source).body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     names = [node.name]
                 elif isinstance(node, ast.Assign):
@@ -934,162 +1026,84 @@ print(json.dumps(steps))
                 if name not in reached and not re.search(rf"`{name}\b", readme)]
 
     def test_every_export_is_reached_from_a_command_or_named_in_readme(self):
-        import ftconsensus
-
-        sources = {p.stem: p.read_text() for p in (REPO / "src" / "ftconsensus").glob("*.py")}
         readme = (REPO / "README.md").read_text()
-        assert self._unreached_exports(sources, ftconsensus._EXPORTS, readme) == []
+        assert self._unreached_exports(SOURCES, ftconsensus._EXPORTS, readme) == []
 
     def test_an_uncalled_export_is_caught(self):
-        import ftconsensus
-
-        sources = {p.stem: p.read_text() for p in (REPO / "src" / "ftconsensus").glob("*.py")}
-        sources["graph"] += "\n\ndef planted_export(g):\n    return g.n\n"
+        sources = {**SOURCES, "graph.py": SOURCES["graph.py"] + "\n\ndef planted_export(g):\n    return g.n\n"}
         exports = dict(ftconsensus._EXPORTS, graph=[*ftconsensus._EXPORTS["graph"], "planted_export"])
         readme = (REPO / "README.md").read_text()
         assert self._unreached_exports(sources, exports, readme) == ["planted_export"]
         assert self._unreached_exports(sources, exports, readme + "\n`planted_export`\n") == []
 
     def test_unknown_attribute_raises(self):
-        import ftconsensus
-
         with pytest.raises(AttributeError, match="no_such_name"):
             ftconsensus.no_such_name  # noqa: B018
         assert not hasattr(ftconsensus, "__wrapped__")
 
-    def test_no_module_imports_scipy_at_import_time(self):
-        # stricter than its name: function bodies count too, so no call
-        # path can import scipy either
-        offenders = []
-        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""] if node.level == 0 else []
-                else:
-                    names = []
-                offenders += [f"{path.name}:{node.lineno} {m}" for m in names
-                              if m.split(".")[0] == "scipy"]
-        assert offenders == []
+    @forbidden_rows
+    def test_no_module_uses_a_forbidden_name(self, name, scope, reason):
+        assert forbidden_uses(SOURCES, name, scope) == [], reason
 
-    def test_every_record_is_a_record_and_no_module_imports_dataclasses(self):
-        # one way to declare a record: a class with annotated fields subclasses
-        # _record.Record, and no module imports dataclasses, in a function body either
-        offenders = []
-        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
-                        a.name for a in node.names]
-                    offenders += [f"{path.name}:{node.lineno} imports {m}" for m in names
-                                  if m.split(".")[0] == "dataclasses"]
-                elif (isinstance(node, ast.ClassDef) and any(isinstance(n, ast.AnnAssign) for n in node.body)
-                      and "Record" not in {getattr(b, "id", None) for b in node.bases}):
-                    offenders.append(f"{path.name}:{node.lineno} {node.name} is no Record")
-        assert offenders == []
+    # lines that use NAME in each scope
+    PLANTS = {"numpy": ["np.{}", "numpy.{}", "from numpy import {}", "import numpy.{}"],
+              "attribute": ["x.{}()", "np.{}", "def planted():\n    from numpy import {}"],
+              "import": ["def planted():\n    import {}", "from {} import x"],
+              "import-time": ["import {}", "from {} import x"]}
+
+    @forbidden_rows
+    def test_a_planted_forbidden_name_is_caught(self, name, scope, reason):
+        # each row reports the lines of the uses appended to errors.py, a small cold-start
+        # file.  With the clean sources passing, this also shows that "import-time" skips
+        # function bodies: cli.build_parser imports argparse
+        source, lines = SOURCES["errors.py"], set()
+        for plant in self.PLANTS[scope]:
+            source += "\n" + plant.format(name)
+            lines.add(f"errors.py:{len(source.splitlines())}")
+        uses = forbidden_uses({**SOURCES, "errors.py": source}, name, scope)
+        assert {use.split()[0] for use in uses} == lines
+
+    @staticmethod
+    def _nodes(skip=None):
+        """(file, node) for every node of every module of the package but ``skip``."""
+        return [(file, node) for file, source in SOURCES.items() if file != skip
+                for node in ast.walk(parsed(source))]
+
+    def test_every_record_is_a_record(self):
+        # one way to declare a record: a class with annotated fields subclasses _record.Record
+        assert [f"{file}:{node.lineno} {node.name}" for file, node in self._nodes()
+                if isinstance(node, ast.ClassDef) and any(isinstance(n, ast.AnnAssign) for n in node.body)
+                and "Record" not in {getattr(b, "id", None) for b in node.bases}] == []
 
     def test_cli_imports_no_private_name(self):
         # a command's policy lives in the module that computes it; cli reads
         # public names only, so no rule is applied a second time there
         numeric = {"protocols", "analysis", "dynamics", "graph"}
-        offenders = [f"cli.py:{node.lineno} {alias.name}"
-                     for node in ast.walk(ast.parse((REPO / "src" / "ftconsensus" / "cli.py").read_text()))
-                     if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in numeric
-                     for alias in node.names if alias.name.startswith("_")]
-        assert offenders == []
+        assert [f"cli.py:{node.lineno} {alias.name}" for node in ast.walk(parsed(SOURCES["cli.py"]))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in numeric
+                for alias in node.names if alias.name.startswith("_")] == []
 
     def test_only_graph_reads_the_weights(self):
         # a graph holds its Laplacian alone and g.weights rebuilds an n x n
         # array on each read; every other module reads laplacian(g)
-        offenders = [f"{path.name}:{node.lineno}"
-                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
-                     if path.name != "graph.py"
-                     for node in ast.walk(ast.parse(path.read_text()))
-                     if isinstance(node, ast.Attribute) and node.attr == "weights"]
-        assert offenders == []
-
-    def test_no_module_uses_numpy_random_unique_or_median(self):
-        # np.random costs ~6 MB of RSS, and np.unique and np.median load
-        # numpy.ma; this also covers paths the fresh-interpreter test skips
-        heavy = {"random", "ma", "unique", "median"}
-        offenders = []
-        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    names = [node.attr] if node.value.id in ("np", "numpy") else []
-                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-                    names = node.module.split(".")[1:] + [a.name for a in node.names]
-                elif isinstance(node, ast.Import):
-                    names = [part for a in node.names if a.name.startswith("numpy.")
-                             for part in a.name.split(".")[1:]]
-                else:
-                    names = []
-                offenders += [f"{path.name}:{node.lineno} {m}" for m in names if m in heavy]
-        assert offenders == []
-
-    def test_no_module_calls_svd(self):
-        # omega comes from GTH elimination and no command fits a curve; an SVD
-        # (or the SVD least squares behind lstsq and polyfit) would load
-        # LAPACK code and workspace that no result needs
-        svd = {"svd", "lstsq", "polyfit"}
-        offenders = [f"{path.name}:{node.lineno}"
-                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
-                     for node in ast.walk(ast.parse(path.read_text()))
-                     if (isinstance(node, ast.Attribute) and node.attr in svd)
-                     or (isinstance(node, ast.alias) and node.name.split(".")[-1] in svd)]
-        assert offenders == []
-
-    def test_no_module_calls_einsum(self):
-        # the root C1 is observed inside the RK4 loop with matrix-vector products
-        # and dots; an einsum runs without BLAS and pages in its own code
-        offenders = [f"{path.name}:{node.lineno}"
-                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
-                     for node in ast.walk(ast.parse(path.read_text()))
-                     if (isinstance(node, ast.Attribute) and "einsum" in node.attr)
-                     or (isinstance(node, ast.alias) and "einsum" in node.name)]
-        assert offenders == []
-
-    def test_no_module_sorts(self):
-        # every order the package needs is known by construction: geomspace
-        # ascends and the mixed bank scatters back by index; numpy's sort and
-        # the selections and order statistics built on it page in code
-        # (256 KiB of _multiarray_umath for a first np.sort)
-        sorts = {"sort", "argsort", "lexsort", "partition", "argpartition", "unique", "median",
-                 "percentile", "quantile"}
-        offenders = []
-        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Attribute) and node.attr in sorts and (
-                        node.attr.startswith("arg") or getattr(node.value, "id", None) in ("np", "numpy")):
-                    offenders.append(f"{path.name}:{node.lineno} {node.attr}")
-                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-                    offenders += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
-                                  if a.name in sorts]
-        assert offenders == []
+        assert [f"{file}:{node.lineno}" for file, node in self._nodes(skip="graph.py")
+                if isinstance(node, ast.Attribute) and node.attr == "weights"] == []
 
     def test_only_protocols_names_the_grid_or_the_normal_floor(self):
         # the ratio grid and the float range its bound needs are protocols' own:
         # a second module reading them would be a second scale check or grid
         private = {"_NORMAL", "_GRID_POINTS", "_GRID_DECADES", "_ratio_grid"}
-        offenders = [f"{path.name}:{node.lineno}"
-                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
-                     if path.name != "protocols.py"
-                     for node in ast.walk(ast.parse(path.read_text()))
-                     if (isinstance(node, ast.Name) and node.id in private)
-                     or (isinstance(node, ast.Attribute) and node.attr in private)
-                     or (isinstance(node, ast.alias) and node.name in private)]
-        assert offenders == []
+        assert [f"{file}:{node.lineno}" for file, node in self._nodes(skip="protocols.py")
+                if (isinstance(node, ast.Name) and node.id in private)
+                or (isinstance(node, ast.Attribute) and node.attr in private)
+                or (isinstance(node, ast.alias) and node.name in private)] == []
 
     def test_no_function_takes_a_grid(self):
         # the ratio bound is taken on one module grid, protocols._ratio_grid; a grid
         # parameter would be a second path to it that no command uses
-        offenders = [f"{path.name}:{node.lineno} {node.name}"
-                     for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py"))
-                     for node in ast.walk(ast.parse(path.read_text()))
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-                     and "grid" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
-        assert offenders == []
+        assert [f"{file}:{node.lineno} {node.name}" for file, node in self._nodes()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                and "grid" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}] == []
 
     def test_no_module_expands_the_frozen_tail(self):
         # a trajectory holds state rows only up to the freeze record: no module
@@ -1103,64 +1117,15 @@ print(json.dumps(steps))
                     if isinstance(n, (ast.Attribute, ast.Name))}
 
         offenders = []
-        for path in sorted((REPO / "src" / "ftconsensus").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Attribute) and node.attr in repeaters:
-                    offenders.append(f"{path.name}:{node.lineno} {node.attr}")
-                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                      and node.func.attr in joiners and "states" in names(ast.List(node.args))):
-                    offenders.append(f"{path.name}:{node.lineno} {node.func.attr} of states")
-                elif (isinstance(node, ast.Subscript) and "states" in names(node.value)
-                      and any(isinstance(n, ast.Call) for n in ast.walk(node.slice))):
-                    offenders.append(f"{path.name}:{node.lineno} computed index into states")
-        assert offenders == []
-
-    # importing these loads no numeric module; each command imports its own
-    COLD_START_FILES = ("__init__.py", "_record.py", "config.py", "cli.py", "errors.py")
-    # nor these, which cost a cold start more than the package itself
-    SLOW_MODULES = ("dataclasses", "inspect", "argparse", "typing")
-    NUMERIC_MODULES = ("numpy", "ftconsensus.graph", "ftconsensus.protocols", "ftconsensus.dynamics",
-                       "ftconsensus.analysis")
-
-    @staticmethod
-    def _import_time_imports(path):
-        """Every module an import statement outside a function body of ``path`` names."""
-        found = []
-        stack = list(ast.parse(path.read_text()).body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.Import):
-                found += [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    base = "ftconsensus" + (f".{base}" if base else "")
-                found += [base] + [f"{base}.{a.name}" for a in node.names]
-            stack.extend(ast.iter_child_nodes(node))
-        return found
-
-    def test_cold_start_modules_import_no_numeric_module(self):
-        src = REPO / "src" / "ftconsensus"
-        # the walker sees what dynamics imports at import time, and skips
-        # the imports inside config's methods
-        assert "numpy" in self._import_time_imports(src / "dynamics.py")
-        assert "ftconsensus.graph" in self._import_time_imports(src / "dynamics.py")
-        offenders = [f"{name} imports {m}" for name in self.COLD_START_FILES
-                     for m in self._import_time_imports(src / name)
-                     if any(m == k or m.startswith(k + ".") for k in self.NUMERIC_MODULES)]
-        assert offenders == []
-
-    def test_cold_start_modules_import_no_slow_module(self):
-        # argparse is imported inside cli.build_parser
-        src = REPO / "src" / "ftconsensus"
-        assert "argparse" not in self._import_time_imports(src / "cli.py")
-        assert "argparse" in [a.name for node in ast.walk(ast.parse((src / "cli.py").read_text()))
-                              if isinstance(node, ast.Import) for a in node.names]
-        offenders = [f"{name} imports {m}" for name in self.COLD_START_FILES
-                     for m in self._import_time_imports(src / name)
-                     if m.split(".")[0] in self.SLOW_MODULES]
+        for file, node in self._nodes():
+            if isinstance(node, ast.Attribute) and node.attr in repeaters:
+                offenders.append(f"{file}:{node.lineno} {node.attr}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in joiners and "states" in names(ast.List(node.args))):
+                offenders.append(f"{file}:{node.lineno} {node.func.attr} of states")
+            elif (isinstance(node, ast.Subscript) and "states" in names(node.value)
+                  and any(isinstance(n, ast.Call) for n in ast.walk(node.slice))):
+                offenders.append(f"{file}:{node.lineno} computed index into states")
         assert offenders == []
 
     SETUP_SCRIPT = """
@@ -1181,5 +1146,5 @@ print(json.dumps(steps))
     def test_set_up_loads_no_slow_module(self):
         # the benchmark's set-up code (bench/run.py SETUP_CODE) adds none of them
         # to what a bare interpreter holds; the first command loads argparse
-        steps, _ = self._run_fresh(self.SETUP_SCRIPT, FIG1_CFG, *self.SLOW_MODULES)
+        steps, _ = self._run_fresh(self.SETUP_SCRIPT, FIG1_CFG, *SLOW_MODULES)
         assert steps == [[], [0, True]]

@@ -22,6 +22,7 @@ from ftconsensus import (
 )
 from ftconsensus import config, protocols
 from ftconsensus.analysis import constants_for_bank
+from ftconsensus.errors import ProtocolDomainError
 
 from conftest import format_protocol_spec, random_claim1_bank
 
@@ -314,6 +315,21 @@ class TestPositiveGrid:
 
 
 class TestCheckA2:
+    @pytest.mark.parametrize("culprit, fragment", [
+        (PowerLinear(a=1e-300, b=0.0, c=0.5), "M = 2 too small for PowerLinear(a=1e-300, b=0.0, c=0.5), "),
+        (PowerLinear(a=1.0, b=1e300, c=0.5), "M = 2 too large for PowerLinear(a=1.0, b=1e+300, c=0.5), "),
+    ])
+    def test_a_spec_scale_failure_names_that_spec(self, culprit, fragment):
+        # M = 2 suits every other agent of the mixed bank: the spec's own scale trips the check
+        others = [PowerLinear(a=1.0, b=1.0, c=0.5), LogPower(a=1.0, c=0.5), Linear(k=1.0)]
+        with pytest.raises(ProtocolDomainError) as info:
+            check_a2(ProtocolBank([others[0], culprit, *others[1:]]), 2.0)
+        message = str(info.value)
+        assert message.startswith("argument bound " + fragment) and "or that spec's scale" in message
+        assert "the x0 scale" in message and not any(repr(f) in message for f in others)
+        for f in others:
+            check_a2(ProtocolBank([f]), 2.0)
+
     def test_linear_fails_any_beta(self):
         bank = ProtocolBank([Linear(k=1.0)])
         for beta in [1e-6, 1e-3, 1.0]:
