@@ -157,8 +157,8 @@ def integrate(
                 # a finite sum proves every entry finite
                 if not (math.isfinite(x.sum()) or np.all(np.isfinite(x))):
                     cause = ("reduce dt" if np.all(np.isfinite(field(np.array(x0, dtype=float)))) else
-                             "the field overflows at the finite state x0, so no dt helps: the state or "
-                             "weight scale is too large")
+                             "the field overflows at the finite state x0, so no dt helps: the state, "
+                             "weight or protocol scale is too large")
                     raise NonFiniteState(f"state non-finite at t={k * dt:g}; {cause}")
             if freeze and x.max() - x.min() <= eps:
                 x[:] = x.mean()

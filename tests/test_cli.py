@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -817,24 +818,14 @@ FORBIDDEN = [
     ("ma", "numpy", _MA + ", which no result needs"),
     ("unique", "numpy", f"{_SORT}; {_MA}"),
     ("median", "numpy", f"{_SORT}; {_MA}"),
-    ("sort", "numpy", _SORT),
-    ("lexsort", "numpy", _SORT),
-    ("partition", "numpy", _SORT),
-    ("percentile", "numpy", _SORT),
-    ("quantile", "numpy", _SORT),
-    ("argsort", "attribute", _SORT),
-    ("argpartition", "attribute", _SORT),
-    ("svd", "attribute", _SVD),
-    ("lstsq", "attribute", _SVD),
-    ("polyfit", "attribute", _SVD),
+    *[(name, "numpy", _SORT) for name in ("sort", "lexsort", "partition", "percentile", "quantile")],
+    *[(name, "attribute", _SORT) for name in ("argsort", "argpartition")],
+    *[(name, "attribute", _SVD) for name in ("svd", "lstsq", "polyfit")],
     ("einsum", "attribute", "the RK4 loop observes C1 by BLAS products; an einsum pages in its own code"),
     ("scipy", "import", "no call path imports scipy"),
     ("dataclasses", "import", "one way to declare a record: a class with fields subclasses _record.Record"),
     ("numpy", "import-time", _NUMERIC),
-    ("ftconsensus.graph", "import-time", _NUMERIC),
-    ("ftconsensus.protocols", "import-time", _NUMERIC),
-    ("ftconsensus.dynamics", "import-time", _NUMERIC),
-    ("ftconsensus.analysis", "import-time", _NUMERIC),
+    *[(f"ftconsensus.{module}", "import-time", _NUMERIC) for module in ("graph", "protocols", "dynamics", "analysis")],
     *[(module, "import-time", "it costs a cold start more than the package itself")
       for module in SLOW_MODULES if module != "dataclasses"],  # dataclasses has an import row
 ]
@@ -842,12 +833,13 @@ forbidden_rows = pytest.mark.parametrize("name, scope, reason", FORBIDDEN,
                                          ids=[f"{scope}:{name}" for name, scope, _ in FORBIDDEN])
 
 
-def references(tree) -> list:
-    """(line, kind, name) of each name that ``tree`` references.  Kind "np" is np.NAME or
-    numpy.NAME, "attribute" any other .NAME, and "import" each module an import names
-    (x and x.y for ``from x import y``, a relative x resolved in ftconsensus); an import
-    outside function bodies is listed again as "import-time"."""
-    found, stack = [], [(node, False) for node in tree.body]
+@functools.cache
+def references(source: str) -> tuple:
+    """(line, kind, name) of each name that ``source`` references, walked once per text.
+    Kind "np" is np.NAME or numpy.NAME, "attribute" any other .NAME, and "import" each
+    module an import names (x and x.y for ``from x import y``, a relative x resolved in
+    ftconsensus); an import outside function bodies is listed again as "import-time"."""
+    found, stack = [], [(node, False) for node in parsed(source).body]
     while stack:
         node, in_function = stack.pop()
         if isinstance(node, ast.Attribute):
@@ -865,7 +857,7 @@ def references(tree) -> list:
             found += [(node.lineno, kind, module) for module in modules for kind in kinds]
         in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         stack += [(child, in_function) for child in ast.iter_child_nodes(node)]
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 def forbidden_uses(sources, name, scope) -> list:
@@ -880,7 +872,7 @@ def forbidden_uses(sources, name, scope) -> list:
         return kind == scope and (ref + ".").startswith(name + ".")
 
     files = COLD_START_FILES if scope == "import-time" else sources
-    return [f"{file}:{line} {ref}" for file in files for line, kind, ref in references(parsed(sources[file]))
+    return [f"{file}:{line} {ref}" for file in files for line, kind, ref in references(sources[file])
             if uses(kind, ref)]
 
 
@@ -1050,16 +1042,28 @@ print(json.dumps(steps))
               "attribute": ["x.{}()", "np.{}", "def planted():\n    from numpy import {}"],
               "import": ["def planted():\n    import {}", "from {} import x"],
               "import-time": ["import {}", "from {} import x"]}
+    # lines that an import-time row skips, as they import in a function body
+    IN_FUNCTIONS = ["def planted():\n    import {}",
+                    "class Planted:\n    def method(self):\n        from {} import x"]
+    # (line, reported) that import a module of the package by its relative name
+    RELATIVE = [("from .{} import x", True), ("from . import {}", True),
+                ("def planted():\n    from .{} import x", False)]
 
     @forbidden_rows
     def test_a_planted_forbidden_name_is_caught(self, name, scope, reason):
         # each row reports the lines of the uses appended to errors.py, a small cold-start
-        # file.  With the clean sources passing, this also shows that "import-time" skips
-        # function bodies: cli.build_parser imports argparse
+        # file, and none of the others
+        plants = [(plant.format(name), True) for plant in self.PLANTS[scope]]
+        if scope == "import-time":
+            plants += [(plant.format(name), False) for plant in self.IN_FUNCTIONS]
+        if name.startswith("ftconsensus."):
+            module = name.removeprefix("ftconsensus.")
+            plants += [(plant.format(module), reported) for plant, reported in self.RELATIVE]
         source, lines = SOURCES["errors.py"], set()
-        for plant in self.PLANTS[scope]:
-            source += "\n" + plant.format(name)
-            lines.add(f"errors.py:{len(source.splitlines())}")
+        for plant, reported in plants:
+            source += "\n" + plant
+            if reported:
+                lines.add(f"errors.py:{len(source.splitlines())}")
         uses = forbidden_uses({**SOURCES, "errors.py": source}, name, scope)
         assert {use.split()[0] for use in uses} == lines
 

@@ -110,12 +110,13 @@ class TestIntegrate:
         with pytest.raises(NonFiniteState, match="; reduce dt$"):
             integrate(cfg, g, bank, np.array([1.0, -1.0]))
 
-    @pytest.mark.parametrize("weight, x0", [(1.0, [1e308, -1e308]), (1e308, [1.0, -1.0])])
-    def test_field_overflow_at_x0_names_the_scale(self, weight, x0):
-        # -L x0 already overflows, so no dt helps
-        bank = ProtocolBank([Linear(k=1.0)] * 2)
+    @pytest.mark.parametrize("weight, x0, k", [(1.0, [1e308, -1e308], 1.0), (1e308, [1.0, -1.0], 1.0),
+                                               (1.0, [1.0, -1.0], 1e308)])
+    def test_field_overflow_at_x0_names_the_scale(self, weight, x0, k):
+        # -L x0, or the gain times it, already overflows, so no dt helps
+        bank = ProtocolBank([Linear(k=k)] * 2)
         with pytest.raises(NonFiniteState, match="at t=0.001; the field overflows at the finite state x0, so "
-                                                 "no dt helps: the state or weight scale is too large$"):
+                                                 "no dt helps: the state, weight or protocol scale is too large$"):
             integrate(SimulationConfig(dt=1e-3), directed_cycle(2, weight=weight), bank, np.array(x0))
 
     def test_record_stride_and_final_step(self):

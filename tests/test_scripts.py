@@ -14,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import parsed
-
 REPO = Path(__file__).resolve().parent.parent
 SCRIPTS = REPO / "scripts"
 
@@ -161,7 +159,7 @@ def test_rss_by_mapping_prints_one_json_line():
 
 def module_constant(path: Path, name: str):
     """The literal value assigned to ``name`` at the top level of ``path``."""
-    for node in parsed(path.read_text(encoding="utf-8")).body:
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError(f"{path} assigns no {name}")
